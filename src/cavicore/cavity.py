@@ -1,4 +1,4 @@
-"""Circle traces, winding numbers, and cavity volume/perimeter via boundary
+"""Circle traces, degrees, and cavity volume/perimeter via boundary
 integrals, plus the tangential calculus on circle charts."""
 
 from __future__ import annotations
@@ -146,63 +146,64 @@ def trace_on_circle(
 # degree and topological image
 
 
-def _min_dist_to_polyline(curve: TraceCurve, xi) -> float:
-    p = curve.points
-    q = np.roll(p, -1, axis=0)
-    d = q - p
-    xi = np.asarray(xi, dtype=float)
-    tproj = np.einsum("kj,kj->k", xi - p, d) / np.maximum(
-        np.einsum("kj,kj->k", d, d), 1e-300
-    )
-    tproj = np.clip(tproj, 0.0, 1.0)
-    foot = p + tproj[:, None] * d
-    return float(np.min(np.linalg.norm(foot - xi, axis=-1)))
-
-
 def degree_tolerance(curve: TraceCurve) -> float:
     return 1e-7 * curve.diameter
 
 
+def winding_numbers_grid(curve: TraceCurve, queries):
+    """Degrees of the closed sample polyline around many query points.
+
+    Returns (degrees, near_boundary_mask); degrees are meaningless where the
+    mask is set. Queries are grouped into rows of equal y. On each row the
+    signed crossings of the half-open segments y0 <= y < y1 are sorted by x
+    and suffix-summed, so a degree is the signed count of crossings to the
+    right of its query (Hormann & Agathos, Comput. Geom. 20, 2001). A query
+    is near the boundary when its squared distance to a segment is at most
+    tau^2, tau = degree_tolerance(curve); only segments whose y-range,
+    widened by tau, contains the row are tested.
+    """
+    p = curve.points
+    q = np.roll(p, -1, axis=0)
+    d = q - p
+    dd = np.maximum(np.einsum("kj,kj->k", d, d), 1e-300)
+    ylo = np.minimum(p[:, 1], q[:, 1])
+    yhi = np.maximum(p[:, 1], q[:, 1])
+    sense = np.sign(d[:, 1]).astype(int)
+    tau = degree_tolerance(curve)
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    degrees = np.zeros(len(queries), dtype=int)
+    near = np.zeros(len(queries), dtype=bool)
+    rows, row_of = np.unique(queries[:, 1], return_inverse=True)
+    order = np.argsort(row_of, kind="stable")
+    cuts = np.searchsorted(row_of[order], np.arange(len(rows) + 1))
+    for r, yv in enumerate(rows):
+        idx = order[cuts[r]:cuts[r + 1]]
+        x = queries[idx, 0]
+        k = np.flatnonzero((ylo <= yv) & (yv < yhi))
+        xc = p[k, 0] + (yv - p[k, 1]) * d[k, 0] / d[k, 1]
+        o = np.argsort(xc)
+        right = np.append(np.cumsum(sense[k][o][::-1])[::-1], 0)
+        degrees[idx] = right[np.searchsorted(xc[o], x, side="right")]
+        k = np.flatnonzero((ylo - tau <= yv) & (yv <= yhi + tau))
+        rx = x[:, None] - p[k, 0]
+        ry = yv - p[k, 1]
+        t = np.clip((rx * d[k, 0] + ry * d[k, 1]) / dd[k], 0.0, 1.0)
+        fx = rx - t * d[k, 0]
+        fy = ry - t * d[k, 1]
+        near[idx] = np.any(fx * fx + fy * fy <= tau * tau, axis=1)
+    return degrees, near
+
+
 def winding_number(curve: TraceCurve, xi) -> int:
-    """Total angle swept by the curve around xi, divided by 2 pi.
+    """Degree of the trace around xi.
 
     Raises BoundaryProximityError when xi is within the proximity tolerance
     of the sampled polyline.
     """
-    tau = degree_tolerance(curve)
-    if _min_dist_to_polyline(curve, xi) <= tau:
+    deg, near = winding_numbers_grid(curve, xi)
+    if near[0]:
         raise BoundaryProximityError("query point too close to the trace")
-    xi = np.asarray(xi, dtype=float)
-    z = (curve.points[:, 0] - xi[0]) + 1j * (curve.points[:, 1] - xi[1])
-    ratios = np.roll(z, -1) / z
-    total = float(np.sum(np.angle(ratios)))
-    return int(round(total / TWO_PI))
-
-
-def winding_numbers_grid(curve: TraceCurve, queries: np.ndarray):
-    """Vectorized winding numbers for many query points.
-
-    Returns (degrees, near_boundary_mask); degrees are meaningless where the
-    mask is set.
-    """
-    p = curve.points
-    q = np.roll(p, -1, axis=0)
-    tau = degree_tolerance(curve)
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    total = np.zeros(len(queries))
-    near = np.zeros(len(queries), dtype=bool)
-    d = q - p
-    dd = np.maximum(np.einsum("kj,kj->k", d, d), 1e-300)
-    for k in range(len(p)):
-        rel = queries - p[k]
-        tproj = np.clip((rel @ d[k]) / dd[k], 0.0, 1.0)
-        foot = rel - tproj[:, None] * d[k]
-        near |= np.einsum("ij,ij->i", foot, foot) <= tau * tau
-        z0 = rel[:, 0] + 1j * rel[:, 1]
-        rel1 = queries - q[k]
-        z1 = rel1[:, 0] + 1j * rel1[:, 1]
-        total += np.angle(z1 / z0)
-    return np.rint(total / TWO_PI).astype(int), near
+    return int(deg[0])
 
 
 INSIDE, OUTSIDE, NEAR_BOUNDARY = "inside", "outside", "near-boundary"
@@ -210,10 +211,10 @@ INSIDE, OUTSIDE, NEAR_BOUNDARY = "inside", "outside", "near-boundary"
 
 def topological_image_contains(curve: TraceCurve, xi) -> str:
     """Locate xi relative to the enclosed image region."""
-    tau = degree_tolerance(curve)
-    if _min_dist_to_polyline(curve, xi) <= tau:
+    deg, near = winding_numbers_grid(curve, xi)
+    if near[0]:
         return NEAR_BOUNDARY
-    return INSIDE if winding_number(curve, xi) != 0 else OUTSIDE
+    return INSIDE if deg[0] != 0 else OUTSIDE
 
 
 def degree_range_on_grid(curve: TraceCurve, nx: int = 200, ny: int = 200,
@@ -225,14 +226,9 @@ def degree_range_on_grid(curve: TraceCurve, nx: int = 200, ny: int = 200,
     span = hi - lo
     lo = lo - pad * span
     hi = hi + pad * span
-    xs = np.linspace(lo[0], hi[0], nx)
-    ys = np.linspace(lo[1], hi[1], ny)
-    out = set()
-    for yv in ys:
-        queries = np.stack([xs, np.full_like(xs, yv)], axis=-1)
-        degs, near = winding_numbers_grid(curve, queries)
-        out.update(np.unique(degs[~near]).tolist())
-    return frozenset(out)
+    xs, ys = np.meshgrid(np.linspace(lo[0], hi[0], nx), np.linspace(lo[1], hi[1], ny))
+    degs, near = winding_numbers_grid(curve, np.stack([xs.ravel(), ys.ravel()], axis=-1))
+    return frozenset(np.unique(degs[~near]).tolist())
 
 
 # --------------------------------------------------------------------------

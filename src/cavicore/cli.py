@@ -12,12 +12,8 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .cavity import converged_trace_metrics, extrapolate_limit
@@ -28,22 +24,6 @@ from .minimize import RadialProblem, gamma_sweep, minimize_radial
 from .recovery import recovery_energy_table
 
 EXIT_OK, EXIT_FLAGGED, EXIT_CONFIG = 0, 1, 2
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CAVICORE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def map_workers(fn, items):
-    """Order-preserving map, threaded when CAVICORE_THREADS > 1."""
-    w = _worker_count()
-    if w <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(fn, items))
 
 
 def _fmt(x):
@@ -90,9 +70,8 @@ def cmd_example_sweep(args, cfg) -> int:
         print("config error: need >= 3 strictly decreasing radii", file=sys.stderr)
         return EXIT_CONFIG
 
-    mets = map_workers(
-        lambda r: converged_trace_metrics(y, (0.0, 0.0), r, tol=args.trace_tol),
-        radii)
+    mets = [converged_trace_metrics(y, (0.0, 0.0), r, tol=args.trace_tol)
+            for r in radii]
     vols = [m.volume for m in mets]
     pers = [m.perimeter for m in mets]
     v0, vu = extrapolate_limit(radii, vols)
@@ -320,7 +299,6 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     cfg = {k: v for k, v in vars(args).items() if k not in ("func", "output")}
-    np.random.seed(args.seed)
     try:
         return args.func(args, cfg)
     except (ValueError, KeyError) as e:

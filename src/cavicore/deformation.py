@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .geometry import Domain
 
@@ -26,6 +25,19 @@ class EvaluationDomainError(ValueError):
 
 class NonmonotoneProfileError(ValueError):
     """Raised when a radial profile is not strictly increasing."""
+
+
+def _increasing_root(f, lo, hi):
+    """Root of f, increasing on [lo, hi] with f(lo) < 0 < f(hi), by bisection
+    down to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if f(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _sign(x):
@@ -163,24 +175,31 @@ def _euclid_cavity_map(b: float):
     return ev, gr
 
 
+def _half_stretch_map():
+    """x -> (2 x1, x2) for x1 >= 0, identity for x1 < 0."""
+
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        out = x.copy()
+        out[..., 0] = np.where(x[..., 0] >= 0.0, 2.0 * x[..., 0], x[..., 0])
+        return out
+
+    def gr(x):
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(_I2, x.shape[:-1] + (2, 2)).copy()
+        out[..., 0, 0] = np.where(x[..., 0] >= 0.0, 2.0, 1.0)
+        return out
+
+    return ev, gr
+
+
 def example_change_of_reference(b: float) -> Deformation:
     """Round cavity opened after stretching the right half of the square
     reference configuration: y = u o f with f = (2 x1, x2) for x1 >= 0."""
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
     uev, ugr = _euclid_cavity_map(b)
-
-    def fev(x):
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        out[..., 0] = np.where(x[..., 0] >= 0.0, 2.0 * x[..., 0], x[..., 0])
-        return out
-
-    def fgr(x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(_I2, x.shape[:-1] + (2, 2)).copy()
-        out[..., 0, 0] = np.where(x[..., 0] >= 0.0, 2.0, 1.0)
-        return out
+    fev, fgr = _half_stretch_map()
 
     def ev(x):
         return uev(fev(x))
@@ -204,19 +223,7 @@ def change_of_reference_parts(b: float) -> tuple[Deformation, Deformation]:
     composition tests."""
     uev, ugr = _euclid_cavity_map(b)
     outer = Deformation(eval=uev, grad=ugr, name="round-cavity")
-
-    def fev(x):
-        x = np.asarray(x, dtype=float)
-        out = x.copy()
-        out[..., 0] = np.where(x[..., 0] >= 0.0, 2.0 * x[..., 0], x[..., 0])
-        return out
-
-    def fgr(x):
-        x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(_I2, x.shape[:-1] + (2, 2)).copy()
-        out[..., 0, 0] = np.where(x[..., 0] >= 0.0, 2.0, 1.0)
-        return out
-
+    fev, fgr = _half_stretch_map()
     inner = Deformation(eval=fev, grad=fgr, domain=Domain(q=np.inf, radius=1.0),
                         name="half-stretch")
     return outer, inner
@@ -296,7 +303,7 @@ def example_superposition() -> Deformation:
         f = lambda t: r * math.sin(t) + math.tan(t) - 1.0
         if f(1e-12) >= 0 or f(math.pi / 4) <= 0:
             return []
-        th = brentq(f, 1e-12, math.pi / 4)
+        th = _increasing_root(f, 1e-12, math.pi / 4)
         base = [th, math.pi / 2 - th]
         return sorted(
             (a + k * math.pi / 2) % (2 * math.pi) for a in base for k in range(4)
@@ -395,7 +402,7 @@ def example_spike() -> Deformation:
         f = lambda t: R * math.sin(t) - (SQRT3 - 1.0) * R * abs(math.cos(t)) - 0.5
         if f(math.pi / 2) <= 0:
             return []
-        t_hi = brentq(f, 1e-12, math.pi / 2)
+        t_hi = _increasing_root(f, 1e-12, math.pi / 2)
         return [t_hi, math.pi - t_hi]
 
     def rbreaks(center, t):

@@ -14,6 +14,7 @@ from .cavity import (
     INSIDE,
     NEAR_BOUNDARY,
     OUTSIDE,
+    _circle_points,
     converged_trace_metrics,
     degree_range_on_grid,
     extrapolate_limit,
@@ -480,11 +481,6 @@ def elastic_energy(y: Deformation, dom: Domain, density: Density, *,
     return val
 
 
-def _flaw_metrics(y, a, eps, trace_tol=1e-9):
-    m = converged_trace_metrics(y, a, eps, tol=trace_tol)
-    return m
-
-
 def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
                        density: Density, lambdas, *, tol: float = 1e-6,
                        max_refine: int = 4, strict: bool = True):
@@ -502,7 +498,7 @@ def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
         raise QuadratureError("elastic energy quadrature did not converge")
     vol = per = 0.0
     for a in cfg.points:
-        m = _flaw_metrics(y, a, cfg.eps)
+        m = converged_trace_metrics(y, a, cfg.eps)
         vol += m.volume
         per += m.perimeter
     bd = EnergyBreakdown.assemble(el, vol, per, lambdas)
@@ -571,7 +567,7 @@ def limit_energy(y: Deformation, points, dom: Domain, density: Density,
     for a in pts:
         vols, pers = [], []
         for r in r_grid:
-            m = _flaw_metrics(y, a, float(r))
+            m = converged_trace_metrics(y, a, float(r))
             vols.append(m.volume)
             pers.append(m.perimeter)
         v0, vu = extrapolate_limit(r_grid, vols)
@@ -675,16 +671,11 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
     for a in cfg.points:
         curve = trace_on_circle(y, a, cfg.eps, trace_n)
         w, dw = curve.points, curve.derivs
-        pv = phi.eval(_circle_pts(a, cfg.eps, curve.ts))
+        pv = phi.eval(_circle_points(a, cfg.eps, curve.ts))
         integrand = 0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv
         sphere -= curve.integrate(integrand)
     return DetPairingResult(pairing=bulk + sphere, bulk_term=bulk,
                             sphere_term=sphere, det_integral=deti)
-
-
-def _circle_pts(a, eps, ts):
-    return np.asarray(a, dtype=float) + eps * np.stack(
-        [np.cos(ts), np.sin(ts)], axis=-1)
 
 
 # --------------------------------------------------------------------------

@@ -107,8 +107,6 @@ def build_phi(eps_n: float, r_n: float, n: int) -> ProfilePhi:
         w = bounds[j] - bounds[j - 1]
         sa, sb = slopes[j - 1]
         starts[j] = starts[j - 1] + sa * w + (sb - sa) * w * 0.5
-    # anchor the tail exactly on the identity (kills accumulated roundoff)
-    starts = starts + (bounds[-1] - starts[-1]) * 0.0
     phi = ProfilePhi(eps_n=eps_n, r_n=r_n, n=n, delta=delta, bounds=bounds,
                      slopes=slopes, starts=starts)
     return phi

@@ -116,7 +116,8 @@ def test_criterion_4_spike_violation():
 
 
 def test_criterion_5_degree_properties(rng):
-    # winding numbers against an independent signed crossing count
+    # winding numbers against a signed crossing count and angle summation,
+    # both written here independently of the library
     checked = 0
     for _ in range(100):
         a = rng.normal(scale=0.15, size=(2, 3))
@@ -140,6 +141,7 @@ def test_criterion_5_degree_properties(rng):
             except BoundaryProximityError:
                 continue
             assert w == _crossing_winding(pts, xi)
+            assert w == _angle_winding(pts, xi)
             done += 1
             checked += 1
 
@@ -149,7 +151,7 @@ def test_criterion_5_degree_properties(rng):
         c = trace_on_circle(y, (0, 0), 0.15, 1024)
         degs = degree_range_on_grid(c, 200, 200)
         assert degs <= {0, 1}, (key, degs)
-    _report("5 degree", f"{checked} oracle comparisons exact; catalog degree "
+    _report("5 degree", f"{checked} x 2 oracle comparisons exact; catalog degree "
             "ranges within {0,1} on 200x200 grids")
 
 
@@ -165,6 +167,12 @@ def _crossing_winding(points, xi):
         elif q[1] <= xi[1] < p[1] and left < 0:
             w -= 1
     return w
+
+
+def _angle_winding(points, xi):
+    """Winding number by angle summation, independent of the crossing count."""
+    z = (points[:, 0] - xi[0]) + 1j * (points[:, 1] - xi[1])
+    return int(round(float(np.sum(np.angle(np.roll(z, -1) / z))) / (2 * math.pi)))
 
 
 def test_criterion_6_boundary_integral_reductions(rng):

@@ -15,12 +15,14 @@ from cavicore.cavity import (
     cavity_volume_signed,
     converged_trace_metrics,
     degree_range_on_grid,
+    degree_tolerance,
     extrapolate_limit,
     tangential_gradient_on_circle,
     tangential_jacobian,
     topological_image_contains,
     trace_on_circle,
     winding_number,
+    winding_numbers_grid,
 )
 from cavicore.deformation import (
     Deformation,
@@ -91,6 +93,19 @@ def _crossing_winding(points, xi):
         elif q[1] <= xi[1] < p[1] and left < 0:
             w -= 1
     return w
+
+
+def _angle_winding(points, xi):
+    """Angle-summation winding number (second independent oracle)."""
+    z = (points[:, 0] - xi[0]) + 1j * (points[:, 1] - xi[1])
+    return int(round(float(np.sum(np.angle(np.roll(z, -1) / z))) / TWO_PI))
+
+
+def _polygon_curve(points):
+    points = np.asarray(points, dtype=float)
+    ts = np.arange(len(points)) * (TWO_PI / len(points))
+    return TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=points,
+                      derivs=np.zeros_like(points))
 
 
 # --------------------------------------------------------------------------
@@ -173,7 +188,72 @@ def test_winding_matches_crossing_oracle(rng):
             except BoundaryProximityError:
                 continue
             assert w == _crossing_winding(c.points, xi)
+            assert w == _angle_winding(c.points, xi)
             done += 1
+
+
+def test_near_mask_matches_brute_force_distance(rng):
+    # near-boundary mask against the distance to every segment, on points
+    # scattered over the box, points perturbed off the samples by a few
+    # tolerances, and segment midpoints
+    for _ in range(10):
+        fn, dfn = _trig_curve(rng)
+        c = _manual_curve(fn, n=256, derivs_fn=dfn)
+        tau = degree_tolerance(c)
+        box = rng.uniform(c.points.min(0) - 0.3, c.points.max(0) + 0.3, size=(300, 2))
+        on = c.points[rng.integers(0, len(c.points), 300)]
+        on = on + rng.uniform(-3 * tau, 3 * tau, size=on.shape)
+        mid = 0.5 * (c.points + np.roll(c.points, -1, axis=0))[:100]
+        queries = np.concatenate([box, on, mid])
+        degs, near = winding_numbers_grid(c, queries)
+
+        p = c.points
+        d = np.roll(p, -1, axis=0) - p
+        rel = queries[:, None, :] - p[None, :, :]
+        t = np.clip(np.sum(rel * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+        dist = np.linalg.norm(rel - t[..., None] * d, axis=-1).min(axis=1)
+        assert np.array_equal(near, dist <= tau)
+        assert np.any(near[300:600]) and not np.all(near[300:600])
+        assert np.all(near[600:])
+        for xi, w in zip(queries[~near], degs[~near]):
+            assert w == _angle_winding(p, xi)
+
+
+def test_degrees_on_vertex_rows():
+    # rows through vertices, horizontal edges and local extrema of y
+    poly = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (3, 2), (3, 3), (1.5, 4),
+            (0, 3)]
+    c = _polygon_curve(poly)
+    xs = np.linspace(-1.0, 4.0, 41)
+    for yv in (0.0, 1.0, 2.0, 3.0, 4.0):
+        queries = np.stack([xs, np.full_like(xs, yv)], -1)
+        degs, near = winding_numbers_grid(c, queries)
+        for xi, w, nb in zip(queries, degs, near):
+            if not nb:
+                assert w == _crossing_winding(c.points, xi) == _angle_winding(c.points, xi)
+    assert winding_number(c, (0.5, 1.0)) == 1
+    assert winding_number(c, (2.5, 1.0)) == 0
+    assert winding_number(c, (0.5, 2.0)) == 1
+    assert winding_number(c, (3.5, 2.0)) == 0
+    assert winding_number(c, (1.5, 3.0)) == 1
+    with pytest.raises(BoundaryProximityError):
+        winding_number(c, (1.5, 4.0))  # the apex
+
+
+def test_degrees_of_looped_curves():
+    double = _manual_curve(lambda ts: np.stack([np.cos(2 * ts), np.sin(2 * ts)], -1),
+                           n=256)
+    eight = _manual_curve(lambda ts: np.stack([np.cos(ts), 0.5 * np.sin(2 * ts)], -1),
+                          n=256)
+    assert degree_range_on_grid(double, 40, 40) == {0, 2}
+    assert degree_range_on_grid(eight, 40, 40) == {-1, 0, 1}
+    assert winding_number(eight, (0.5, 0.0)) == -winding_number(eight, (-0.5, 0.0))
+    for c in (double, eight):
+        xs = np.linspace(-1.2, 1.2, 25)
+        queries = np.stack(np.meshgrid(xs, xs), -1).reshape(-1, 2)
+        degs, near = winding_numbers_grid(c, queries)
+        for xi, w in zip(queries[~near], degs[~near]):
+            assert w == _crossing_winding(c.points, xi) == _angle_winding(c.points, xi)
 
 
 def test_topological_image_contains_radial():

@@ -241,3 +241,34 @@ def test_compose_chain_rule_vs_fd(rng):
 def test_make_example_unknown_key():
     with pytest.raises(KeyError):
         make_example("not-a-map")
+
+
+@pytest.mark.parametrize("r", [0.2, 0.1, 0.05, 0.025])
+def test_kink_angles_match_brentq(r):
+    from scipy.optimize import brentq
+
+    th = brentq(lambda t: r * math.sin(t) + math.tan(t) - 1.0, 1e-12, math.pi / 4)
+    want = sorted((a + k * math.pi / 2) % (2 * math.pi)
+                  for a in (th, math.pi / 2 - th) for k in range(4))
+    got = example_superposition().trace_kinks(np.zeros(2), r)
+    assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+
+    R = 0.5 * (1.0 + r)
+    t_hi = brentq(lambda t: R * math.sin(t) - (SQRT3 - 1.0) * R * abs(math.cos(t)) - 0.5,
+                  1e-12, math.pi / 2)
+    got = example_spike().trace_kinks(np.zeros(2), r)
+    assert np.max(np.abs(np.array(got) - [t_hi, math.pi - t_hi])) <= 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import cavicore
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cavicore.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import cavicore, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
