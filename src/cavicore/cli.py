@@ -12,6 +12,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -27,8 +28,9 @@ EXIT_OK, EXIT_FLAGGED, EXIT_CONFIG = 0, 1, 2
 
 
 def _fmt(x):
+    """A CSV cell; a non-finite float is an empty cell."""
     if isinstance(x, float):
-        return format(x, ".12g")
+        return format(x, ".12g") if math.isfinite(x) else ""
     return str(x)
 
 
@@ -49,10 +51,12 @@ def write_csv(path: Path, header, rows, cfg: dict):
 
 
 def write_json(path: Path, payload: dict, cfg: dict):
-    payload = dict(payload)
+    """Strict JSON: non-finite floats are written as null."""
+    # a round trip through json turns every Infinity/-Infinity/NaN into None
+    payload = json.loads(json.dumps(payload, default=str), parse_constant=lambda _: None)
     payload["config_hash"] = config_hash(cfg)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _floats(text: str):
@@ -188,8 +192,10 @@ def cmd_recovery(args, cfg) -> int:
               rows, cfg)
     if not table.conv_perimeter_ok:
         print("flag: conv-perimeter violated; convergence assertion skipped")
+    if table.limit.flags:
+        print(f"limit flags: {', '.join(table.limit.flags)}")
     print(f"limit total {table.limit.breakdown.total:.8f}; wrote {args.output}")
-    return EXIT_OK if table.conv_perimeter_ok else EXIT_FLAGGED
+    return EXIT_OK if table.conv_perimeter_ok and not table.limit.flags else EXIT_FLAGGED
 
 
 def cmd_check(args, cfg) -> int:

@@ -22,7 +22,7 @@ from .cavity import (
     trace_on_circle,
 )
 from .deformation import Deformation
-from .geometry import Domain, FlawConfig, adj2, det2, validate_flaw_config
+from .geometry import Domain, FlawConfig, adj2, cof2, det2, validate_flaw_config
 
 TWO_PI = 2.0 * math.pi
 
@@ -38,11 +38,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class Density:
-    """Stored-energy density W with exact derivative and coercivity minorant.
+    """Stored-energy density W(F) = |F|^p + g(det F) with exact derivative.
 
     w and dw are vectorized over (..., 2, 2) matrix stacks; w returns +inf
-    off the orientation-preserving cone. g is the volumetric minorant with
-    g -> inf at 0+ and superlinear growth.
+    off the orientation-preserving cone. g is the volumetric part, with
+    g -> inf at 0+ and superlinear growth; dg and ddg are its first and
+    second derivatives on t > 0.
     """
 
     name: str
@@ -50,61 +51,23 @@ class Density:
     w: Callable[[np.ndarray], np.ndarray]
     dw: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
+    dg: Callable[[np.ndarray], np.ndarray]
+    ddg: Callable[[np.ndarray], np.ndarray]
     c: float = 1.0
     c0: float = 1.0
-    c1: float = 10.0
 
 
 def _frob(F):
     return np.sqrt(np.sum(F * F, axis=(-2, -1)))
 
 
-def default_density(p: float) -> Density:
-    """|F|^p + (det F - 1)^2 + 1/det F on the orientation-preserving cone.
-
-    Polyconvex, with volumetric minorant g(t) = (t-1)^2 + 1/t. Requires
-    p >= 2."""
-    if p < 2:
-        raise ValueError("default density requires p >= 2")
+def _power_plus_volumetric(name: str, p: float, g_pos, dg, ddg) -> Density:
+    """The density |F|^p + g(det F), with DW(F) = p |F|^(p-2) F + g'(det F) cof F.
+    g_pos, dg and ddg are g, g' and g'' on t > 0; g is +inf on t <= 0."""
 
     def g(t):
         t = np.asarray(t, dtype=float)
-        return np.where(t > 0, (t - 1.0) ** 2 + 1.0 / np.where(t > 0, t, 1.0), np.inf)
-
-    def w(F):
-        F = np.asarray(F, dtype=float)
-        d = det2(F)
-        safe = np.where(d > 0, d, 1.0)
-        val = _frob(F) ** p + (safe - 1.0) ** 2 + 1.0 / safe
-        return np.where(d > 0, val, np.inf)
-
-    def dw(F):
-        F = np.asarray(F, dtype=float)
-        d = det2(F)
-        safe = np.where(d > 0, d, 1.0)[..., None, None]
-        fro = _frob(F)[..., None, None]
-        cof = np.empty_like(F)
-        cof[..., 0, 0] = F[..., 1, 1]
-        cof[..., 0, 1] = -F[..., 1, 0]
-        cof[..., 1, 0] = -F[..., 0, 1]
-        cof[..., 1, 1] = F[..., 0, 0]
-        return p * fro ** (p - 2.0) * F + (2.0 * (safe - 1.0) - 1.0 / safe**2) * cof
-
-    return Density(name="standard", p=p, w=w, dw=dw, g=g)
-
-
-def subquadratic_density(p: float) -> Density:
-    """|F|^p + det F ln det F + 1/det F - 1, for 1 < p < 2.
-
-    The subquadratic growth keeps the bulk energy of conical cavitating maps
-    integrable, which the quadratic-determinant density does not."""
-    if not 1.0 < p < 2.0:
-        raise ValueError("subquadratic density requires 1 < p < 2")
-
-    def g(t):
-        t = np.asarray(t, dtype=float)
-        safe = np.where(t > 0, t, 1.0)
-        return np.where(t > 0, safe * np.log(safe) + 1.0 / safe - 1.0, np.inf)
+        return np.where(t > 0, g_pos(np.where(t > 0, t, 1.0)), np.inf)
 
     def w(F):
         F = np.asarray(F, dtype=float)
@@ -116,14 +79,34 @@ def subquadratic_density(p: float) -> Density:
         d = det2(F)
         safe = np.where(d > 0, d, 1.0)[..., None, None]
         fro = _frob(F)[..., None, None]
-        cof = np.empty_like(F)
-        cof[..., 0, 0] = F[..., 1, 1]
-        cof[..., 0, 1] = -F[..., 1, 0]
-        cof[..., 1, 0] = -F[..., 0, 1]
-        cof[..., 1, 1] = F[..., 0, 0]
-        return p * fro ** (p - 2.0) * F + (np.log(safe) + 1.0 - 1.0 / safe**2) * cof
+        return p * fro ** (p - 2.0) * F + dg(safe) * cof2(F)
 
-    return Density(name="subquadratic", p=p, w=w, dw=dw, g=g)
+    return Density(name=name, p=p, w=w, dw=dw, g=g, dg=dg, ddg=ddg)
+
+
+def default_density(p: float) -> Density:
+    """|F|^p + (det F - 1)^2 + 1/det F on the orientation-preserving cone.
+
+    Polyconvex, with volumetric part g(t) = (t-1)^2 + 1/t. Requires p >= 2."""
+    if p < 2:
+        raise ValueError("default density requires p >= 2")
+    return _power_plus_volumetric("standard", p,
+                                  lambda t: (t - 1.0) ** 2 + 1.0 / t,
+                                  lambda t: 2.0 * (t - 1.0) - 1.0 / t**2,
+                                  lambda t: 2.0 + 2.0 / t**3)
+
+
+def subquadratic_density(p: float) -> Density:
+    """|F|^p + det F ln det F + 1/det F - 1, for 1 < p < 2.
+
+    The subquadratic growth keeps the bulk energy of conical cavitating maps
+    integrable, which the quadratic-determinant density does not."""
+    if not 1.0 < p < 2.0:
+        raise ValueError("subquadratic density requires 1 < p < 2")
+    return _power_plus_volumetric("subquadratic", p,
+                                  lambda t: t * np.log(t) + 1.0 / t - 1.0,
+                                  lambda t: np.log(t) + 1.0 - 1.0 / t**2,
+                                  lambda t: 1.0 / t + 2.0 / t**3)
 
 
 DENSITY_FACTORIES = {"standard": default_density, "subquadratic": subquadratic_density}

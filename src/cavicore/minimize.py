@@ -14,6 +14,7 @@ from .energy import Density, EnergyBreakdown
 from .geometry import Confinement, Domain, FlawConfig, validate_flaw_config
 
 DELTA_MIN = 1e-8  # monotonicity gap keeping det > 0 strictly
+EPS_ACTIVE = 1e-3  # cap on the distance at which a bound counts as active
 
 _GX, _GW = np.polynomial.legendre.leggauss(8)
 
@@ -44,28 +45,15 @@ class RadialProblem:
 
 
 def _w_all_diag(a, d, density: Density):
-    """W and first/second partials at F = diag(a, d) for the isotropic
-    densities shipped here (both are functions of |F| and det F)."""
+    """W = |F|^p + g(det F) and its first and second partials at F = diag(a, d)."""
     det = a * d
     fro = np.sqrt(a * a + d * d)
     p = density.p
     A = p * fro ** (p - 2.0)
     B = p * (p - 2.0) * fro ** (p - 4.0)
-    if density.name == "standard":
-        W = fro**p + (det - 1.0) ** 2 + 1.0 / det
-        fp = 2.0 * (det - 1.0) - 1.0 / det**2
-        fpp = 2.0 + 2.0 / det**3
-    elif density.name == "subquadratic":
-        W = fro**p + det * np.log(det) + 1.0 / det - 1.0
-        fp = np.log(det) + 1.0 - 1.0 / det**2
-        fpp = 1.0 / det + 2.0 / det**3
-    else:  # generic: value/derivative via the density callables
-        F = np.zeros(np.shape(a) + (2, 2))
-        F[..., 0, 0] = a
-        F[..., 1, 1] = d
-        W = density.w(F)
-        DW = density.dw(F)
-        return W, DW[..., 0, 0], DW[..., 1, 1], None, None, None
+    W = fro**p + density.g(det)
+    fp = density.dg(det)
+    fpp = density.ddg(det)
     Wa = A * a + fp * d
     Wd = A * d + fp * a
     Waa = B * a * a + A + fpp * d * d
@@ -100,7 +88,9 @@ def radial_reduced_energy(profile: RadialProfile, prob: RadialProblem) -> Energy
                                     prob.lambdas)
 
 
-def _energy_and_grad(nodes, vals, prob: RadialProblem, need_precond=True):
+def _energy_and_grad(nodes, vals, prob: RadialProblem):
+    """Energy of the nodal profile `vals` (boundary node included), with its
+    gradient and its tridiagonal Hessian in the K free nodal values."""
     h, slope, R, theta, rho, wq = _segment_frame(nodes, vals)
     a = slope[:, None] + 0.0 * R
     d = rho / R
@@ -108,50 +98,46 @@ def _energy_and_grad(nodes, vals, prob: RadialProblem, need_precond=True):
     lv, lp = prob.lambdas
     E = float(np.sum(W * wq)) + lv * math.pi * vals[0] ** 2 + lp * 2.0 * math.pi * vals[0]
     K = len(nodes) - 1
+    # a = (v[j+1] - v[j]) / h and d = (v[j] (1 - theta) + v[j+1] theta) / R on
+    # segment j: partials with respect to its left (l) and right (r) node
+    dal, dar = -1.0 / h[:, None], 1.0 / h[:, None]
+    ddl, ddr = (1.0 - theta) / R, theta / R
     g = np.zeros(K + 1)
-    dal = -1.0 / h[:, None] + 0.0 * R
-    dar = +1.0 / h[:, None] + 0.0 * R
-    ddl = (1.0 - theta) / R
-    ddr = theta / R
     g[:-1] += np.sum((Wa * dal + Wd * ddl) * wq, axis=1)
     g[1:] += np.sum((Wa * dar + Wd * ddr) * wq, axis=1)
     g[0] += lv * 2.0 * math.pi * vals[0] + lp * 2.0 * math.pi
-    D = None
-    if need_precond and Waa is not None:
-        D = np.zeros(K + 1)
-        D[:-1] += np.sum((Waa * dal**2 + 2 * Wad * dal * ddl + Wdd * ddl**2) * wq, axis=1)
-        D[1:] += np.sum((Waa * dar**2 + 2 * Wad * dar * ddr + Wdd * ddr**2) * wq, axis=1)
-        D[0] += lv * 2.0 * math.pi
-        D = np.maximum(np.abs(D), 1e-10)
-    return E, g, D
+    diag = np.zeros(K + 1)
+    diag[:-1] += np.sum((Waa * dal**2 + 2 * Wad * dal * ddl + Wdd * ddl**2) * wq, axis=1)
+    diag[1:] += np.sum((Waa * dar**2 + 2 * Wad * dar * ddr + Wdd * ddr**2) * wq, axis=1)
+    diag[0] += lv * 2.0 * math.pi
+    off = np.sum((Waa * dal * dar + Wad * (dal * ddr + dar * ddl) + Wdd * ddl * ddr) * wq,
+                 axis=1)[:-1]
+    H = np.diag(diag[:-1]) + np.diag(off, 1) + np.diag(off, -1)
+    return E, g[:-1], H
 
 
-def _pava(u, w):
-    """Weighted pool-adjacent-violators; returns the isotonic regression."""
+def _pava(u):
+    """Pool-adjacent-violators: the nondecreasing least-squares fit to u."""
     v: list[float] = []
-    ww: list[float] = []
     cnt: list[int] = []
-    for ui, wi in zip(u, w):
+    for ui in u:
         v.append(float(ui))
-        ww.append(float(wi))
         cnt.append(1)
         while len(v) > 1 and v[-2] > v[-1]:
-            v2, w2, c2 = v.pop(), ww.pop(), cnt.pop()
-            v1, w1, c1 = v.pop(), ww.pop(), cnt.pop()
-            v.append((v1 * w1 + v2 * w2) / (w1 + w2))
-            ww.append(w1 + w2)
+            v2, c2 = v.pop(), cnt.pop()
+            v1, c1 = v.pop(), cnt.pop()
+            v.append((v1 * c1 + v2 * c2) / (c1 + c2))
             cnt.append(c1 + c2)
     return np.repeat(v, cnt)
 
 
-def _project_free(free, bv, weights=None):
+def _project_free(free, bv):
     """Project the free profile values (boundary node excluded) onto the
     monotone cone with DELTA_MIN gaps, floored at DELTA_MIN and capped below
-    the boundary value. Exact metric projection via (weighted) PAVA + clip."""
+    the boundary value. Exact Euclidean projection via PAVA + clip."""
     K = len(free)
     k = np.arange(K, dtype=float)
-    u = free - k * DELTA_MIN
-    u = _pava(u, np.ones(K) if weights is None else weights)
+    u = _pava(free - k * DELTA_MIN)
     u = np.clip(u, DELTA_MIN, bv - (K) * DELTA_MIN)
     return u + k * DELTA_MIN
 
@@ -167,61 +153,78 @@ class MinimizeResult:
     energy_trace: np.ndarray = field(repr=False, default=None)
 
 
+def _newton_step(H, g):
+    """Solve (H + mu I) s = g by Cholesky. The Levenberg shift mu is 0 if H is
+    positive definite, else the first of 1e-10, 1e-9, ..., 10 times max |H_ij|
+    that makes it so; the last makes the tridiagonal H + mu I diagonally
+    dominant. A non-finite H gives a NaN step, which the line search rejects."""
+    scale = np.max(np.abs(H))
+    for mu in (0.0, *scale * 10.0 ** np.arange(-10, 2)):
+        try:
+            L = np.linalg.cholesky(H + mu * np.eye(len(g)))
+        except np.linalg.LinAlgError:
+            continue
+        return np.linalg.solve(L.T, np.linalg.solve(L, g))
+    return np.full_like(g, np.nan)
+
+
 def _descend(prob: RadialProblem, init_free, tol, max_iter):
-    nodes = prob.nodes
-    bv = prob.boundary_value
+    """Projected Newton (Bertsekas 1982) from one start. Each free value has
+    the bounds implied by the cone, (k+1) DELTA_MIN <= x_k <= bv - (K-k)
+    DELTA_MIN; rows within eps of a bound that the gradient pushes into get
+    a diagonal Hessian, and the step is an Armijo search along the projected
+    arc P(x - alpha s)."""
+    nodes, bv, K = prob.nodes, prob.boundary_value, prob.K
+    k = np.arange(K)
+    lo = (k + 1) * DELTA_MIN
+    hi = bv - (K - k) * DELTA_MIN
+
+    def evaluate(free):
+        return _energy_and_grad(nodes, np.append(free, bv), prob)
+
+    def pg_norm(free, g):
+        return float(np.linalg.norm(free - _project_free(free - g, bv)))
+
     free = _project_free(np.asarray(init_free, dtype=float), bv)
-    vals = np.append(free, bv)
-    E, g, D = _energy_and_grad(nodes, vals, prob)
-    g = g[:-1]
-    D = D[:-1] if D is not None else np.ones_like(free)
-    alpha = 1.0
+    E, g, H = evaluate(free)
+    pgn = pg_norm(free, g)
     trace = [E]
-    stall = 0
     it = 0
     status = "max-iterations"
     while it < max_iter:
         it += 1
-        pg = free - _project_free(free - g, bv)
-        pg_norm = float(np.linalg.norm(pg))
-        if pg_norm < tol:
+        if pgn < tol:
             status = "converged"
             break
-        a = alpha
-        accepted = False
-        for _ in range(80):
-            cand = _project_free(free - a * g / D, bv, weights=D)
-            Ec = _energy_and_grad(nodes, np.append(cand, bv), prob,
-                                  need_precond=False)[0]
+        eps = min(EPS_ACTIVE, pgn)
+        act = np.flatnonzero(((free <= lo + eps) & (g > 0))
+                             | ((free >= hi - eps) & (g < 0)))
+        Hr = H.copy()
+        Hr[act, :] = 0.0
+        Hr[:, act] = 0.0
+        Hr[act, act] = np.abs(H[act, act])
+        step = _newton_step(Hr, g)
+        alpha = 1.0
+        for _ in range(60):
+            cand = _project_free(free - alpha * step, bv)
+            Ec, gc, Hc = evaluate(cand)
             dec = float(np.dot(g, free - cand))
-            if Ec <= E - 1e-4 * dec:
-                accepted = True
+            if abs(dec) <= 1e-13 * abs(E):
+                # E cannot resolve this step: accept it if it shrinks the
+                # projected gradient, else halve until cand == free and stop
+                accepted = pg_norm(cand, gc) < pgn
+            else:
+                accepted = dec > 0 and Ec <= E - 1e-4 * dec
+            if accepted:
                 break
-            a *= 0.5
-        if not accepted:
+            alpha *= 0.5
+        else:
             status = "line-search-stalled"
             break
-        Enew, gnew, Dnew = _energy_and_grad(nodes, np.append(cand, bv), prob)
-        gnew = gnew[:-1]
-        Dnew = Dnew[:-1] if Dnew is not None else D
-        s = cand - free
-        yv = gnew - g
-        sy = float(np.dot(s, yv))
-        sDs = float(np.dot(s, D * s))
-        alpha = min(max(sDs / sy if sy > 1e-30 else 2.0 * a, 1e-12), 1e10)
-        if E - Enew <= 1e-15 * (1.0 + abs(E)):
-            stall += 1
-            if stall >= 50:
-                status = "stalled"
-                free, E, g, D = cand, Enew, gnew, Dnew
-                trace.append(E)
-                break
-        else:
-            stall = 0
-        free, E, g, D = cand, Enew, gnew, Dnew
+        free, E, g, H = cand, Ec, gc, Hc
+        pgn = pg_norm(free, g)
         trace.append(E)
-    pg = free - _project_free(free - g, bv)
-    return free, E, it, float(np.linalg.norm(pg)), status, np.asarray(trace)
+    return free, E, it, pgn, status, np.asarray(trace)
 
 
 def _default_inits(prob: RadialProblem):
@@ -240,13 +243,17 @@ def _default_inits(prob: RadialProblem):
 def minimize_radial(prob: RadialProblem, *, tol: float = 1e-7,
                     max_iter: int = 100_000, init=None,
                     multistart: bool = True) -> MinimizeResult:
-    """Projected-gradient descent (diagonally preconditioned, Barzilai-Borwein
-    step, monotone Armijo backtracking) over monotone radial profiles.
+    """Projected Newton on the exact tridiagonal Hessian over monotone radial
+    profiles, with a Levenberg shift where the Hessian is indefinite and an
+    Armijo search along the projected arc.
 
-    The projection is exact (weighted isotonic regression with a DELTA_MIN
-    gap). With multistart the descent is run from each standard initial
-    profile and the best final energy is returned; each run's energy trace is
-    nonincreasing. Non-convergence is flagged, never raised."""
+    The projection is exact (isotonic regression with a DELTA_MIN gap). The
+    run stops when the projected gradient x - P(x - grad E) has norm below
+    `tol` (status "converged"), after `max_iter` iterations
+    ("max-iterations"), or when no step along the arc decreases E or, below
+    E's resolution, the projected gradient ("line-search-stalled"). With
+    multistart the descent is run from each standard initial profile and the
+    best final energy is returned. Non-convergence is flagged, never raised."""
     inits = [np.asarray(init, dtype=float)[: prob.K]] if init is not None else []
     if multistart or init is None:
         inits.extend(_default_inits(prob))

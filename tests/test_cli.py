@@ -1,8 +1,20 @@
 import json
+import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from cavicore.cli import EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, main
+from cavicore.cli import EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, main, write_csv, write_json
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _strict_loads(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_example_sweep_radial(tmp_path):
@@ -93,3 +105,49 @@ def test_unknown_example_is_config_error(tmp_path):
     code = main(["example-sweep", "--example", "radial", "--b", "7",
                  "--output", str(tmp_path / "x.csv")])
     assert code == EXIT_CONFIG
+
+
+def test_write_json_non_finite_is_null(tmp_path):
+    out = tmp_path / "x.json"
+    write_json(out, {"a": math.inf, "b": [1.5, -math.inf, (math.nan, 2.0)],
+                     "c": {"d": float("nan")}, "e": "inf"}, {})
+    payload = _strict_loads(out.read_text())
+    assert payload["a"] is None
+    assert payload["b"] == [1.5, None, [None, 2.0]]
+    assert payload["c"] == {"d": None}
+    assert payload["e"] == "inf"
+
+
+def test_write_csv_non_finite_is_empty_cell(tmp_path):
+    out = tmp_path / "x.csv"
+    write_csv(out, ["a", "b", "c", "d"], [[math.inf, -math.inf, math.nan, 0.25]], {})
+    assert out.read_text().splitlines()[1] == ",,,0.25"
+
+
+def test_limit_energy_spike_writes_strict_json(tmp_path):
+    out = tmp_path / "spike.json"
+    code = main(["limit-energy", "--example", "spike", "--output", str(out)])
+    assert code == EXIT_FLAGGED
+    payload = _strict_loads(out.read_text())
+    assert "elastic-not-converged" in payload["flags"]
+    assert payload["total"] is None
+
+
+def _readme_commands():
+    """The `cavicore ...` invocations of the README's Command line block."""
+    text = README.read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    joined = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("cavicore ")]
+
+
+def test_readme_commands_exit_codes(tmp_path):
+    commands = _readme_commands()
+    assert len(commands) == 7
+    for i, argv in enumerate(commands):
+        k = argv.index("--output")
+        argv[k + 1] = str(tmp_path / f"{i}_{argv[k + 1]}")
+        expected = EXIT_FLAGGED if argv[:3] == ["example-sweep", "--example", "spike"] else EXIT_OK
+        assert main(argv) == expected, argv
+        assert Path(argv[k + 1]).exists()

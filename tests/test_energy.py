@@ -87,6 +87,18 @@ def test_density_derivative_vs_fd(dens, rng):
             assert np.max(np.abs(D[..., i, j] - fd) / scale) <= 1e-6
 
 
+@pytest.mark.parametrize("dens", [default_density(2.0), subquadratic_density(1.5)])
+def test_volumetric_derivatives_vs_fd(dens):
+    # g' and g'' against first and second central differences of g
+    t = np.geomspace(0.05, 20.0, 200)
+    h = 1e-6 * t
+    fd1 = (dens.g(t + h) - dens.g(t - h)) / (2 * h)
+    assert np.allclose(dens.dg(t), fd1, rtol=1e-7, atol=1e-7)
+    h = 1e-3 * t
+    fd2 = (dens.g(t + h) - 2 * dens.g(t) + dens.g(t - h)) / h**2
+    assert np.allclose(dens.ddg(t), fd2, rtol=1e-5)
+
+
 @pytest.mark.parametrize("dens", [default_density(2.0), subquadratic_density(1.1)])
 def test_density_growth_and_coercivity(dens, rng):
     Fs = _random_matrices(rng, 300)

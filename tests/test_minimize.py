@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from cavicore.deformation import RadialProfile, radial_deformation
-from cavicore.energy import default_density, regularized_energy
+from cavicore.energy import default_density, regularized_energy, subquadratic_density
 from cavicore.geometry import Confinement, Domain, FlawConfig, tight_confinement
 from cavicore.minimize import (
     DELTA_MIN,
     GammaSweep,
     RadialProblem,
+    _default_inits,
+    _energy_and_grad,
     _project_free,
     flaw_search,
     gamma_sweep,
@@ -69,8 +71,6 @@ def test_reduced_energy_cavity_terms():
 
 def test_reduced_energy_gradient_consistency(rng):
     # analytic gradient used by the solver against finite differences
-    from cavicore.minimize import _energy_and_grad
-
     prob = _problem(eps=0.2, bv=1.5, lam=(0.7, 1.3))
     vals = np.sort(rng.uniform(0.3, 1.4, prob.K + 1))
     vals[-1] = prob.boundary_value
@@ -82,6 +82,27 @@ def test_reduced_energy_gradient_consistency(rng):
         fd = (_energy_and_grad(prob.nodes, vals + e, prob)[0]
               - _energy_and_grad(prob.nodes, vals - e, prob)[0]) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("dens", [default_density(2.0), subquadratic_density(1.5)])
+def test_reduced_energy_hessian_vs_fd(dens, rng):
+    # exact tridiagonal Hessian against central differences of the gradient
+    prob = RadialProblem(eps=0.2, outer_radius=1.0, boundary_value=1.5,
+                         density=dens, lambdas=(0.7, 1.3), K=16)
+    vals = np.sort(rng.uniform(0.3, 1.4, prob.K + 1))
+    vals[-1] = prob.boundary_value
+    H = _energy_and_grad(prob.nodes, vals, prob)[2]
+    assert H.shape == (prob.K, prob.K)
+    assert np.array_equal(H, H.T)
+    assert np.all(np.triu(H, 2) == 0.0)
+    h = 1e-6
+    fd = np.empty_like(H)
+    for j in range(prob.K):
+        e = np.zeros_like(vals)
+        e[j] = h
+        fd[:, j] = (_energy_and_grad(prob.nodes, vals + e, prob)[1]
+                    - _energy_and_grad(prob.nodes, vals - e, prob)[1]) / (2 * h)
+    assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
 
 
 def test_one_two_dimensional_consistency(rng):
@@ -110,6 +131,46 @@ def test_descent_trace_nonincreasing():
     res = minimize_radial(_problem(eps=0.1, bv=2.0, lam=(1.0, 1.0)),
                           max_iter=2000)
     assert np.all(np.diff(res.energy_trace) <= 1e-12)
+
+
+@pytest.mark.parametrize("dens", [default_density(2.0), subquadratic_density(1.5)])
+def test_every_default_start_converges(dens):
+    # each standard start alone reaches the projected-gradient tolerance
+    for bv in (1.0, 2.0, 3.0):
+        for eps in (0.2, 0.1, 0.05):
+            prob = RadialProblem(eps=eps, outer_radius=1.0, boundary_value=bv,
+                                 density=dens, lambdas=(1.0, 1.0), K=16)
+            for i, init in enumerate(_default_inits(prob)):
+                res = minimize_radial(prob, init=init, multistart=False)
+                assert res.status == "converged", (bv, eps, i, res.status, res.pg_norm)
+                assert res.pg_norm < 1e-7
+
+
+GRID_ENERGIES = {  # standard p = 2, lambda = (1, 1), K = 16
+    (1.0, 0.2): 9.792576773092, (1.0, 0.1): 9.544343195088,
+    (1.0, 0.05): 9.466787105290,
+    (2.0, 0.2): 46.791572855328, (2.0, 0.1): 51.833174775392,
+    (2.0, 0.05): 54.506427108902,
+    (3.0, 0.2): 118.929001802069, (3.0, 0.1): 145.076551944992,
+    (3.0, 0.05): 168.483525122679,
+}
+
+
+@pytest.mark.parametrize("bv, eps", sorted(GRID_ENERGIES))
+def test_grid_minimum_energies(bv, eps):
+    res = minimize_radial(_problem(eps=eps, bv=bv, lam=(1.0, 1.0)))
+    assert res.converged
+    assert res.energy.total == pytest.approx(GRID_ENERGIES[bv, eps], rel=1e-9)
+
+
+def test_multistart_picks_lower_local_minimum():
+    # at stretch 2, eps 0.05 the affine start ends in the higher of two minima
+    prob = _problem(eps=0.05, bv=2.0, lam=(1.0, 1.0))
+    first = minimize_radial(prob, init=next(_default_inits(prob)), multistart=False)
+    best = minimize_radial(prob)
+    assert first.converged and best.converged
+    assert first.energy.total == pytest.approx(54.5753, abs=1e-4)
+    assert best.energy.total == pytest.approx(54.5064, abs=1e-4)
 
 
 def test_no_stretch_identity_near_optimal():
