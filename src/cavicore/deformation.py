@@ -51,9 +51,11 @@ class Deformation:
 
     `trace_kinks(center, eps)` optionally returns parameter angles where the
     trace of the map on the circle S(center, eps) has derivative jumps;
-    `radial_breaks(center, t)` optionally returns radii where the gradient
-    jumps along the ray from `center` with direction angle `t`. Both are
-    quadrature hints only.
+    `radial_breaks(center, t)` optionally returns the Euclidean distances
+    from `center` at which the gradient jumps along the ray with direction
+    angle `t` (the bulk quadrature converts them to its own radial
+    coordinate, whatever the norm of the domain). Both are quadrature hints
+    only.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -316,11 +318,12 @@ def example_superposition() -> Deformation:
         hi, lo = max(c, s), min(c, s)
         if lo < 1e-14:
             return []
-        # |z_minor| = (m+1)/2 * lo/hi = 1/2 at m = lo/(hi - lo)
+        # |z_minor| = (m+1)/2 * lo/hi = 1/2 at sup-norm radius m = lo/(hi - lo),
+        # Euclidean distance m / hi
         if hi - lo < 1e-14:
             return []
         m = lo / (hi - lo)
-        return [m] if 0.0 < m < 1.0 else []
+        return [m / hi] if 0.0 < m < 1.0 else []
 
     return Deformation(
         eval=ev,

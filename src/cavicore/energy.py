@@ -153,12 +153,12 @@ class EnergyBreakdown:
 
 
 # --------------------------------------------------------------------------
-# bulk quadrature in q-radial coordinates
+# polar bulk quadrature
 #
-# The outer q-ball is parametrized by x = s * u(t) with u(t) the q-unit
-# direction; the area element is (s / kappa(t)^2) ds dt with
-# kappa(t) = |(cos t, sin t)|_q. Euclidean holes centered at the origin
-# become exact radial limits s >= eps * kappa(t).
+# Points are x = center + s * u(t) with u(t) the q-unit direction; the area
+# element is (s / kappa(t)^2) ds dt with kappa(t) = |(cos t, sin t)|_q, so a
+# Euclidean distance rho along the ray sits at s = rho * kappa(t). q = 2
+# gives plain polar coordinates.
 
 _GAUSS = {}
 
@@ -222,10 +222,10 @@ def _dyadic_sum(f, center, u, jac_t, wt, hi, ng, abs_tol, max_levels=60):
     return total, abs(last) < abs_tol
 
 
-def _ray_circle_crossings(t, ccenter, R, origin=(0.0, 0.0)):
-    """Euclidean radii where rays from `origin` with angles t cross the circle
-    |x - ccenter| = R; non-crossing rays get zeros (dropped by clipping)."""
-    c = np.asarray(ccenter, dtype=float) - np.asarray(origin, dtype=float)
+def _ray_circle_crossings(t, ccenter, R, origin):
+    """Euclidean distances from `origin` at which the rays with angles t cross
+    the circle |x - ccenter| = R; rays that miss it get zeros."""
+    c = np.asarray(ccenter, dtype=float) - origin
     proj = np.cos(t) * c[0] + np.sin(t) * c[1]
     disc = proj**2 - (c @ c - R * R)
     root = np.sqrt(np.maximum(disc, 0.0))
@@ -235,104 +235,44 @@ def _ray_circle_crossings(t, ccenter, R, origin=(0.0, 0.0)):
     return np.stack([lo, hi], axis=-1)
 
 
-def integrate_q_ball(
-    f,
-    domain: Domain,
-    *,
-    hole_eps: float = 0.0,
-    singular_center: bool = False,
-    breaks: Callable[[float], list] | None = None,
-    circles: list | None = None,
-    nt: int = 512,
-    nsub: int = 4,
-    ng: int = 8,
-    abs_tol: float = 1e-12,
-):
-    """One quadrature pass of f over the q-ball, minus a centered Euclidean
-    hole of radius hole_eps, with optional per-ray breakpoints, ray splits at
-    declared circles, and dyadic grading toward a singular center. Returns
-    (value, converged)."""
+def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
+                    singular=False, nt=512, nsub=4, ng=8, abs_tol=1e-12):
+    """One quadrature pass of f over {center + s u(t) : r_in kappa(t) <= s <=
+    r_out}: the q-ball of radius r_out about `center` minus the Euclidean disk
+    of radius r_in. Returns (value, converged).
+
+    Each ray is split where `breaks(center, t)` (Euclidean distances, as
+    `Deformation.radial_breaks` returns them) and where it crosses one of the
+    (center, radius) `circles`. With `singular` and r_in == 0 the ray is graded
+    dyadically toward `center` below half its first positive split, or below
+    r_out / 2 if it has none."""
     t = (np.arange(nt) + 0.5) * (TWO_PI / nt)
     wt = TWO_PI / nt
-    kap = _kappa(domain.q, t)
+    kap = _kappa(q, t)
     u = np.stack([np.cos(t), np.sin(t)], axis=-1) / kap[:, None]
     jac_t = 1.0 / kap**2
-    s_hi = np.full(nt, domain.radius)
-    s_lo = hole_eps * kap if hole_eps > 0 else np.zeros(nt)
+    c = np.asarray(center, dtype=float)
+    lo = r_in * kap
 
-    maxb = 0
-    blist: list[list[float]] = []
-    if breaks is not None:
-        for tv in t:
-            bl = [b for b in breaks(float(tv)) if 1e-14 < b < domain.radius]
-            blist.append(sorted(bl))
-            maxb = max(maxb, len(bl))
     cols = []
-    if maxb:
-        B = np.empty((nt, maxb))
-        for i, bl in enumerate(blist):
-            row = list(bl) + [domain.radius] * (maxb - len(bl))
-            B[i] = row
-        cols.append(B)
+    if breaks is not None:
+        per_ray = [[b for b in sorted(rho * k for rho in breaks(c, float(tv)))
+                    if lo_i + 1e-14 < b < r_out]
+                   for tv, k, lo_i in zip(t, kap, lo)]
+        maxb = max(map(len, per_ray))
+        if maxb:
+            cols.append(np.array([r + [r_out] * (maxb - len(r)) for r in per_ray]))
     for cc, R in circles or []:
-        # euclidean crossing radius sigma maps to q-radius s = sigma * kappa
-        cols.append(_ray_circle_crossings(t, cc, R) * kap[:, None])
+        cols.append(_ray_circle_crossings(t, cc, R, c) * kap[:, None])
     B = np.concatenate(cols, axis=1) if cols else np.empty((nt, 0))
 
-    center = np.zeros(2)
     converged = True
     total = 0.0
-    if singular_center and hole_eps == 0.0:
-        inner = np.minimum(s_hi, np.min(B, axis=1) if maxb else s_hi) * 0.5
-        val, ok = _dyadic_sum(f, center, u, jac_t, wt, inner, ng, abs_tol)
-        total += val
-        converged &= ok
-        s_lo = inner
-    bounds = np.concatenate([s_lo[:, None], np.clip(B, s_lo[:, None], s_hi[:, None]),
-                             s_hi[:, None]], axis=1)
-    bounds = np.sort(bounds, axis=1)
-    total += _segment_sum(f, center, u, jac_t, wt, bounds, nsub, ng)
-    return total, converged
-
-
-def integrate_annulus(f, center, r_in, r_out, *, breaks=None, circles=None,
-                      nt=512, nsub=4, ng=8, singular=False, abs_tol=1e-12):
-    """Polar quadrature of f over the annulus (or punctured disk when
-    singular) centered at `center`."""
-    t = (np.arange(nt) + 0.5) * (TWO_PI / nt)
-    wt = TWO_PI / nt
-    u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-    jac_t = np.ones(nt)
-    c = np.asarray(center, dtype=float)
-    converged = True
-    total = 0.0
-    lo = np.full(nt, r_in)
-    cols_b = []
-    if breaks is not None:
-        blist = []
-        maxb = 0
-        for tv in t:
-            bl = [b for b in breaks(float(tv)) if r_in + 1e-14 < b < r_out - 1e-14]
-            blist.append(sorted(bl))
-            maxb = max(maxb, len(bl))
-        if maxb:
-            B = np.empty((nt, maxb))
-            for i, bl in enumerate(blist):
-                B[i] = list(bl) + [r_out] * (maxb - len(bl))
-            cols_b.append(B)
-    for cc, R in circles or []:
-        cols_b.append(_ray_circle_crossings(t, cc, R, origin=c))
     if singular and r_in == 0.0:
-        inner = np.full(nt, r_out / 2.0)
-        val, ok = _dyadic_sum(f, c, u, jac_t, wt, inner, ng, abs_tol)
-        total += val
-        converged &= ok
-        lo = inner
-    cols = [lo[:, None]]
-    for B in cols_b:
-        cols.append(np.clip(B, lo[:, None], r_out))
-    cols.append(np.full((nt, 1), r_out))
-    bounds = np.sort(np.concatenate(cols, axis=1), axis=1)
+        lo = 0.5 * np.min(np.where(B > 0, B, r_out), axis=1, initial=r_out)
+        total, converged = _dyadic_sum(f, c, u, jac_t, wt, lo, ng, abs_tol)
+    bounds = np.sort(np.concatenate([lo[:, None], np.clip(B, lo[:, None], r_out),
+                                     np.full((nt, 1), r_out)], axis=1), axis=1)
     total += _segment_sum(f, c, u, jac_t, wt, bounds, nsub, ng)
     return total, converged
 
@@ -357,30 +297,21 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
                           ng=8, abs_tol=1e-12, circles=None):
     """Integrate f over the perforated (or punctured, when singular) domain.
 
-    Fast path: a single flaw at the domain center uses exact radial hole
-    geometry. Otherwise a smooth partition of unity splits the integral into
-    per-flaw polar patches plus a background with the patches blended out.
-    `circles` lists (center, radius) pairs along which the integrand has
-    reduced smoothness; rays are split there.
+    With no flaw, or a single flaw at the domain center, this is one polar
+    pass with the exact hole. Otherwise a smooth partition of unity splits the
+    integral into per-flaw polar patches plus a background with the patches
+    blended out. `circles` lists (center, radius) pairs along which the
+    integrand has reduced smoothness; rays are split there.
     """
-    breaks = None
-    if y.radial_breaks is not None:
-        breaks = lambda t: y.radial_breaks(np.zeros(2), t)
-
-    if cfg is None or len(cfg) == 0:
-        sing = singular and len(y.singular_points) > 0 and np.allclose(
-            y.singular_points[0], 0.0)
-        return integrate_q_ball(f, domain, singular_center=sing, breaks=breaks,
-                                circles=circles, nt=nt, nsub=nsub, ng=ng,
-                                abs_tol=abs_tol)
-
-    pts = cfg.points
-    eps = 0.0 if singular else cfg.eps
-    if len(pts) == 1 and np.allclose(pts[0], 0.0):
-        return integrate_q_ball(f, domain, hole_eps=eps,
-                                singular_center=singular, breaks=breaks,
-                                circles=circles, nt=nt, nsub=nsub, ng=ng,
-                                abs_tol=abs_tol)
+    pts = cfg.points if cfg is not None and len(cfg) else np.zeros((0, 2))
+    eps = 0.0 if singular or not len(pts) else cfg.eps
+    opts = dict(nt=nt, nsub=nsub, ng=ng, abs_tol=abs_tol)
+    if len(pts) <= 1 and np.allclose(pts, 0.0):
+        at_center = pts if len(pts) else y.singular_points[:1]
+        sing = singular and len(at_center) > 0 and np.allclose(at_center, 0.0)
+        return _polar_integral(f, np.zeros(2), domain.q, eps, domain.radius,
+                               breaks=y.radial_breaks, circles=circles,
+                               singular=sing, **opts)
 
     radii = {i: _patch_radius(pts[i], domain, np.delete(pts, i, axis=0), cfg.eps)
              for i in range(len(pts))}
@@ -391,7 +322,7 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
         for i, a in enumerate(pts):
             r = np.linalg.norm(X - a, axis=-1)
             w = w * (1.0 - _smooth_blend(r, cfg.eps, radii[i]))
-            hole |= r <= (cfg.eps if not singular else radii[i] * 0.0)
+            hole |= r <= eps
         out = np.zeros(X.shape[:-1])
         live = (w > 1e-14) & ~hole
         if np.any(live):
@@ -400,20 +331,17 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
 
     patch_circles = [(pts[i], radii[i]) for i in range(len(pts))]
     patch_circles += [(pts[i], cfg.eps) for i in range(len(pts))]
-    total, conv = integrate_q_ball(background, domain,
-                                   circles=patch_circles + (circles or []),
-                                   nt=nt, nsub=nsub, ng=ng, abs_tol=abs_tol)
+    total, conv = _polar_integral(background, np.zeros(2), domain.q, 0.0,
+                                  domain.radius,
+                                  circles=patch_circles + (circles or []), **opts)
     for i, a in enumerate(pts):
         def patch(X, a=a, i=i):
             r = np.linalg.norm(X - a, axis=-1)
             return f(X) * _smooth_blend(r, cfg.eps, radii[i])
 
-        pb = None
-        if y.radial_breaks is not None:
-            pb = lambda t, a=a: y.radial_breaks(np.asarray(a, dtype=float), t)
-        val, ok = integrate_annulus(patch, a, eps, radii[i], breaks=pb,
-                                    circles=circles, nt=nt, nsub=nsub, ng=ng,
-                                    singular=singular, abs_tol=abs_tol)
+        val, ok = _polar_integral(patch, a, 2, eps, radii[i],
+                                  breaks=y.radial_breaks, circles=circles,
+                                  singular=singular, **opts)
         total += val
         conv = conv and ok
     return total, conv

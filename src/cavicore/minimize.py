@@ -353,26 +353,19 @@ class GammaSweep:
 
 def gamma_sweep(eps_list, prob_template: RadialProblem, *, tol: float = 1e-7,
                 max_iter: int = 20_000) -> GammaSweep:
-    """Minimize at each core radius with warm starts, then extrapolate the
-    minimum energies to the vanishing-core limit and report the gap
+    """Minimize at each core radius from the default starts, then extrapolate
+    the minimum energies to the vanishing-core limit and report the gap
     sequence |E(eps) - E_limit|."""
     eps_list = [float(e) for e in eps_list]
     if len(eps_list) < 3 or any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("need at least three strictly decreasing core radii")
     rows: list[SweepRow] = []
-    warm = None
-    warm_profile = None
     for eps in eps_list:
         prob = RadialProblem(eps=eps, outer_radius=prob_template.outer_radius,
                              boundary_value=prob_template.boundary_value,
                              density=prob_template.density,
                              lambdas=prob_template.lambdas, K=prob_template.K)
-        init = None
-        if warm_profile is not None:
-            init = np.interp(prob.nodes[:-1], warm_profile.nodes,
-                             warm_profile.values)
-        res = minimize_radial(prob, tol=tol, max_iter=max_iter, init=init)
-        warm_profile = res.profile
+        res = minimize_radial(prob, tol=tol, max_iter=max_iter)
         rows.append(SweepRow(eps=eps, min_energy=res.energy,
                              cavity_radius=res.profile.cavity_radius,
                              iterations=res.iterations, converged=res.converged))

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import cavity_perimeter, cavity_volume, trace_on_circle
-from .deformation import Deformation, compose
+from .deformation import Deformation, _increasing_root, compose
 from .energy import (
     Density,
     EnergyBreakdown,
     LimitEnergyReport,
-    integrate_annulus,
+    _polar_integral,
     limit_energy,
     regularized_energy,
 )
@@ -123,22 +123,18 @@ def _phi_inverse(phi: ProfilePhi, s: float) -> float:
     top = float(phi.bounds[-1])
     if s >= top:
         return s
-    from scipy.optimize import brentq
-
-    return float(brentq(lambda t: float(phi.eval(np.array(t))) - s, 0.0, top))
+    return _increasing_root(lambda t: float(phi.eval(t)) - s, 0.0, top)
 
 
-def _breaks_through_push(phi: ProfilePhi, y: Deformation, a):
-    """Radial quadrature breakpoints of y o push along rays from a: the push
-    junction radii plus the pullbacks of y's own break radii."""
+def _breaks_through_push(phi: ProfilePhi, y: Deformation):
+    """`radial_breaks` of y o push: along the ray from a flaw point a, the
+    push junction radii plus the pullbacks of y's own break radii."""
     zones = phi.zone_radii()
-    a = np.asarray(a, dtype=float)
 
-    def breaks(t):
+    def breaks(a, t):
         out = list(zones)
         if y.radial_breaks is not None:
-            for s_star in y.radial_breaks(a, t):
-                out.append(_phi_inverse(phi, float(s_star)))
+            out += [_phi_inverse(phi, float(s)) for s in y.radial_breaks(a, t)]
         return out
 
     return breaks
@@ -260,7 +256,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         phi = build_phi(float(eps), r_n, n)
         push = build_push(phi, pts, domain=dom)
         ytil = compose(y, push)
-        ytil.radial_breaks = lambda center, t, fn=_breaks_through_push(phi, y, pts[0]): fn(t)
+        ytil.radial_breaks = _breaks_through_push(phi, y)
         cfg = FlawConfig(points=pts, eps=float(eps), max_count=len(pts),
                          confinement=tight_confinement(pts))
         # row quadrature noise only needs to sit well below the percent-scale
@@ -280,10 +276,9 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
 
         infl = 0.0
         for a in pts:
-            val, _ = integrate_annulus(
-                lambda X: density.w(ytil.grad(X)), a, float(eps),
-                2.0 * float(eps), breaks=lambda t: phi.zone_radii(),
-                nt=512, nsub=4)
+            val, _ = _polar_integral(
+                lambda X: density.w(ytil.grad(X)), a, 2, float(eps),
+                2.0 * float(eps), breaks=ytil.radial_breaks)
             infl += val
 
         gap = abs(bd.total - limit.breakdown.total)

@@ -24,6 +24,7 @@ from cavicore.energy import (
     regularized_energy,
     stress_control_constant,
     subquadratic_density,
+    _polar_integral,
 )
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
 
@@ -129,6 +130,39 @@ def test_breakdown_additivity_and_monotonicity():
                                      abs=1e-12)
     for lv, lp in [(3.0, 4.0), (2.0, 5.0), (6.0, 8.0)]:
         assert EnergyBreakdown.assemble(1.5, 0.3, 0.7, (lv, lp)).total >= bd.total
+
+
+# --------------------------------------------------------------------------
+# polar quadrature
+
+
+def _disk_indicator(X):
+    return (np.linalg.norm(X, axis=-1) < 0.45).astype(float)
+
+
+@pytest.mark.parametrize("q", [1, 2, math.inf])
+@pytest.mark.parametrize("r_in", [0.0, 0.1])
+@pytest.mark.parametrize("split", ["breaks", "circles"])
+def test_polar_integral_splits_are_euclidean(q, r_in, split):
+    # a jump at Euclidean radius 0.45 that the rays are split at is integrated
+    # exactly, whatever the norm of the outer ball
+    kw = ({"breaks": lambda c, t: [0.45]} if split == "breaks"
+          else {"circles": [((0.0, 0.0), 0.45)]})
+    val, ok = _polar_integral(_disk_indicator, (0.0, 0.0), q, r_in, 1.0,
+                              nt=64, nsub=1, **kw)
+    assert ok
+    assert val == pytest.approx(math.pi * (0.45**2 - r_in**2), rel=1e-13)
+
+
+def test_polar_integral_singular_grading_with_splits():
+    # |x|^(-1/2) over the unit disk is 4 pi / 3; the grading stays below the
+    # first split on every ray, also on rays that miss the circle
+    val, ok = _polar_integral(lambda X: np.linalg.norm(X, axis=-1) ** -0.5,
+                              (0.0, 0.0), 2, 0.0, 1.0, singular=True,
+                              breaks=lambda c, t: [0.5],
+                              circles=[((0.5, 0.0), 0.2)])
+    assert ok
+    assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
 
 # --------------------------------------------------------------------------

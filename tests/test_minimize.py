@@ -305,6 +305,18 @@ def test_gamma_sweep_total_monotone_in_lambda_p():
         assert seq[0] <= seq[1] <= seq[2]
 
 
+@pytest.mark.parametrize("bv", [1.0, 2.0, 3.0])
+def test_gamma_sweep_rows_are_cold_solves(bv):
+    # each row is the plain multistart minimum at its core radius
+    eps_list = [0.2, 0.1, 0.05]
+    sweep = gamma_sweep(eps_list, _problem(eps=0.2, bv=bv, lam=(1.0, 1.0)))
+    for row, eps in zip(sweep.rows, eps_list):
+        res = minimize_radial(_problem(eps=eps, bv=bv, lam=(1.0, 1.0)))
+        assert row.min_energy.total == pytest.approx(res.energy.total, rel=1e-12)
+        assert row.iterations == res.iterations
+        assert row.converged
+
+
 def test_gamma_sweep_validation():
     template = _problem()
     with pytest.raises(ValueError):

@@ -9,10 +9,12 @@ from cavicore.deformation import (
     example_radial,
     example_spike,
     finite_difference_grad,
+    identity_deformation,
 )
-from cavicore.energy import subquadratic_density
-from cavicore.geometry import Domain, det2
+from cavicore.energy import _integrate_perforated, subquadratic_density
+from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
 from cavicore.recovery import (
+    _phi_inverse,
     build_phi,
     build_push,
     default_r_rule,
@@ -56,6 +58,42 @@ def test_phi_uniform_bounds_on_grid():
 def test_phi_rejects_far_target():
     with pytest.raises(ValueError):
         build_phi(0.1, 0.2, 5)
+
+
+@pytest.mark.parametrize("eps,n", [(0.2, 1), (0.05, 3), (0.1, 10)])
+def test_phi_inverse_matches_brentq(eps, n):
+    from scipy.optimize import brentq
+
+    phi = build_phi(eps, default_r_rule(eps, n), n)
+    top = float(phi.bounds[-1])
+    for s in np.linspace(0.0, top, 25)[1:-1]:
+        want = brentq(lambda t: float(phi.eval(np.array(t))) - s, 0.0, top,
+                      xtol=1e-15)
+        assert _phi_inverse(phi, s) == pytest.approx(want, abs=1e-12)
+    assert _phi_inverse(phi, 1.5 * top) == 1.5 * top
+
+
+def test_breaks_through_push_leaves_scipy_unloaded():
+    import os
+    import subprocess
+    import sys
+
+    import cavicore
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cavicore.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # on this ray the spike's break lies below the push's top, so it is pulled
+    # back through the push profile
+    code = (
+        "import math, sys\n"
+        "from cavicore.deformation import example_spike\n"
+        "from cavicore.recovery import build_phi, _breaks_through_push\n"
+        "phi = build_phi(0.2, 0.2, 1)\n"
+        "b = _breaks_through_push(phi, example_spike())((0.0, 0.0), math.pi / 2 - 0.1)\n"
+        "assert len(b) == len(phi.zone_radii()) + 1 and 0 < b[-1] < phi.bounds[-1]\n"
+        "assert 'scipy' not in sys.modules\n")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +208,47 @@ def test_recovery_inflation_vanishes(radial_table):
     infl = [r.annulus_inflation for r in radial_table.rows]
     assert all(b <= a * 1.10 for a, b in zip(infl, infl[1:]))
     assert infl[-1] < infl[0]
+
+
+def test_recovery_rows_meet_row_tol(radial_table):
+    # reference: Richardson extrapolation of two fine passes whose rays are
+    # split at the push junctions through declared circles, independent of
+    # how radial breaks are converted
+    y = example_radial(0.5)
+    for n, row in enumerate(radial_table.rows, start=1):
+        phi = build_phi(row.eps, row.r, n)
+        ytil = compose(y, build_push(phi, y.singular_points, domain=y.domain))
+        cfg = FlawConfig(points=y.singular_points, eps=row.eps, max_count=1,
+                         confinement=tight_confinement(y.singular_points))
+        dom = Domain(q=y.domain.q, radius=y.domain.radius, flaws=cfg)
+        zones = [((0.0, 0.0), z) for z in phi.zone_radii()]
+        coarse, fine = (
+            _integrate_perforated(lambda X: DENS.w(ytil.grad(X)), dom, cfg, ytil,
+                                  nt=nt, nsub=nsub, circles=zones)[0]
+            for nt, nsub in ((1024, 8), (2048, 16)))
+        ref = fine + (fine - coarse) / 3.0
+        assert row.elastic_converged
+        assert abs(row.energy.elastic - ref) <= 1e-5 * abs(ref)
+
+
+def test_recovery_two_flaws_match_single_flaws():
+    # the identity on the unit disk: the push annuli are disjoint, so the
+    # two-flaw elastic term plus one W(I) |disk| is the sum of the single-flaw
+    # terms, and so is the inflation
+    y = identity_deformation(Domain(q=2, radius=1.0))
+    dens = subquadratic_density(1.5)
+    eps = [0.1, 0.05, 0.025]
+    flaws = ([-0.4, 0.0], [0.4, 0.0])
+    two = recovery_energy_table(y, flaws, eps, dens, (1.0, 1.0))
+    one = [recovery_energy_table(y, [a], eps, dens, (1.0, 1.0)) for a in flaws]
+    w_id = float(dens.w(np.eye(2)))
+    for i, row in enumerate(two.rows):
+        single = [t.rows[i] for t in one]
+        assert row.elastic_converged and all(r.elastic_converged for r in single)
+        want = sum(r.energy.elastic for r in single)
+        assert row.energy.elastic + w_id * math.pi == pytest.approx(want, rel=2e-5)
+        assert row.annulus_inflation == pytest.approx(
+            sum(r.annulus_inflation for r in single), rel=1e-12)
 
 
 def test_recovery_trace_identity_is_parametric():
