@@ -183,19 +183,25 @@ def cmd_recovery(args, cfg) -> int:
                                   (args.lambda_v, args.lambda_p))
     rows = [
         [r.eps, r.r, r.energy.total, table.limit.breakdown.total, r.gap,
-         r.rel_gap, r.shadow_margin, r.trace_identity_rel, r.annulus_inflation]
+         r.rel_gap, r.shadow_margin, r.trace_identity_rel, r.annulus_inflation,
+         r.elastic_converged]
         for r in table.rows
     ]
     write_csv(Path(args.output),
               ["eps", "r", "energy_total", "limit_total", "gap", "rel_gap",
-               "shadow_margin", "trace_identity_rel", "annulus_inflation"],
+               "shadow_margin", "trace_identity_rel", "annulus_inflation",
+               "elastic_converged"],
               rows, cfg)
     if not table.conv_perimeter_ok:
         print("flag: conv-perimeter violated; convergence assertion skipped")
     if table.limit.flags:
         print(f"limit flags: {', '.join(table.limit.flags)}")
+    unconverged = [_fmt(r.eps) for r in table.rows if not r.elastic_converged]
+    if unconverged:
+        print(f"flag: elastic-not-converged at eps {', '.join(unconverged)}")
     print(f"limit total {table.limit.breakdown.total:.8f}; wrote {args.output}")
-    return EXIT_OK if table.conv_perimeter_ok and not table.limit.flags else EXIT_FLAGGED
+    ok = table.conv_perimeter_ok and not table.limit.flags and not unconverged
+    return EXIT_OK if ok else EXIT_FLAGGED
 
 
 def cmd_check(args, cfg) -> int:

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import Domain
+from .geometry import Domain, mat2, mul2, norm2
 
 SQRT3 = math.sqrt(3.0)
 _I2 = np.eye(2)
@@ -43,6 +43,13 @@ def _increasing_root(f, lo, hi):
 def _sign(x):
     """Sign with the tie 0 -> +1, so seams take the first branch."""
     return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
+
+
+def _radial_entries(alpha, beta, e0, e1):
+    """Entries of alpha (I - e x e) + beta e x e for the unit vector (e0, e1)."""
+    e00, e01, e11 = e0 * e0, e0 * e1, e1 * e1
+    off = beta * e01 - alpha * e01
+    return alpha * (1.0 - e00) + beta * e00, off, off, alpha * (1.0 - e11) + beta * e11
 
 
 @dataclass
@@ -134,10 +141,12 @@ def example_radial(b: float) -> Deformation:
 
     def gr(x):
         x = np.asarray(x, dtype=float)
-        n1 = np.abs(x[..., 0]) + np.abs(x[..., 1])
-        s = _sign(x)
-        M = _I2 - x[..., :, None] * s[..., None, :] / n1[..., None, None]
-        return (1.0 - b) * _I2 + (b / n1)[..., None, None] * M
+        x0, x1 = x[..., 0], x[..., 1]
+        a0, a1 = np.abs(x0), np.abs(x1)
+        n1 = a0 + a1
+        k = b / n1
+        return mat2((1.0 - b) + k * (1.0 - a0 / n1), -k * (x0 * _sign(x1) / n1),
+                    -k * (x1 * _sign(x0) / n1), (1.0 - b) + k * (1.0 - a1 / n1))
 
     return Deformation(
         eval=ev,
@@ -159,20 +168,20 @@ def _euclid_cavity_map(b: float):
 
     def ev(z):
         z = np.asarray(z, dtype=float)
-        n = np.sqrt(np.sum(z * z, axis=-1, keepdims=True))
+        n = norm2(z)[..., None]
         ns = np.where(n > 0, n, 1.0)
         rad = ((1.0 - b) * ns + b) * z / ns
         return np.where(n < 1.0, rad, z)
 
     def gr(z):
         z = np.asarray(z, dtype=float)
-        n = np.sqrt(np.sum(z * z, axis=-1))
+        n = norm2(z)
         ns = np.where(n > 0, n, 1.0)
-        e = z / ns[..., None]
-        ee = e[..., :, None] * e[..., None, :]
-        gofn = (1.0 - b) + b / ns
-        inner = gofn[..., None, None] * (_I2 - ee) + (1.0 - b) * ee
-        return np.where((n < 1.0)[..., None, None], inner, _I2)
+        inside = n < 1.0
+        g00, g01, _, g11 = _radial_entries((1.0 - b) + b / ns, 1.0 - b,
+                                           z[..., 0] / ns, z[..., 1] / ns)
+        off = np.where(inside, g01, 0.0)
+        return mat2(np.where(inside, g00, 1.0), off, off, np.where(inside, g11, 1.0))
 
     return ev, gr
 
@@ -188,9 +197,7 @@ def _half_stretch_map():
 
     def gr(x):
         x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(_I2, x.shape[:-1] + (2, 2)).copy()
-        out[..., 0, 0] = np.where(x[..., 0] >= 0.0, 2.0, 1.0)
-        return out
+        return mat2(np.where(x[..., 0] >= 0.0, 2.0, 1.0), 0.0, 0.0, 1.0)
 
     return ev, gr
 
@@ -207,7 +214,7 @@ def example_change_of_reference(b: float) -> Deformation:
         return uev(fev(x))
 
     def gr(x):
-        return ugr(fev(x)) @ fgr(x)
+        return mul2(ugr(fev(x)), fgr(x))
 
     return Deformation(
         eval=ev,
@@ -251,14 +258,11 @@ def _superposition_g():
         z = np.asarray(z, dtype=float)
         z1, z2 = z[..., 0], z[..., 1]
         a1, a2 = np.abs(z1), np.abs(z2)
+        s1, s2 = _sign(z1), _sign(z2)
         b1 = (a1 > a2) & (a2 < 0.5)
         b2 = (a2 > a1) & (a1 < 0.5)
-        out = np.broadcast_to(_I2, z.shape[:-1] + (2, 2)).copy()
-        out[..., 0, 0] = np.where(b1, 2.0 * a2, 1.0)
-        out[..., 0, 1] = np.where(b1, 2.0 * _sign(z2) * (z1 - _sign(z1)), 0.0)
-        out[..., 1, 0] = np.where(b2, 2.0 * _sign(z1) * (z2 - _sign(z2)), 0.0)
-        out[..., 1, 1] = np.where(b2, 2.0 * a1, 1.0)
-        return out
+        return mat2(np.where(b1, 2.0 * a2, 1.0), np.where(b1, 2.0 * s2 * (z1 - s1), 0.0),
+                    np.where(b2, 2.0 * s1 * (z2 - s2), 0.0), np.where(b2, 2.0 * a1, 1.0))
 
     return ev, gr
 
@@ -269,19 +273,22 @@ def _supnorm_annulus_map():
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        m = np.max(np.abs(x), axis=-1, keepdims=True)
+        m = np.maximum(np.abs(x[..., :1]), np.abs(x[..., 1:]))
         return 0.5 * (m + 1.0) * x / m
 
     def gr(x):
+        # (I / m - x (x) v / m^2) / 2 + I / 2, v = sign(x_k) e_k for the
+        # largest |x_k| (the first one on ties)
         x = np.asarray(x, dtype=float)
-        a = np.abs(x)
-        m = np.max(a, axis=-1)
-        k = np.argmax(a, axis=-1)
-        v = np.zeros(x.shape)
-        idx = np.indices(k.shape, sparse=False)
-        v[(*idx, k)] = _sign(np.take_along_axis(x, k[..., None], axis=-1))[..., 0]
-        M = _I2 / m[..., None, None] - x[..., :, None] * v[..., None, :] / (m**2)[..., None, None]
-        return 0.5 * _I2 + 0.5 * M
+        x0, x1 = x[..., 0], x[..., 1]
+        a0, a1 = np.abs(x0), np.abs(x1)
+        first = a0 >= a1
+        m = np.where(first, a0, a1)
+        v0 = np.where(first, _sign(x0), 0.0)
+        v1 = np.where(first, 0.0, _sign(x1))
+        mm = m * m
+        return mat2(0.5 + 0.5 * (1.0 / m - x0 * v0 / mm), 0.5 * -(x0 * v1 / mm),
+                    0.5 * -(x1 * v0 / mm), 0.5 + 0.5 * (1.0 / m - x1 * v1 / mm))
 
     return ev, gr
 
@@ -296,7 +303,7 @@ def example_superposition() -> Deformation:
         return gev(uev(x))
 
     def gr(x):
-        return ggr(uev(x)) @ ugr(x)
+        return mul2(ggr(uev(x)), ugr(x))
 
     def kinks(center, eps):
         # trace derivative jumps where the annulus image crosses |z_i| = 1/2,
@@ -366,16 +373,15 @@ def example_spike() -> Deformation:
     """Round cavity whose boundary develops an exterior spike: the wedge above
     the chord is squeezed onto segments ending at (0, 1)."""
 
-    def in_wedge(z):
-        z1, z2 = z[..., 0], z[..., 1]
+    def in_wedge(z1, z2):
         return z2 > (SQRT3 - 1.0) * np.abs(z1) + 0.5
 
     def ev(x):
         x = np.asarray(x, dtype=float)
-        n = np.sqrt(np.sum(x * x, axis=-1, keepdims=True))
+        n = norm2(x)[..., None]
         z = 0.5 * (n + 1.0) * x / n
-        w = in_wedge(z)
-        R = np.sqrt(np.sum(z * z, axis=-1))
+        w = in_wedge(z[..., 0], z[..., 1])
+        R = norm2(z)
         c = np.where(w, _spike_coef(np.where(w, R, 1.0)), 0.0)
         out = z.copy()
         out[..., 1] = np.where(w, c * np.abs(z[..., 0]) + 1.0, z[..., 1])
@@ -383,22 +389,18 @@ def example_spike() -> Deformation:
 
     def gr(x):
         x = np.asarray(x, dtype=float)
-        n = np.sqrt(np.sum(x * x, axis=-1))
-        e = x / n[..., None]
-        ee = e[..., :, None] * e[..., None, :]
-        h_over = 0.5 * (n + 1.0) / n
-        Du = h_over[..., None, None] * (_I2 - ee) + 0.5 * ee
-        z = 0.5 * (n + 1.0)[..., None] * e
-        z1, z2 = z[..., 0], z[..., 1]
-        w = in_wedge(z)
-        R = np.sqrt(np.sum(z * z, axis=-1))
+        n = norm2(x)
+        e0, e1 = x[..., 0] / n, x[..., 1] / n
+        Du = mat2(*_radial_entries(0.5 * (n + 1.0) / n, 0.5, e0, e1))
+        z1, z2 = 0.5 * (n + 1.0) * e0, 0.5 * (n + 1.0) * e1
+        w = in_wedge(z1, z2)
+        R = np.sqrt(z1 * z1 + z2 * z2)
         Rsafe = np.where(w, R, 1.0)
         c = _spike_coef(Rsafe)
         cp = _spike_coef_deriv(Rsafe)
-        Dg = np.broadcast_to(_I2, z.shape[:-1] + (2, 2)).copy()
-        Dg[..., 1, 0] = np.where(w, cp * z1 / R * np.abs(z1) + c * _sign(z1), 0.0)
-        Dg[..., 1, 1] = np.where(w, cp * z2 / R * np.abs(z1), 1.0)
-        return Dg @ Du
+        return mul2(mat2(1.0, 0.0,
+                         np.where(w, cp * z1 / R * np.abs(z1) + c * _sign(z1), 0.0),
+                         np.where(w, cp * z2 / R * np.abs(z1), 1.0)), Du)
 
     def kinks(center, eps):
         R = 0.5 * (1.0 + float(eps))
@@ -483,18 +485,15 @@ def radial_deformation(profile: RadialProfile, center=(0.0, 0.0)) -> Deformation
     def ev(x):
         x = np.asarray(x, dtype=float)
         d = x - a
-        r = np.sqrt(np.sum(d * d, axis=-1, keepdims=True))
+        r = norm2(d)[..., None]
         return a + profile(r[..., 0])[..., None] * d / r
 
     def gr(x):
         x = np.asarray(x, dtype=float)
         d = x - a
-        r = np.sqrt(np.sum(d * d, axis=-1))
-        e = d / r[..., None]
-        ee = e[..., :, None] * e[..., None, :]
-        rho = profile(r)
-        rhop = profile.slope(r)
-        return (rho / r)[..., None, None] * (_I2 - ee) + rhop[..., None, None] * ee
+        r = norm2(d)
+        return mat2(*_radial_entries(profile(r) / r, profile.slope(r),
+                                     d[..., 0] / r, d[..., 1] / r))
 
     def rbreaks(center_, t):
         return [float(s) for s in profile.nodes[1:-1]]
@@ -525,7 +524,7 @@ def compose(outer: Deformation, inner: Deformation) -> Deformation:
 
     def gr(x):
         z = inner.eval(x)
-        return outer.grad(z) @ inner.grad(x)
+        return mul2(outer.grad(z), inner.grad(x))
 
     return Deformation(
         eval=ev,

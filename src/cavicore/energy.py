@@ -22,7 +22,8 @@ from .cavity import (
     trace_on_circle,
 )
 from .deformation import Deformation
-from .geometry import Domain, FlawConfig, adj2, cof2, det2, validate_flaw_config
+from .geometry import (Domain, FlawConfig, adj2, cof2, det2, mul2, norm2,
+                       validate_flaw_config)
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,7 +59,8 @@ class Density:
 
 
 def _frob(F):
-    return np.sqrt(np.sum(F * F, axis=(-2, -1)))
+    a, b, c, d = F[..., 0, 0], F[..., 0, 1], F[..., 1, 0], F[..., 1, 1]
+    return np.sqrt(a * a + b * b + c * c + d * d)
 
 
 def _power_plus_volumetric(name: str, p: float, g_pos, dg, ddg) -> Density:
@@ -122,7 +124,7 @@ def density_by_name(name: str, p: float) -> Density:
 def stress_control_constant(density: Density, Fs) -> float:
     """Sampled sup of |F^T DW(F)| / (W(F) + c0)."""
     Fs = np.asarray(Fs, dtype=float)
-    FtDW = np.swapaxes(Fs, -1, -2) @ density.dw(Fs)
+    FtDW = mul2(np.swapaxes(Fs, -1, -2), density.dw(Fs))
     num = _frob(FtDW)
     den = density.w(Fs) + density.c0
     return float(np.max(num / den))
@@ -161,6 +163,16 @@ class EnergyBreakdown:
 # gives plain polar coordinates.
 
 _GAUSS = {}
+BLOCK = 8192  # integrand points per call: keeps temporaries cache-sized
+
+
+def _eval_blocked(f, X):
+    """f at the points X (..., 2), called on at most BLOCK points at a time."""
+    pts = X.reshape(-1, 2)
+    vals = np.empty(len(pts))
+    for i in range(0, len(pts), BLOCK):
+        vals[i:i + BLOCK] = f(pts[i:i + BLOCK])
+    return vals.reshape(X.shape[:-1])
 
 
 def _gauss(n):
@@ -196,7 +208,7 @@ def _segment_sum(f, center, u, jac_t, wt, bounds, nsub, ng):
         mid = edges[..., None] + 0.5 * width[:, None, None] * (gx + 1.0)
         ws = 0.5 * width[:, None, None] * gw
         X = center + mid[..., None] * u[:, None, None, :]
-        vals = f(X)
+        vals = _eval_blocked(f, X)
         total += float(np.sum(vals * mid * ws * (jac_t * wt)[:, None, None]))
     return total
 
@@ -213,7 +225,7 @@ def _dyadic_sum(f, center, u, jac_t, wt, hi, ng, abs_tol, max_levels=60):
         mid = lo[:, None] + 0.5 * (top - lo)[:, None] * (gx + 1.0)
         ws = 0.5 * (top - lo)[:, None] * gw
         X = center + mid[..., None] * u[:, None, :]
-        vals = f(X)
+        vals = _eval_blocked(f, X)
         last = float(np.sum(vals * mid * ws * (jac_t * wt)[:, None]))
         total += last
         top = lo
@@ -320,7 +332,7 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
         w = np.ones(X.shape[:-1])
         hole = np.zeros(X.shape[:-1], dtype=bool)
         for i, a in enumerate(pts):
-            r = np.linalg.norm(X - a, axis=-1)
+            r = norm2(X - a)
             w = w * (1.0 - _smooth_blend(r, cfg.eps, radii[i]))
             hole |= r <= eps
         out = np.zeros(X.shape[:-1])
@@ -336,7 +348,7 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
                                   circles=patch_circles + (circles or []), **opts)
     for i, a in enumerate(pts):
         def patch(X, a=a, i=i):
-            r = np.linalg.norm(X - a, axis=-1)
+            r = norm2(X - a)
             return f(X) * _smooth_blend(r, cfg.eps, radii[i])
 
         val, ok = _polar_integral(patch, a, 2, eps, radii[i],
@@ -521,13 +533,13 @@ class TestFunction:
     def eval(self, x):
         x = np.asarray(x, dtype=float)
         d = x - np.asarray(self.center)
-        u = 1.0 - np.sum(d * d, axis=-1) / self.radius**2
+        u = 1.0 - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / self.radius**2
         return np.where(u > 0, u, 0.0) ** self.k
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         d = x - np.asarray(self.center)
-        u = 1.0 - np.sum(d * d, axis=-1) / self.radius**2
+        u = 1.0 - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / self.radius**2
         coef = np.where(u > 0, self.k * np.where(u > 0, u, 0.0) ** (self.k - 1), 0.0)
         return (-2.0 / self.radius**2) * coef[..., None] * d
 

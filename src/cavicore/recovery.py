@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import cavity_perimeter, cavity_volume, trace_on_circle
-from .deformation import Deformation, _increasing_root, compose
+from .deformation import Deformation, compose
 from .energy import (
     Density,
     EnergyBreakdown,
@@ -18,7 +18,7 @@ from .energy import (
     limit_energy,
     regularized_energy,
 )
-from .geometry import Domain, FlawConfig, tight_confinement
+from .geometry import Domain, FlawConfig, mat2, norm2, tight_confinement
 
 
 def _smoothstep(u):
@@ -119,11 +119,26 @@ def default_r_rule(eps_n: float, n: int) -> float:
 
 def _phi_inverse(phi: ProfilePhi, s: float) -> float:
     """Radius t with phi(t) = s (phi is strictly increasing, identity beyond
-    its last junction)."""
+    its last junction).
+
+    The chord through the ends of the zone holding s is the exact inverse on
+    an affine zone. On a blend it starts Newton's iteration, which converges
+    quadratically there (phi' stays near 1 and phi'' is bounded), so once a
+    step is below 1e-8 t the next one would be below rounding."""
     top = float(phi.bounds[-1])
     if s >= top:
         return s
-    return _increasing_root(lambda t: float(phi.eval(t)) - s, 0.0, top)
+    j = int(np.clip(np.searchsorted(phi.starts, s, side="right") - 1, 0,
+                    len(phi.bounds) - 2))
+    a, b = phi.bounds[j], phi.bounds[j + 1]
+    t = a + (b - a) * (s - phi.starts[j]) / (phi.starts[j + 1] - phi.starts[j])
+    if phi.slopes[j, 0] != phi.slopes[j, 1]:
+        for _ in range(4):
+            step = (float(phi.eval(t)) - s) / float(phi.deriv(t))
+            t -= step
+            if abs(step) <= 1e-8 * t:
+                break
+    return float(t)
 
 
 def _breaks_through_push(phi: ProfilePhi, y: Deformation):
@@ -144,8 +159,8 @@ def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deforma
     """Radial push fixing each flaw point, mapping B(a, eps_n) onto B(a, r_n),
     and equal to the identity outside the 2 eps_n balls.
 
-    Gradient in closed form: (phi(t)/t)(I - e x e) + phi'(t) e x e with
-    t = |x - a|."""
+    Gradient in closed form: (phi(t)/t) I + (phi'(t) - phi(t)/t) e x e with
+    t = |x - a|, and phi'(0) I at the flaw point."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     two_eps = 2.0 * phi.eps_n
     for i in range(len(pts)):
@@ -155,14 +170,12 @@ def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deforma
         if domain is not None and domain.dist_to_boundary(pts[i]) < two_eps:
             raise ValueError("push support leaves the domain")
 
-    I2 = np.eye(2)
-
     def ev(x):
         x = np.asarray(x, dtype=float)
         out = x.copy()
         for a in pts:
             d = x - a
-            t = np.linalg.norm(d, axis=-1)
+            t = norm2(d)
             inside = t < two_eps
             if not np.any(inside):
                 continue
@@ -174,22 +187,22 @@ def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deforma
 
     def gr(x):
         x = np.asarray(x, dtype=float)
-        out = np.broadcast_to(I2, x.shape[:-1] + (2, 2)).copy()
-        s1 = phi.slopes[0, 0]
+        shape = x.shape[:-1]
+        g00, g01, g11 = np.ones(shape), np.zeros(shape), np.ones(shape)
         for a in pts:
             d = x - a
-            t = np.linalg.norm(d, axis=-1)
+            t = norm2(d)
             inside = t < two_eps
             if not np.any(inside):
                 continue
             ts = np.where(t > 0, t, 1.0)
-            e = d / ts[..., None]
-            ee = e[..., :, None] * e[..., None, :]
-            G = (phi.eval(ts) / ts)[..., None, None] * (I2 - ee) \
-                + phi.deriv(ts)[..., None, None] * ee
-            G = np.where((t > 0)[..., None, None], G, s1 * I2)
-            out = np.where(inside[..., None, None], G, out)
-        return out
+            e0, e1 = d[..., 0] / ts, d[..., 1] / ts  # (0, 0) at the flaw point
+            iso = np.where(t > 0, phi.eval(ts) / ts, phi.slopes[0, 0])
+            k = phi.deriv(ts) - iso
+            g00 = np.where(inside, iso + k * e0 * e0, g00)
+            g01 = np.where(inside, k * e0 * e1, g01)
+            g11 = np.where(inside, iso + k * e1 * e1, g11)
+        return mat2(g00, g01, g01, g11)
 
     def rbreaks(center, t):
         return phi.zone_radii()

@@ -133,6 +133,43 @@ def test_limit_energy_spike_writes_strict_json(tmp_path):
     assert payload["total"] is None
 
 
+def test_recovery_spike_rows_report_elastic_convergence(tmp_path, capsys):
+    # the spike's pushed maps have a log-divergent bulk energy: every row is
+    # written, marked unconverged, and flagged
+    out = tmp_path / "spike.csv"
+    code = main(["recovery", "--example", "spike", "--eps-list", "0.2",
+                 "--output", str(out)])
+    assert code == EXIT_FLAGGED
+    header, row = out.read_text().splitlines()[:2]
+    assert header.split(",")[-1] == "elastic_converged"
+    assert row.split(",")[-1] == "False"
+    assert "flag: elastic-not-converged at eps 0.2" in capsys.readouterr().out
+
+
+def test_recovery_unconverged_row_exits_flagged(tmp_path, capsys, monkeypatch):
+    # a clean limit with one unconverged row still exits 1
+    import dataclasses
+
+    import cavicore.cli as cli
+
+    real = cli.recovery_energy_table
+
+    def last_row_unconverged(*args, **kwargs):
+        table = real(*args, **kwargs)
+        rows = table.rows[:-1] + (dataclasses.replace(table.rows[-1],
+                                                      elastic_converged=False),)
+        return dataclasses.replace(table, rows=rows)
+
+    monkeypatch.setattr(cli, "recovery_energy_table", last_row_unconverged)
+    out = tmp_path / "radial.csv"
+    code = main(["recovery", "--example", "radial", "--eps-list", "0.2,0.1",
+                 "--output", str(out)])
+    assert code == EXIT_FLAGGED
+    rows = out.read_text().splitlines()[1:3]
+    assert [r.split(",")[-1] for r in rows] == ["True", "False"]
+    assert "flag: elastic-not-converged at eps 0.1" in capsys.readouterr().out
+
+
 def _readme_commands():
     """The `cavicore ...` invocations of the README's Command line block."""
     text = README.read_text()

@@ -272,3 +272,239 @@ def test_import_leaves_scipy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = "import cavicore, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+# --------------------------------------------------------------------------
+# kernel oracle: the gradients as stacked 2x2 matrix formulas (outer products,
+# np.indices, matmul), written independently of the entry-wise kernels
+
+
+_I2 = np.eye(2)
+ULP = np.finfo(float).eps
+
+
+def _sgn(x):
+    return np.where(np.asarray(x) >= 0.0, 1.0, -1.0)
+
+
+def _oracle_radial(b, x):
+    n1 = np.abs(x[..., 0]) + np.abs(x[..., 1])
+    M = _I2 - x[..., :, None] * _sgn(x)[..., None, :] / n1[..., None, None]
+    return (1.0 - b) * _I2 + (b / n1)[..., None, None] * M
+
+
+def _oracle_round_cavity(b, z):
+    n = np.sqrt(np.sum(z * z, axis=-1))
+    ns = np.where(n > 0, n, 1.0)
+    e = z / ns[..., None]
+    ee = e[..., :, None] * e[..., None, :]
+    inner = ((1.0 - b) + b / ns)[..., None, None] * (_I2 - ee) + (1.0 - b) * ee
+    return np.where((n < 1.0)[..., None, None], inner, _I2)
+
+
+def _oracle_half_stretch(x):
+    out = np.broadcast_to(_I2, x.shape[:-1] + (2, 2)).copy()
+    out[..., 0, 0] = np.where(x[..., 0] >= 0.0, 2.0, 1.0)
+    return out
+
+
+def _oracle_annulus(x):
+    a = np.abs(x)
+    m = np.max(a, axis=-1)
+    k = np.argmax(a, axis=-1)
+    v = np.zeros(x.shape)
+    v[(*np.indices(k.shape), k)] = _sgn(np.take_along_axis(x, k[..., None], -1))[..., 0]
+    M = (_I2 / m[..., None, None]
+         - x[..., :, None] * v[..., None, :] / (m**2)[..., None, None])
+    return 0.5 * _I2 + 0.5 * M
+
+
+def _oracle_squeeze(z):
+    z1, z2 = z[..., 0], z[..., 1]
+    a1, a2 = np.abs(z1), np.abs(z2)
+    b1 = (a1 > a2) & (a2 < 0.5)
+    b2 = (a2 > a1) & (a1 < 0.5)
+    out = np.broadcast_to(_I2, z.shape[:-1] + (2, 2)).copy()
+    out[..., 0, 0] = np.where(b1, 2.0 * a2, 1.0)
+    out[..., 0, 1] = np.where(b1, 2.0 * _sgn(z2) * (z1 - _sgn(z1)), 0.0)
+    out[..., 1, 0] = np.where(b2, 2.0 * _sgn(z1) * (z2 - _sgn(z2)), 0.0)
+    out[..., 1, 1] = np.where(b2, 2.0 * a1, 1.0)
+    return out
+
+
+def _oracle_spike(x):
+    from cavicore.deformation import _spike_coef, _spike_coef_deriv
+
+    n = np.sqrt(np.sum(x * x, axis=-1))
+    e = x / n[..., None]
+    ee = e[..., :, None] * e[..., None, :]
+    Du = (0.5 * (n + 1.0) / n)[..., None, None] * (_I2 - ee) + 0.5 * ee
+    z = 0.5 * (n + 1.0)[..., None] * e
+    z1, z2 = z[..., 0], z[..., 1]
+    w = z2 > (SQRT3 - 1.0) * np.abs(z1) + 0.5
+    R = np.sqrt(np.sum(z * z, axis=-1))
+    Rs = np.where(w, R, 1.0)
+    c, cp = _spike_coef(Rs), _spike_coef_deriv(Rs)
+    Dg = np.broadcast_to(_I2, z.shape[:-1] + (2, 2)).copy()
+    Dg[..., 1, 0] = np.where(w, cp * z1 / R * np.abs(z1) + c * _sgn(z1), 0.0)
+    Dg[..., 1, 1] = np.where(w, cp * z2 / R * np.abs(z1), 1.0)
+    return Dg @ Du
+
+
+def _oracle_radial_profile(profile, a, x):
+    d = x - a
+    r = np.sqrt(np.sum(d * d, axis=-1))
+    e = d / r[..., None]
+    ee = e[..., :, None] * e[..., None, :]
+    return (profile(r) / r)[..., None, None] * (_I2 - ee) \
+        + profile.slope(r)[..., None, None] * ee
+
+
+def _oracle_push(phi, pts, x):
+    out = np.broadcast_to(_I2, x.shape[:-1] + (2, 2)).copy()
+    for a in pts:
+        d = x - a
+        t = np.linalg.norm(d, axis=-1)
+        ts = np.where(t > 0, t, 1.0)
+        e = d / ts[..., None]
+        ee = e[..., :, None] * e[..., None, :]
+        G = (phi.eval(ts) / ts)[..., None, None] * (_I2 - ee) \
+            + phi.deriv(ts)[..., None, None] * ee
+        G = np.where((t > 0)[..., None, None], G, phi.slopes[0, 0] * _I2)
+        out = np.where((t < 2.0 * phi.eps_n)[..., None, None], G, out)
+    return out
+
+
+def _oracle(key, x):
+    if key == "radial":
+        return _oracle_radial(0.5, x)
+    if key == "change-of-reference":
+        f = np.where(x[..., :1] >= 0.0, x * [2.0, 1.0], x)
+        return _oracle_round_cavity(0.5, f) @ _oracle_half_stretch(x)
+    if key == "superposition":
+        m = np.max(np.abs(x), axis=-1, keepdims=True)
+        return _oracle_squeeze(0.5 * (m + 1.0) * x / m) @ _oracle_annulus(x)
+    return _oracle_spike(x)
+
+
+def _assert_ulps(G, ref, ulps=4):
+    """Every entry within `ulps` units in the last place of the matrix's
+    largest entry; a different branch fails by far more."""
+    assert G.shape == ref.shape
+    scale = np.max(np.abs(ref), axis=(-2, -1), keepdims=True)
+    err = np.abs(G - ref)
+    assert np.all(err <= ulps * ULP * scale), float(np.max(err / scale / ULP))
+
+
+def _seams(key, rng):
+    """Points on the branch seams of a catalog map, each with neighbours a
+    few ulp to either side."""
+    r = np.array([1e-3, 0.1, 0.25, 0.5, 0.75, 0.999])
+    one = np.ones_like(r)
+    pts = [np.stack(s, -1) for s in
+           [(r, 0 * r), (-r, 0 * r), (0 * r, r), (0 * r, -r),
+            (r, r), (r, -r), (-r, r), (-r, -r)]]
+    if key == "radial":
+        pts = [p / np.sum(np.abs(p), axis=-1, keepdims=True) * r[:, None] for p in pts]
+    s = rng.uniform(0.05, 0.95, 50)
+    if key == "change-of-reference":
+        th = rng.uniform(-math.pi, math.pi, 50)
+        c, si = np.cos(th), np.sin(th)
+        pts.append(np.stack([np.where(c >= 0, 0.5 * c, c), si], -1))  # |f(x)| = 1
+        pts.append(np.stack([0 * s, s], -1))
+        pts.append(np.array([[0.5, 0.0], [0.0, 1.0], [0.3, 0.8], [-0.6, 0.8]]))
+    if key == "superposition":
+        # the annulus image meets |z_i| = 1/2: z = (+-M, +-1/2) with |z|_inf = M
+        M = rng.uniform(0.5, 1.0, 50)
+        for sx, sy in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
+            z = np.stack([sx * M, sy * 0.5 * np.ones_like(M)], -1)
+            pts.append((2.0 * M - 1.0)[:, None] * z / M[:, None])
+            pts.append(pts[-1][:, ::-1])
+    if key == "spike":
+        # the wedge boundary z2 = (sqrt3 - 1)|z1| + 1/2 inside the annulus
+        z1 = np.concatenate([s * 0.45, -s * 0.45])
+        z = np.stack([z1, (SQRT3 - 1.0) * np.abs(z1) + 0.5], -1)
+        R = np.sqrt(np.sum(z * z, axis=-1))
+        z, R = z[R < 1.0], R[R < 1.0]
+        pts.append((2.0 * R - 1.0)[:, None] * z / R[:, None])
+    P = np.concatenate(pts)
+    nudged = [P]
+    for k in (1, 3):
+        for d in (-np.inf, np.inf):
+            q = P.copy()
+            for _ in range(k):
+                q = np.nextafter(q, d)
+            nudged.append(q)
+    return np.concatenate(nudged)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_gradient_kernel_matches_matrix_oracle(key, rng):
+    y = make_example(key, 0.5)
+    pts = rng.uniform(-1.0, 1.0, (20_000, 2))
+    pts = pts[y.domain.contains(pts) & (qnorm(pts, 2) > 1e-9)]
+    _assert_ulps(y.grad(pts), _oracle(key, pts))
+    seams = _seams(key, rng)
+    _assert_ulps(y.grad(seams), _oracle(key, seams))
+    x = seams[7]  # one point: the kernels also take a single (2,) vector
+    _assert_ulps(y.grad(x), _oracle(key, x[None])[0])
+
+
+def test_factor_kernels_on_their_own_seams(rng):
+    from cavicore.deformation import (
+        _euclid_cavity_map,
+        _half_stretch_map,
+        _superposition_g,
+        _supnorm_annulus_map,
+    )
+
+    u = rng.uniform(-1.0, 1.0, (5000, 2))
+    t = rng.uniform(0.0, 2.0 * math.pi, 500)
+    M = rng.uniform(0.0, 1.0, 500)
+    circle = np.stack([np.cos(t), np.sin(t)], -1)
+    exact = np.concatenate([
+        u, circle, 0.999999 * circle, np.stack([M, M], -1), np.stack([M, -M], -1),
+        np.stack([M, 0.5 + 0 * M], -1), np.stack([-0.5 + 0 * M, M], -1),
+        np.stack([0 * M, M], -1), np.stack([-M, 0 * M], -1)])
+    _assert_ulps(_euclid_cavity_map(0.5)[1](exact), _oracle_round_cavity(0.5, exact))
+    _assert_ulps(_half_stretch_map()[1](exact), _oracle_half_stretch(exact))
+    _assert_ulps(_superposition_g()[1](exact), _oracle_squeeze(exact))
+    off = exact[np.max(np.abs(exact), axis=-1) > 0]
+    _assert_ulps(_supnorm_annulus_map()[1](off), _oracle_annulus(off))
+
+
+def test_compose_and_radial_profile_kernels_match_oracle(rng):
+    outer, inner = change_of_reference_parts(0.5)
+    pts = np.concatenate([rng.uniform(-1.0, 1.0, (5000, 2)),
+                          _seams("change-of-reference", rng)])
+    _assert_ulps(compose(outer, inner).grad(pts),
+                 outer.grad(inner.eval(pts)) @ inner.grad(pts))
+    prof = RadialProfile(nodes=[0.0, 0.2, 0.5, 1.5], values=[0.1, 0.35, 0.6, 1.6])
+    a = np.array([0.4, 0.0])
+    q = rng.uniform(-1.0, 1.0, (5000, 2))
+    rays = a + np.array([0.2, 0.5, 0.3])[:, None, None] * np.stack(
+        [np.cos(np.arange(8) * math.pi / 4), np.sin(np.arange(8) * math.pi / 4)], -1)
+    q = np.concatenate([q, rays.reshape(-1, 2)])
+    _assert_ulps(radial_deformation(prof, center=a).grad(q),
+                 _oracle_radial_profile(prof, a, q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_push_kernel_matches_matrix_oracle(n, rng):
+    from cavicore.recovery import build_phi, build_push, default_r_rule
+
+    eps = 0.1
+    phi = build_phi(eps, default_r_rule(eps, n), n)
+    flaws = np.array([[0.0, 0.0], [0.5, 0.1]])
+    push = build_push(phi, flaws)
+    t = rng.uniform(0.0, 2.0 * math.pi, 40)
+    u = np.stack([np.cos(t), np.sin(t)], -1)
+    radii = np.concatenate([[0.0, 2.0 * eps], phi.zone_radii(), [1e-9, eps]])
+    seams = (flaws[:, None, None, :] + radii[None, :, None, None] * u).reshape(-1, 2)
+    pts = np.concatenate([rng.uniform(-0.3, 0.8, (5000, 2)), seams, flaws])
+    _assert_ulps(push.grad(pts), _oracle_push(phi, flaws, pts))
+    y = example_radial(0.5)
+    comp = compose(y, push)
+    keep = np.min(np.abs(pts), axis=-1) > 0
+    _assert_ulps(comp.grad(pts[keep]),
+                 _oracle_radial(0.5, push.eval(pts[keep])) @ _oracle_push(phi, flaws, pts[keep]))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import cavicore.energy as energy
 from cavicore.cavity import cavity_perimeter, cavity_volume, trace_on_circle
 from cavicore.deformation import (
     Deformation,
     RadialProfile,
+    example_change_of_reference,
     example_radial,
     example_spike,
     identity_deformation,
@@ -154,6 +156,40 @@ def test_polar_integral_splits_are_euclidean(q, r_in, split):
     assert val == pytest.approx(math.pi * (0.45**2 - r_in**2), rel=1e-13)
 
 
+def test_polar_integral_blocking_is_bit_identical(monkeypatch):
+    # 250 x 5 x 8 points per segment and 250 x 8 per dyadic level: not a
+    # multiple of any block size used here
+    y = example_change_of_reference(0.5)
+    dens = subquadratic_density(1.1)
+
+    def one_pass():
+        return _polar_integral(lambda X: dens.w(y.grad(X)), (0.0, 0.0), math.inf,
+                               0.0, 1.0, circles=[((0.2, 0.1), 0.3)],
+                               singular=True, nt=250, nsub=5, ng=8)
+
+    ref = one_pass()
+    for block in (7, 10**9):
+        monkeypatch.setattr(energy, "BLOCK", block)
+        assert one_pass() == ref
+
+
+def test_finest_pass_memory_is_blocked():
+    # one finest refinement pass: 2^20 points per segment, each evaluated in
+    # blocks, so no (N, 2, 2) temporary of the whole segment is ever made
+    import tracemalloc
+
+    y = example_radial(0.5)
+    dens = subquadratic_density(1.1)
+    tracemalloc.start()
+    try:
+        _polar_integral(lambda X: dens.w(y.grad(X)), (0.0, 0.0), 1, 0.0, 1.0,
+                        breaks=y.radial_breaks, singular=True, nt=4096, nsub=32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20
+
+
 def test_polar_integral_singular_grading_with_splits():
     # |x|^(-1/2) over the unit disk is 4 pi / 3; the grading stays below the
     # first split on every ray, also on rays that miss the circle
@@ -292,6 +328,43 @@ def test_limit_energy_no_flaws():
     assert rep.breakdown.volume_term == 0.0
     assert rep.breakdown.perimeter_term == 0.0
     assert rep.breakdown.elastic == pytest.approx(3 * math.pi, rel=1e-6)
+
+
+TWO_FLAWS = [[0.4, 0.0], [-0.4, 0.0]]
+
+
+def test_limit_energy_two_flaws_identity():
+    # both flaws are regular points of the identity: the elastic term is
+    # W(I) |disk| to the refinement tolerance and neither flaw opens a cavity
+    dom = Domain(q=2, radius=1.0)
+    dens = subquadratic_density(1.5)
+    rep = limit_energy(identity_deformation(dom), TWO_FLAWS, dom, dens, (1.0, 1.0),
+                       [0.2, 0.1, 0.05, 0.025])
+    assert rep.elastic_converged and rep.flags == ()
+    assert rep.breakdown.elastic == pytest.approx(float(dens.w(np.eye(2))) * math.pi,
+                                                  rel=1e-6)
+    assert [f.volume for f in rep.flaws] == pytest.approx([0.0, 0.0], abs=1e-12)
+    assert not any(f.has_cavity for f in rep.flaws)
+
+
+def test_limit_energy_two_flaws_match_single_flaw():
+    # a radial cavity at (0.4, 0) and a regular flaw at (-0.4, 0): the second
+    # flaw changes only how the bulk integral is split into patches, and its
+    # own cavity terms vanish up to the extrapolation's error
+    dom = Domain(q=2, radius=1.0)
+    dens = subquadratic_density(1.1)
+    y = radial_deformation(RadialProfile(nodes=[0.0, 1.5], values=[0.1, 1.6]),
+                           center=TWO_FLAWS[0])
+    radii = [0.2, 0.1, 0.05, 0.025]
+    two = limit_energy(y, TWO_FLAWS, dom, dens, (1.0, 1.0), radii)
+    one = limit_energy(y, TWO_FLAWS[:1], dom, dens, (1.0, 1.0), radii)
+    assert two.flags == one.flags == ()
+    # two refinements, each stopped at an estimated 1e-6 relative error
+    assert two.breakdown.elastic == pytest.approx(one.breakdown.elastic, rel=5e-6)
+    assert two.flaws[0] == one.flaws[0]
+    assert two.flaws[0].volume == pytest.approx(math.pi * 0.1**2, rel=1e-12)
+    regular = two.flaws[1]
+    assert abs(regular.volume) <= 1e-4 and abs(regular.perimeter) <= 1e-4
 
 
 # --------------------------------------------------------------------------

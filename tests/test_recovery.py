@@ -14,6 +14,7 @@ from cavicore.deformation import (
 from cavicore.energy import _integrate_perforated, subquadratic_density
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
 from cavicore.recovery import (
+    ProfilePhi,
     _phi_inverse,
     build_phi,
     build_push,
@@ -71,6 +72,26 @@ def test_phi_inverse_matches_brentq(eps, n):
                       xtol=1e-15)
         assert _phi_inverse(phi, s) == pytest.approx(want, abs=1e-12)
     assert _phi_inverse(phi, 1.5 * top) == 1.5 * top
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_phi_inverse_takes_at_most_eight_evaluations(n, monkeypatch):
+    calls = []
+    for name in ("eval", "deriv"):
+        orig = getattr(ProfilePhi, name)
+        monkeypatch.setattr(ProfilePhi, name,
+                            lambda self, t, orig=orig: calls.append(t) or orig(self, t))
+    eps = 0.1
+    # the default target and both ends of the admissible range
+    for r in (default_r_rule(eps, n), eps * (1 + 0.25 / n), eps * (1 - 0.25 / n)):
+        phi = build_phi(eps, r, n)
+        knots = phi.starts[1:-1]
+        for s in np.concatenate([np.linspace(0.0, phi.bounds[-1], 200)[1:-1],
+                                 knots, np.nextafter(knots, 0.0)]):
+            calls.clear()
+            t = _phi_inverse(phi, float(s))
+            assert len(calls) <= 8
+            assert float(phi.eval(np.array(t))) == pytest.approx(s, rel=1e-14)
 
 
 def test_breaks_through_push_leaves_scipy_unloaded():
