@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import Deformation
-from .geometry import pseudoinverse
+from .geometry import angular_rule, pseudoinverse
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,8 +28,8 @@ class TraceCurve:
     """Sampled closed image curve t -> y(a + eps (cos t, sin t)).
 
     `ts` are sorted parameters in [0, 2 pi); closure is by periodicity.
-    A curve is uniform when `ts` is an equispaced grid (kink refinement
-    inserts extra parameters and drops the flag).
+    `weights` are the quadrature weights of the parameters: 2 pi / n on the
+    uniform polyline, composite Gauss-Legendre on a panel trace.
     """
 
     center: np.ndarray
@@ -37,8 +37,7 @@ class TraceCurve:
     ts: np.ndarray
     points: np.ndarray
     derivs: np.ndarray
-    deriv_mode: str = "chain-rule"
-    uniform: bool = True
+    weights: np.ndarray
 
     def __len__(self):
         return len(self.ts)
@@ -49,26 +48,18 @@ class TraceCurve:
         hi = np.max(self.points, axis=0)
         return float(np.linalg.norm(hi - lo))
 
-    @property
-    def dts(self) -> np.ndarray:
-        """Periodic parameter increments, summing to 2 pi."""
-        t = self.ts
-        return np.diff(np.append(t, t[0] + TWO_PI))
-
     def integrate(self, f: np.ndarray) -> float:
-        """Periodic trapezoid rule of nodal values f over the parameter."""
-        fn = np.append(f, f[:1], axis=0)
-        dt = self.dts
-        return float(np.sum(0.5 * (fn[:-1] + fn[1:]) * dt))
+        """Quadrature of nodal values f over the parameter."""
+        return float(self.weights @ f)
 
 
 @dataclass(frozen=True)
 class CavityMetrics:
     volume: float
     perimeter: float
-    degree_range: frozenset
     orientation: int  # sign of the enclosed signed area
-    n_samples: int = 0
+    n_samples: int  # trace nodes of the last pass
+    converged: bool  # False when the node cap stopped the refinement
 
 
 def _circle_points(a, eps, ts):
@@ -77,44 +68,11 @@ def _circle_points(a, eps, ts):
     )
 
 
-def trace_on_circle(
-    y: Deformation,
-    a,
-    eps: float,
-    n: int = 256,
-    *,
-    deriv: str = "auto",
-    kinks="auto",
-) -> TraceCurve:
-    """Sample the image of the circle S(a, eps).
-
-    n must be a power of two >= 64 (the base grid; kink refinement may insert
-    extra parameters around derivative jumps reported by the deformation).
-    Derivatives come from the chain rule when the map has an analytic
-    gradient, otherwise from central differences in the parameter.
-    """
-    a = np.asarray(a, dtype=float)
-    if n < 64 or (n & (n - 1)) != 0:
-        raise TraceError(f"sample count must be a power of two >= 64, got {n}")
+def _trace(y: Deformation, a, eps: float, ts, weights) -> TraceCurve:
+    """The image of S(a, eps) at the parameters ts, with chain-rule
+    derivatives."""
     if eps <= 0:
         raise TraceError("trace radius must be positive")
-    ts = np.arange(n) * (TWO_PI / n)
-    uniform = True
-
-    kink_list: list[float] = []
-    if kinks == "auto" and y.trace_kinks is not None:
-        kink_list = list(y.trace_kinks(a, eps))
-    elif isinstance(kinks, (list, tuple, np.ndarray)):
-        kink_list = list(kinks)
-    if kink_list:
-        off = 1e-9
-        extra = []
-        for tk in kink_list:
-            tk = tk % TWO_PI
-            extra.extend([(tk - off) % TWO_PI, (tk + off) % TWO_PI])
-        ts = np.unique(np.concatenate([ts, extra]))
-        uniform = False
-
     pts = _circle_points(a, eps, ts)
     if y.domain is not None:
         ok = y.domain.contains(pts, closed=True)
@@ -124,22 +82,31 @@ def trace_on_circle(
         for s in y.singular_points:
             if np.min(np.linalg.norm(pts - s, axis=-1)) < 1e-12:
                 raise TraceError("circle passes through a singular point")
-
     w = y.eval(pts)
-    use_chain = deriv == "chain" or (deriv == "auto" and y.grad_mode == "analytic")
-    if use_chain:
-        tang = eps * np.stack([-np.sin(ts), np.cos(ts)], axis=-1)
-        dw = np.einsum("...ij,...j->...i", y.grad(pts), tang)
-        mode = "chain-rule"
-    else:
-        # spectral-grade central differences in the parameter
-        dtf = np.roll(ts, -1) - ts
-        dtf[-1] += TWO_PI
-        dtb = np.roll(dtf, 1)
-        dw = (np.roll(w, -1, axis=0) - np.roll(w, 1, axis=0)) / (dtf + dtb)[:, None]
-        mode = "central-difference"
+    tang = eps * np.stack([-np.sin(ts), np.cos(ts)], axis=-1)
+    dw = np.einsum("...ij,...j->...i", y.grad(pts), tang)
     return TraceCurve(center=a, eps=float(eps), ts=ts, points=w, derivs=dw,
-                      deriv_mode=mode, uniform=uniform)
+                      weights=weights)
+
+
+def trace_on_circle(y: Deformation, a, eps: float, n: int = 256) -> TraceCurve:
+    """The image of the circle S(a, eps) at n equispaced parameters: the
+    polyline for degree, membership and injectivity queries. Its weights
+    2 pi / n make `integrate` the periodic trapezoid rule.
+
+    n must be a power of two >= 64."""
+    if n < 64 or (n & (n - 1)) != 0:
+        raise TraceError(f"sample count must be a power of two >= 64, got {n}")
+    return _trace(y, np.asarray(a, dtype=float), eps, np.arange(n) * (TWO_PI / n),
+                  np.full(n, TWO_PI / n))
+
+
+def panel_trace(y: Deformation, a, eps: float, n: int) -> TraceCurve:
+    """The image of S(a, eps) at the nodes of `angular_rule(n, kinks)`, with
+    the map's `trace_kinks` as the extra kinks: for boundary integrals."""
+    a = np.asarray(a, dtype=float)
+    kinks = y.trace_kinks(a, eps) if y.trace_kinks is not None else ()
+    return _trace(y, a, eps, *angular_rule(n, kinks))
 
 
 # --------------------------------------------------------------------------
@@ -253,39 +220,24 @@ def cavity_perimeter(curve: TraceCurve) -> float:
     return curve.integrate(np.linalg.norm(curve.derivs, axis=-1))
 
 
-def converged_trace_metrics(
-    y: Deformation,
-    a,
-    eps: float,
-    *,
-    n0: int = 256,
-    tol: float = 1e-9,
-    n_max: int = 2**14,
-    degree_grid: int = 0,
-) -> CavityMetrics:
-    """Volume and perimeter with sample doubling until successive values agree
-    to `tol` (relative) or n_max is reached."""
-    n = n0
-    prev = None
+def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
+                            n_max: int = 2**14) -> CavityMetrics:
+    """Volume and perimeter from panel traces of 128, 256, ... nodes, until
+    two successive passes agree to `tol` (relative). The last difference is
+    the error estimate; `converged` is False when n_max nodes were reached
+    first."""
+    n, prev = 128, None
     while True:
-        curve = trace_on_circle(y, a, eps, n)
-        vol = cavity_volume(curve)
-        per = cavity_perimeter(curve)
-        if prev is not None:
-            dv = abs(vol - prev[0]) / max(abs(vol), 1e-30)
-            dp = abs(per - prev[1]) / max(abs(per), 1e-30)
-            if max(dv, dp) < tol or n >= n_max:
-                break
-        if n >= n_max:
+        curve = panel_trace(y, a, eps, n)
+        vals = np.array([cavity_volume_signed(curve), cavity_perimeter(curve)])
+        converged = prev is not None and bool(
+            np.all(np.abs(vals - prev) < tol * np.maximum(np.abs(vals), 1e-30)))
+        if converged or 2 * n > n_max:
             break
-        prev = (vol, per)
-        n *= 2
-    degs = frozenset()
-    if degree_grid:
-        degs = degree_range_on_grid(curve, degree_grid, degree_grid)
-    sgn = 1 if cavity_volume_signed(curve) >= 0 else -1
-    return CavityMetrics(volume=vol, perimeter=per, degree_range=degs,
-                         orientation=sgn, n_samples=n)
+        prev, n = vals, 2 * n
+    return CavityMetrics(volume=float(abs(vals[0])), perimeter=float(vals[1]),
+                         orientation=1 if vals[0] >= 0 else -1,
+                         n_samples=len(curve), converged=converged)
 
 
 # --------------------------------------------------------------------------

@@ -87,6 +87,10 @@ def cmd_example_sweep(args, cfg) -> int:
     write_csv(Path(args.output), ["r", "volume", "perimeter", "n_samples"], rows, cfg)
 
     flagged = False
+    for r, m in zip(radii, mets):
+        if not m.converged:
+            print(f"flag: trace-not-converged at r {r:g} ({m.n_samples} nodes)")
+            flagged = True
     if y.cavity_exact is not None:
         exact = y.cavity_exact["perimeter"]
         if abs(p0 - exact) > 5e-2 * max(exact, 1.0):

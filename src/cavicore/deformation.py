@@ -57,12 +57,13 @@ class Deformation:
     """An evaluable planar map with exact gradient.
 
     `trace_kinks(center, eps)` optionally returns parameter angles where the
-    trace of the map on the circle S(center, eps) has derivative jumps;
-    `radial_breaks(center, t)` optionally returns the Euclidean distances
-    from `center` at which the gradient jumps along the ray with direction
-    angle `t` (the bulk quadrature converts them to its own radial
-    coordinate, whatever the norm of the domain). Both are quadrature hints
-    only.
+    trace of the map on the circle S(center, eps) has derivative jumps (the
+    angles k pi/4 need not be listed); `radial_breaks(center, t)` optionally
+    returns the Euclidean distances from `center` at which the gradient jumps
+    along the ray with direction angle `t` (the bulk quadrature converts them
+    to its own radial coordinate, whatever the norm of the domain). The
+    quadratures put panel edges at both, and are spectrally accurate only if
+    every jump is declared.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -71,7 +72,6 @@ class Deformation:
     singular_points: np.ndarray = field(
         default_factory=lambda: np.zeros((0, 2))
     )
-    grad_mode: str = "analytic"
     name: str = ""
     trace_kinks: Callable[[np.ndarray, float], list[float]] | None = None
     radial_breaks: Callable[[np.ndarray, float], list[float]] | None = None
@@ -91,18 +91,6 @@ def finite_difference_grad(f, x, h: float = 1e-5):
         e[j] = h
         out[..., :, j] = (f(x + e) - f(x - e)) / (2.0 * h)
     return out
-
-
-def deformation_from_eval(f, domain=None, name="", singular_points=None, h=1e-5):
-    """Wrap a value-only map; the gradient falls back to finite differences."""
-    return Deformation(
-        eval=f,
-        grad=lambda x: finite_difference_grad(f, x, h),
-        domain=domain,
-        singular_points=np.zeros((0, 2)) if singular_points is None else np.atleast_2d(singular_points),
-        grad_mode="finite-difference",
-        name=name,
-    )
 
 
 def identity_deformation(domain=None) -> Deformation:
@@ -202,6 +190,17 @@ def _half_stretch_map():
     return ev, gr
 
 
+def _ray_conic(c, e, k0, k1):
+    """Distances rho > 0 at which the ray c + rho e meets k0 x1^2 + k1 x2^2 = 1."""
+    A = k0 * e[0] ** 2 + k1 * e[1] ** 2
+    B = k0 * c[0] * e[0] + k1 * c[1] * e[1]
+    disc = B * B - A * (k0 * c[0] ** 2 + k1 * c[1] ** 2 - 1.0)
+    if disc <= 0.0:
+        return []
+    return [rho for rho in ((-B - math.sqrt(disc)) / A, (-B + math.sqrt(disc)) / A)
+            if rho > 0.0]
+
+
 def example_change_of_reference(b: float) -> Deformation:
     """Round cavity opened after stretching the right half of the square
     reference configuration: y = u o f with f = (2 x1, x2) for x1 >= 0."""
@@ -216,12 +215,24 @@ def example_change_of_reference(b: float) -> Deformation:
     def gr(x):
         return mul2(ugr(fev(x)), fgr(x))
 
+    def rbreaks(center, t):
+        # grad y jumps on the line x1 = 0 and on the seam |f(x)| = 1, which is
+        # the ellipse 4 x1^2 + x2^2 = 1 for x1 >= 0 and the unit circle for x1 < 0
+        c, e = np.asarray(center, dtype=float), (math.cos(t), math.sin(t))
+        out = [rho for k0, right in ((4.0, True), (1.0, False))
+               for rho in _ray_conic(c, e, k0, 1.0)
+               if (c[0] + rho * e[0] >= 0.0) == right]
+        if e[0] != 0.0 and -c[0] / e[0] > 0.0:
+            out.append(-c[0] / e[0])
+        return out
+
     return Deformation(
         eval=ev,
         grad=gr,
         domain=Domain(q=np.inf, radius=1.0),
         singular_points=np.array([[0.0, 0.0]]),
         name="change-of-reference",
+        radial_breaks=rbreaks,
         cavity_exact={"volume": math.pi * b * b, "perimeter": 2.0 * math.pi * b},
         metadata={"b": b, "p_range": (1.0, 2.0)},
     )
@@ -325,11 +336,9 @@ def example_superposition() -> Deformation:
         hi, lo = max(c, s), min(c, s)
         if lo < 1e-14:
             return []
-        # |z_minor| = (m+1)/2 * lo/hi = 1/2 at sup-norm radius m = lo/(hi - lo),
+        # |z_minor| = (m+1)/2 * lo/hi = 1/2 at sup-norm radius m = hi/lo - 1,
         # Euclidean distance m / hi
-        if hi - lo < 1e-14:
-            return []
-        m = lo / (hi - lo)
+        m = hi / lo - 1.0
         return [m / hi] if 0.0 < m < 1.0 else []
 
     return Deformation(
@@ -531,9 +540,6 @@ def compose(outer: Deformation, inner: Deformation) -> Deformation:
         grad=gr,
         domain=inner.domain,
         singular_points=inner.singular_points,
-        grad_mode=("analytic"
-                   if outer.grad_mode == inner.grad_mode == "analytic"
-                   else "finite-difference"),
         name=f"{outer.name}*{inner.name}",
     )
 

@@ -18,14 +18,13 @@ from .cavity import (
     converged_trace_metrics,
     degree_range_on_grid,
     extrapolate_limit,
+    panel_trace,
     topological_image_contains,
     trace_on_circle,
 )
 from .deformation import Deformation
-from .geometry import (Domain, FlawConfig, adj2, cof2, det2, mul2, norm2,
-                       validate_flaw_config)
-
-TWO_PI = 2.0 * math.pi
+from .geometry import (Domain, FlawConfig, adj2, angular_rule, cof2, det2,
+                       gauss_legendre, mul2, norm2, validate_flaw_config)
 
 
 class QuadratureError(RuntimeError):
@@ -162,7 +161,6 @@ class EnergyBreakdown:
 # Euclidean distance rho along the ray sits at s = rho * kappa(t). q = 2
 # gives plain polar coordinates.
 
-_GAUSS = {}
 BLOCK = 8192  # integrand points per call: keeps temporaries cache-sized
 
 
@@ -173,12 +171,6 @@ def _eval_blocked(f, X):
     for i in range(0, len(pts), BLOCK):
         vals[i:i + BLOCK] = f(pts[i:i + BLOCK])
     return vals.reshape(X.shape[:-1])
-
-
-def _gauss(n):
-    if n not in _GAUSS:
-        _GAUSS[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS[n]
 
 
 def _kappa(q, t):
@@ -195,7 +187,7 @@ def _kappa(q, t):
 def _segment_sum(f, center, u, jac_t, wt, bounds, nsub, ng):
     """Integrate f over radial segments [bounds[:, j], bounds[:, j+1]] per
     angle, each split into nsub Gauss-ng panels. bounds has shape (nt, m)."""
-    gx, gw = _gauss(ng)
+    gx, gw = gauss_legendre(ng)
     total = 0.0
     nt, m = bounds.shape
     for j in range(m - 1):
@@ -216,7 +208,7 @@ def _segment_sum(f, center, u, jac_t, wt, bounds, nsub, ng):
 def _dyadic_sum(f, center, u, jac_t, wt, hi, ng, abs_tol, max_levels=60):
     """Integrate f over s in (0, hi] with dyadic panels toward 0; returns
     (value, converged)."""
-    gx, gw = _gauss(ng)
+    gx, gw = gauss_legendre(ng)
     total = 0.0
     top = hi.copy()
     last = np.inf
@@ -253,17 +245,24 @@ def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
     r_out}: the q-ball of radius r_out about `center` minus the Euclidean disk
     of radius r_in. Returns (value, converged).
 
+    The angles are `angular_rule(nt, kinks)`, with the angles at which a ray
+    is tangent to one of the (center, radius) `circles` as the extra kinks.
     Each ray is split where `breaks(center, t)` (Euclidean distances, as
     `Deformation.radial_breaks` returns them) and where it crosses one of the
-    (center, radius) `circles`. With `singular` and r_in == 0 the ray is graded
-    dyadically toward `center` below half its first positive split, or below
-    r_out / 2 if it has none."""
-    t = (np.arange(nt) + 0.5) * (TWO_PI / nt)
-    wt = TWO_PI / nt
+    `circles`. With `singular` and r_in == 0 the ray is graded dyadically
+    toward `center` below half its first positive split, or below r_out / 2 if
+    it has none."""
+    c = np.asarray(center, dtype=float)
+    kinks = []
+    for cc, R in circles or []:
+        d = np.asarray(cc, dtype=float) - c
+        dist = math.hypot(d[0], d[1])
+        if dist >= R:
+            kinks += [math.atan2(d[1], d[0]) + s * math.asin(R / dist) for s in (-1, 1)]
+    t, wt = angular_rule(nt, kinks)
     kap = _kappa(q, t)
     u = np.stack([np.cos(t), np.sin(t)], axis=-1) / kap[:, None]
     jac_t = 1.0 / kap**2
-    c = np.asarray(center, dtype=float)
     lo = r_in * kap
 
     cols = []
@@ -276,7 +275,7 @@ def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
             cols.append(np.array([r + [r_out] * (maxb - len(r)) for r in per_ray]))
     for cc, R in circles or []:
         cols.append(_ray_circle_crossings(t, cc, R, c) * kap[:, None])
-    B = np.concatenate(cols, axis=1) if cols else np.empty((nt, 0))
+    B = np.concatenate(cols, axis=1) if cols else np.empty((len(t), 0))
 
     converged = True
     total = 0.0
@@ -284,7 +283,7 @@ def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
         lo = 0.5 * np.min(np.where(B > 0, B, r_out), axis=1, initial=r_out)
         total, converged = _dyadic_sum(f, c, u, jac_t, wt, lo, ng, abs_tol)
     bounds = np.sort(np.concatenate([lo[:, None], np.clip(B, lo[:, None], r_out),
-                                     np.full((nt, 1), r_out)], axis=1), axis=1)
+                                     np.full((len(t), 1), r_out)], axis=1), axis=1)
     total += _segment_sum(f, c, u, jac_t, wt, bounds, nsub, ng)
     return total, converged
 
@@ -359,10 +358,11 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
     return total, conv
 
 
-def _refine(pass_fn, tol, max_refine, nt0=256, nsub0=2):
-    """Grid-doubling refinement; the dominant error is O(h^2) from angular
-    kinks, so the error of the fine pass is estimated as a third of the last
-    successive difference."""
+def _refine(pass_fn, tol, max_refine, nt0=128, nsub0=2):
+    """Refinement that doubles the angular nodes and radial panels per pass.
+    Both rules are composite Gauss between declared kinks, so they converge
+    spectrally and the last successive difference estimates the error of the
+    finer pass."""
     nt, nsub = nt0, nsub0
     prev, conv = pass_fn(nt, nsub)
     for _ in range(max_refine):
@@ -370,8 +370,8 @@ def _refine(pass_fn, tol, max_refine, nt0=256, nsub0=2):
         nsub *= 2
         cur, ok = pass_fn(nt, nsub)
         conv = conv and ok
-        if abs(cur - prev) / 3.0 <= tol * max(abs(cur), 1e-30):
-            return cur, True and conv
+        if abs(cur - prev) <= tol * max(abs(cur), 1e-30):
+            return cur, conv
         prev = cur
     return prev, False
 
@@ -491,6 +491,8 @@ def limit_energy(y: Deformation, points, dom: Domain, density: Density,
         vols, pers = [], []
         for r in r_grid:
             m = converged_trace_metrics(y, a, float(r))
+            if not m.converged:
+                flags.append(f"trace-not-converged at ({a[0]:g}, {a[1]:g}), r={r:g}")
             vols.append(m.volume)
             pers.append(m.perimeter)
         v0, vu = extrapolate_limit(r_grid, vols)
@@ -562,7 +564,7 @@ class DetPairingResult:
 
 def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
                          phi: TestFunction, *, tol: float = 1e-6,
-                         max_refine: int = 4, trace_n: int = 4096) -> DetPairingResult:
+                         max_refine: int = 4) -> DetPairingResult:
     """Pair the divergence-form determinant of y (with perforation-sphere
     corrections) against a test function, alongside the plain bulk integral
     of det(grad y) phi for comparison."""
@@ -585,18 +587,20 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
         return _integrate_perforated(f_det, dom, cfg, y, nt=nt, nsub=nsub,
                                      circles=supp)
 
+    def pass_sphere(nt, nsub):
+        total = 0.0
+        for a in cfg.points:
+            curve = panel_trace(y, a, cfg.eps, nt)
+            w, dw = curve.points, curve.derivs
+            pv = phi.eval(_circle_points(a, cfg.eps, curve.ts))
+            total -= curve.integrate(0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv)
+        return total, True
+
     bulk, ok1 = _refine(pass_bulk, tol, max_refine)
     deti, ok2 = _refine(pass_det, tol, max_refine)
-    if not (ok1 and ok2):
+    sphere, ok3 = _refine(pass_sphere, tol, max_refine)
+    if not (ok1 and ok2 and ok3):
         raise QuadratureError("determinant pairing quadrature did not converge")
-
-    sphere = 0.0
-    for a in cfg.points:
-        curve = trace_on_circle(y, a, cfg.eps, trace_n)
-        w, dw = curve.points, curve.derivs
-        pv = phi.eval(_circle_points(a, cfg.eps, curve.ts))
-        integrand = 0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv
-        sphere -= curve.integrate(integrand)
     return DetPairingResult(pairing=bulk + sphere, bulk_term=bulk,
                             sphere_term=sphere, det_integral=deti)
 

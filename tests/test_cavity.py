@@ -29,6 +29,7 @@ from cavicore.deformation import (
     affine_deformation,
     example_radial,
     example_spike,
+    finite_difference_grad,
     identity_deformation,
     make_example,
 )
@@ -41,13 +42,11 @@ def _manual_curve(points_fn, derivs_fn=None, n=512):
     pts = points_fn(ts)
     if derivs_fn is not None:
         dpts = derivs_fn(ts)
-        mode = "chain-rule"
     else:
         dts = TWO_PI / n
         dpts = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * dts)
-        mode = "central-difference"
     return TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=pts,
-                      derivs=dpts, deriv_mode=mode)
+                      derivs=dpts, weights=np.full(n, TWO_PI / n))
 
 
 def _circle_fns():
@@ -105,7 +104,8 @@ def _polygon_curve(points):
     points = np.asarray(points, dtype=float)
     ts = np.arange(len(points)) * (TWO_PI / len(points))
     return TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=points,
-                      derivs=np.zeros_like(points))
+                      derivs=np.zeros_like(points),
+                      weights=np.full(len(points), TWO_PI / len(points)))
 
 
 # --------------------------------------------------------------------------
@@ -116,7 +116,6 @@ def test_trace_identity_circle():
     c = trace_on_circle(identity_deformation(), (0, 0), 1.0, 64)
     assert np.allclose(np.linalg.norm(c.points, axis=1), 1.0, atol=1e-14)
     assert np.allclose(np.linalg.norm(c.derivs, axis=1), 1.0, atol=1e-14)
-    assert c.deriv_mode == "chain-rule"
 
 
 def test_trace_affine_exact_derivative():
@@ -283,6 +282,10 @@ def test_two_bubble_images_disjoint(rng):
         u = np.clip(t / T, 0.0, 1.0)
         return t + rho * (1.0 - (3 * u * u - 2 * u**3))
 
+    def dg(t):
+        u = np.clip(t / T, 0.0, 1.0)
+        return 1.0 - rho * 6 * u * (1 - u) / T
+
     def ev(x):
         x = np.asarray(x, dtype=float)
         out = x.copy()
@@ -293,9 +296,27 @@ def test_two_bubble_images_disjoint(rng):
             out = np.where(inside, a + g(r) * d / np.where(r > 0, r, 1.0), out)
         return out
 
-    y = Deformation(eval=ev, grad=lambda x: None, grad_mode="finite-difference")
-    ca = trace_on_circle(y, centers[0], 0.1, 256, deriv="spectral")
-    cb = trace_on_circle(y, centers[1], 0.1, 256, deriv="spectral")
+    def gr(x):
+        # g(r)/r on the tangent and g'(r) on the radial direction
+        x = np.asarray(x, dtype=float)
+        out = np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2)).copy()
+        for a in centers:
+            d = x - a
+            r = np.linalg.norm(d, axis=-1)
+            inside = ((r < T) & (r > 0))[..., None, None]
+            rs = np.where(r > 0, r, 1.0)
+            e = d / rs[..., None]
+            ee = e[..., :, None] * e[..., None, :]
+            iso = (g(rs) / rs)[..., None, None]
+            mat = iso * np.eye(2) + (dg(rs)[..., None, None] - iso) * ee
+            out = np.where(inside, mat, out)
+        return out
+
+    probe = rng.uniform(-0.8, 0.8, size=(200, 2))
+    assert np.allclose(gr(probe), finite_difference_grad(ev, probe), atol=1e-6)
+    y = Deformation(eval=ev, grad=gr)
+    ca = trace_on_circle(y, centers[0], 0.1, 256)
+    cb = trace_on_circle(y, centers[1], 0.1, 256)
     xs = np.linspace(-1, 1, 80)
     pts = np.stack(np.meshgrid(xs, xs), -1).reshape(-1, 2)
     ina = np.array([_safe_inside(ca, p) for p in pts])
@@ -345,12 +366,46 @@ def test_boundary_integrals_vs_dense_oracles(rng):
         assert abs(cavity_perimeter(curve) - arclen) <= 1e-6 * arclen
 
 
-def test_converged_trace_metrics_refines():
-    y = example_radial(0.5)
-    m = converged_trace_metrics(y, (0, 0), 0.1, tol=1e-9)
-    assert m.n_samples >= 512
+def _quad_trace_metrics(y, eps):
+    """Volume and perimeter of the trace on S(0, eps) by adaptive quadrature,
+    split at the axes, the diagonals and the declared trace kinks."""
+    from scipy.integrate import quad
+
+    def speed_and_area(t):
+        x = eps * np.array([math.cos(t), math.sin(t)])
+        w = y.eval(x)
+        dw = y.grad(x) @ (eps * np.array([-math.sin(t), math.cos(t)]))
+        return math.hypot(dw[0], dw[1]), 0.5 * (w[0] * dw[1] - w[1] * dw[0])
+
+    kinks = y.trace_kinks(np.zeros(2), eps) if y.trace_kinks else []
+    edges = sorted(set(np.arange(9) * (math.pi / 4)) | set(kinks))
+    vol = per = 0.0
+    for lo, hi in zip(edges, edges[1:]):
+        kw = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+        per += quad(lambda t: speed_and_area(t)[0], lo, hi, **kw)[0]
+        vol += quad(lambda t: speed_and_area(t)[1], lo, hi, **kw)[0]
+    return vol, per
+
+
+@pytest.mark.parametrize("key", ["radial", "change-of-reference", "superposition",
+                                 "spike"])
+@pytest.mark.parametrize("eps", [0.2, 0.025])
+def test_converged_trace_metrics_match_quad(key, eps):
+    y = make_example(key, 0.5)
+    m = converged_trace_metrics(y, (0, 0), eps)
+    vol, per = _quad_trace_metrics(y, eps)
+    assert m.converged and m.n_samples <= 1024
     assert m.orientation == 1
-    assert m.volume > 0.5 and m.perimeter > 2 * math.sqrt(2)
+    assert m.volume == pytest.approx(vol, rel=1e-12)
+    assert m.perimeter == pytest.approx(per, rel=1e-12)
+
+
+def test_converged_trace_metrics_reports_the_cap():
+    # the radial trace needs 256 nodes; a 128-node cap stops it first
+    y = example_radial(0.5)
+    m = converged_trace_metrics(y, (0, 0), 0.1, n_max=128)
+    assert not m.converged and m.n_samples == 128
+    assert converged_trace_metrics(y, (0, 0), 0.1).converged
 
 
 # --------------------------------------------------------------------------

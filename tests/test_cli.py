@@ -40,6 +40,18 @@ def test_example_sweep_spike_flags(tmp_path, capsys):
     assert "conv-perimeter violated" in captured
 
 
+def test_example_sweep_flags_unconverged_traces(tmp_path, capsys):
+    # no two passes agree to 1e-20, so every sweep stops at the node cap
+    out = tmp_path / "sweep.csv"
+    code = main(["example-sweep", "--example", "radial", "--radii", "0.2,0.1,0.05",
+                 "--trace-tol", "1e-20", "--output", str(out)])
+    assert code == EXIT_FLAGGED
+    assert out.read_text().splitlines()[0] == "r,volume,perimeter,n_samples"
+    captured = capsys.readouterr().out
+    for r in ("0.2", "0.1", "0.05"):
+        assert f"flag: trace-not-converged at r {r} " in captured
+
+
 def test_example_sweep_bad_radii(tmp_path):
     code = main(["example-sweep", "--example", "radial",
                  "--radii", "0.1,0.2", "--output", str(tmp_path / "x.csv")])

@@ -508,3 +508,68 @@ def test_push_kernel_matches_matrix_oracle(n, rng):
     keep = np.min(np.abs(pts), axis=-1) > 0
     _assert_ulps(comp.grad(pts[keep]),
                  _oracle_radial(0.5, push.eval(pts[keep])) @ _oracle_push(phi, flaws, pts[keep]))
+
+
+# --------------------------------------------------------------------------
+# break audit: every jump of grad y along a ray or a circle is declared
+
+
+def _jump_locations(g, s):
+    """Parameters at which grad y = g(s) jumps on the sorted grid s.
+
+    An interval whose change exceeds 20 times that of both neighbours is
+    bisected, keeping the half with the larger change, down to a width of
+    1e-13; it holds a jump when the change has not shrunk with the width."""
+    dist = lambda A, B: np.max(np.abs(A - B), axis=(-2, -1))
+    d = dist(g(s[1:]), g(s[:-1]))
+    found = []
+    for i in np.flatnonzero(d[1:-1] > 20.0 * np.maximum(d[:-2], d[2:]) + 1e-12) + 1:
+        lo, hi = s[i], s[i + 1]
+        while hi - lo > 1e-13:
+            G = g(np.array([lo, 0.5 * (lo + hi), hi]))
+            if dist(G[1], G[0]) >= dist(G[2], G[1]):
+                hi = 0.5 * (lo + hi)
+            else:
+                lo = 0.5 * (lo + hi)
+        G = g(np.array([lo, hi]))
+        if dist(G[1], G[0]) > 0.5 * d[i]:
+            found.append(0.5 * (lo + hi))
+    return found
+
+
+def _audited_maps():
+    prof = RadialProfile(nodes=np.linspace(0.1, 0.9, 6),
+                         values=np.array([0.2, 0.35, 0.45, 0.7, 0.8, 1.0]))
+    maps = [(make_example(k, 0.5), np.zeros(2)) for k in CATALOG_KEYS]
+    return maps + [(radial_deformation(prof, center=(0.1, -0.2)), np.array([0.1, -0.2]))]
+
+
+@pytest.mark.parametrize("y, a", _audited_maps(), ids=[*CATALOG_KEYS, "radial-profile"])
+def test_break_audit_rays(y, a):
+    # grad y sampled along 64 rays from the flaw; every jump must sit at a
+    # declared radial break
+    for t in 2 * math.pi * (np.arange(64) + 0.3) / 64:
+        e = np.array([math.cos(t), math.sin(t)])
+        if y.domain is None:  # the profile's annulus
+            lo, hi = 0.1, 0.9
+        else:
+            lo, hi = 1e-3, y.domain.radius / float(qnorm(e, y.domain.q))
+        s = np.linspace(lo + 1e-3, hi - 1e-3, 4001)
+        declared = y.radial_breaks(a, t) if y.radial_breaks else []
+        for rho in _jump_locations(lambda r: y.grad(a + r[:, None] * e), s):
+            assert min((abs(rho - b) for b in declared), default=1.0) < 1e-8, \
+                (y.name, t, rho, declared)
+
+
+@pytest.mark.parametrize("y, a", _audited_maps(), ids=[*CATALOG_KEYS, "radial-profile"])
+@pytest.mark.parametrize("eps", [0.2, 0.025])
+def test_break_audit_circles(y, a, eps):
+    # grad y sampled along S(a, eps); every jump must sit at a declared trace
+    # kink or at a multiple of pi/4
+    declared = np.append(np.arange(8) * (math.pi / 4),
+                         y.trace_kinks(a, eps) if y.trace_kinks else [])
+    ts = 2 * math.pi * (np.arange(8193) + 0.37) / 8192
+    circle = lambda t: a + eps * np.stack([np.cos(t), np.sin(t)], -1)
+    for t in _jump_locations(lambda t: y.grad(circle(t)), ts):
+        off = np.abs((t - declared + math.pi) % (2 * math.pi) - math.pi)
+        assert np.min(off) < 1e-8, (y.name, eps, t)

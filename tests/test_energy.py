@@ -156,6 +156,17 @@ def test_polar_integral_splits_are_euclidean(q, r_in, split):
     assert val == pytest.approx(math.pi * (0.45**2 - r_in**2), rel=1e-13)
 
 
+def test_polar_integral_tangent_rays_are_panel_edges():
+    # an off-center bump (1 - |u|^2)^2 is C^1 across its support circle; with
+    # the rays tangent to that circle as angular panel edges the integral
+    # converges spectrally, without them it stalls near 1e-7
+    phi = bump(2, radius=0.25, center=(0.55, 0.1))
+    val, ok = _polar_integral(phi.eval, (0.0, 0.0), 2, 0.0, 1.0,
+                              circles=[((0.55, 0.1), 0.25)], nt=1024, nsub=2)
+    assert ok
+    assert val == pytest.approx(math.pi * 0.25**2 / 3.0, rel=1e-12)
+
+
 def test_polar_integral_blocking_is_bit_identical(monkeypatch):
     # 250 x 5 x 8 points per segment and 250 x 8 per dyadic level: not a
     # multiple of any block size used here
@@ -319,6 +330,18 @@ def test_limit_energy_spike_flags_violation():
     assert "conv-perimeter-violated" in rep.flags
     assert f.perimeter == pytest.approx(math.pi + 1.0, abs=1e-2)
     assert f.perimeter_reduced_boundary == pytest.approx(math.pi, abs=0)
+
+
+def test_limit_energy_flags_unconverged_traces(monkeypatch):
+    # a trace sweep stopped by its node cap raises a flag per radius
+    sweep = energy.converged_trace_metrics
+    monkeypatch.setattr(energy, "converged_trace_metrics",
+                        lambda y, a, eps: sweep(y, a, eps, n_max=128))
+    y = example_radial(0.5)
+    rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
+                       (1.0, 1.0), [0.2, 0.1, 0.05])
+    assert [f for f in rep.flags if f.startswith("trace-not-converged")] == [
+        f"trace-not-converged at (0, 0), r={r}" for r in (0.2, 0.1, 0.05)]
 
 
 def test_limit_energy_no_flaws():
