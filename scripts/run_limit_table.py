@@ -15,8 +15,10 @@ from cavicore import (
     extrapolate_limit,
     make_example,
 )
+from cavicore.cavity import dyadic_ladder
+from cavicore.energy import CONV_PERIMETER_TOL
 
-RADII = [0.2, 0.1, 0.05, 0.025]
+RADII = dyadic_ladder(0.2)
 
 
 def main():
@@ -31,12 +33,13 @@ def main():
         p0, pu = extrapolate_limit(RADII, pers)
         print(f"== {key}")
         for r, v, p in zip(RADII, vols, pers):
-            print(f"   r={r:<6} volume={v:.8f} perimeter={p:.8f}")
+            print(f"   r={r:<11} volume={v:.8f} perimeter={p:.8f}")
         print(f"   limit  volume={v0:.8f} (+-{vu:.1e}) "
               f"perimeter={p0:.8f} (+-{pu:.1e})")
         if y.cavity_exact:
             ev, ep = y.cavity_exact["volume"], y.cavity_exact["perimeter"]
-            tag = "" if abs(p0 - ep) < 5e-2 else "   <-- limit exceeds the cavity perimeter"
+            ok = abs(p0 - ep) <= CONV_PERIMETER_TOL * max(ep, 1.0)
+            tag = "" if ok else "   <-- limit exceeds the cavity perimeter"
             print(f"   exact  volume={ev:.8f}            perimeter={ep:.8f}{tag}")
         print()
 

@@ -267,27 +267,31 @@ def tangential_jacobian(y: Deformation, a, eps: float, t: float) -> float:
 # limit extrapolation
 
 
-def extrapolate_limit(rs, vals, *, degree: int | None = None):
-    """Extrapolate a radius-indexed metric to r -> 0 by polynomial least
-    squares in r, returning (limit, uncertainty).
+LIMIT_LEVELS = 10  # rungs of the default radius ladder of the r -> 0 limits
 
-    The fit is linear for three points and quadratic from four points up
-    (degree can be forced). The uncertainty is the standard error of the
-    intercept from the fit residual.
-    """
-    rs = np.asarray(rs, dtype=float)
-    vals = np.asarray(vals, dtype=float)
+
+def dyadic_ladder(r0: float) -> list[float]:
+    """The default limit radii r0 2^-k, k < LIMIT_LEVELS."""
+    return [r0 * 0.5**k for k in range(LIMIT_LEVELS)]
+
+
+def extrapolate_limit(rs, vals):
+    """(limit, error estimate) of a radius-indexed metric as r -> 0.
+
+    A Neville-Aitken table evaluates the polynomial in r through all the
+    points at r = 0 (on dyadic radii: Richardson's table, removing r, r^2, ...
+    in turn). Its last row holds the values through the 1, 2, ... smallest
+    radii; the error estimate is the difference of the last two."""
+    rs = [float(r) for r in rs]
     if len(rs) < 3:
         raise ValueError("need at least three radii to extrapolate")
-    if np.any(np.diff(rs) >= 0):
+    if any(b >= a for a, b in zip(rs, rs[1:])):
         raise ValueError("radii must be strictly decreasing")
-    if degree is None:
-        degree = 1 if len(rs) < 4 else 2
-    degree = min(degree, len(rs) - 2)
-    X = np.vander(rs, degree + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(X, vals, rcond=None)
-    resid = vals - X @ coef
-    dof = max(len(rs) - (degree + 1), 1)
-    sigma2 = float(resid @ resid) / dof
-    cov00 = np.linalg.inv(X.T @ X)[0, 0]
-    return float(coef[0]), float(math.sqrt(max(sigma2 * cov00, 0.0)))
+    row = []
+    for k, (r, v) in enumerate(zip(rs, vals, strict=True)):
+        new = [float(v)]
+        for j in range(k):
+            rj = rs[k - j - 1]
+            new.append((rj * new[j] - r * row[j]) / (rj - r))
+        row = new
+    return row[-1], abs(row[-1] - row[-2])

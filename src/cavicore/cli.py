@@ -17,14 +17,16 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cavity import converged_trace_metrics, extrapolate_limit
+from .cavity import converged_trace_metrics, dyadic_ladder, extrapolate_limit
 from .deformation import CATALOG_KEYS, make_example
-from .energy import check_admissibility_sampled, density_by_name, limit_energy
+from .energy import (CONV_PERIMETER_TOL, check_admissibility_sampled,
+                     density_by_name, limit_energy)
 from .geometry import Confinement, FlawConfig, validate_flaw_config
 from .minimize import RadialProblem, gamma_sweep, minimize_radial
 from .recovery import recovery_energy_table
 
 EXIT_OK, EXIT_FLAGGED, EXIT_CONFIG = 0, 1, 2
+LIMIT_RADII = ",".join(repr(r) for r in dyadic_ladder(0.2))
 
 
 def _fmt(x):
@@ -70,10 +72,6 @@ def _floats(text: str):
 def cmd_example_sweep(args, cfg) -> int:
     y = make_example(args.example, args.b)
     radii = _floats(args.radii)
-    if len(radii) < 3 or any(b >= a for a, b in zip(radii, radii[1:])):
-        print("config error: need >= 3 strictly decreasing radii", file=sys.stderr)
-        return EXIT_CONFIG
-
     mets = [converged_trace_metrics(y, (0.0, 0.0), r, tol=args.trace_tol)
             for r in radii]
     vols = [m.volume for m in mets]
@@ -93,7 +91,7 @@ def cmd_example_sweep(args, cfg) -> int:
             flagged = True
     if y.cavity_exact is not None:
         exact = y.cavity_exact["perimeter"]
-        if abs(p0 - exact) > 5e-2 * max(exact, 1.0):
+        if abs(p0 - exact) > CONV_PERIMETER_TOL * max(exact, 1.0):
             print(f"flag: conv-perimeter violated (extrapolated {p0:.6f} vs "
                   f"reduced-boundary {exact:.6f}, gap {p0 - exact:+.6f})")
             flagged = True
@@ -258,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("example-sweep", help="per-radius cavity metrics and limits")
     add_common(p, density=False, lambdas=False)
-    p.add_argument("--radii", default="0.2,0.1,0.05,0.025")
+    p.add_argument("--radii", default=LIMIT_RADII)
     p.add_argument("--trace-tol", type=float, default=1e-9)
     p.add_argument("--output", default="example_sweep.csv")
     p.set_defaults(func=cmd_example_sweep)
 
     p = sub.add_parser("limit-energy", help="vanishing-core energy of an example")
     add_common(p)
-    p.add_argument("--radii", default="0.2,0.1,0.05,0.025")
+    p.add_argument("--radii", default=LIMIT_RADII)
     p.add_argument("--output", default="limit_energy.json")
     p.set_defaults(func=cmd_limit_energy)
 

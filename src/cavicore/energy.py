@@ -454,13 +454,15 @@ class LimitEnergyReport:
         return any(f.conv_perimeter_ok is False for f in self.flaws)
 
 
-CAVITY_THRESHOLD = 1e-6  # extrapolated volume below this counts as "no cavity"
+# an extrapolated volume below this, or below its own error estimate, is no cavity
+CAVITY_THRESHOLD = 1e-6
 CONV_PERIMETER_TOL = 5e-2
+EXTRAP_UNC_TOL = 5e-2  # a larger extrapolation error estimate is flagged
 
 
 def limit_energy(y: Deformation, points, dom: Domain, density: Density,
-                 lambdas, r_grid, *, tol: float = 1e-6, max_refine: int = 4,
-                 extrap_unc_tol: float = 0.05) -> LimitEnergyReport:
+                 lambdas, r_grid, *, tol: float = 1e-6,
+                 max_refine: int = 4) -> LimitEnergyReport:
     """Vanishing-core energy: bulk term over the full domain (graded toward
     each flaw point) plus extrapolated cavity volumes/perimeters.
 
@@ -497,16 +499,15 @@ def limit_energy(y: Deformation, points, dom: Domain, density: Density,
             pers.append(m.perimeter)
         v0, vu = extrapolate_limit(r_grid, vols)
         p0, pu = extrapolate_limit(r_grid, pers)
-        if max(vu, pu) > extrap_unc_tol:
-            flags.append(f"extrapolation-uncertain at {tuple(a)}")
-        exact_per = None
-        conv_ok = None
+        if max(vu, pu) > EXTRAP_UNC_TOL:
+            flags.append(f"extrapolation-uncertain at ({a[0]:g}, {a[1]:g})")
+        exact_per = conv_ok = None
         if y.cavity_exact is not None and np.allclose(a, 0.0):
             exact_per = float(y.cavity_exact["perimeter"])
             conv_ok = abs(p0 - exact_per) <= CONV_PERIMETER_TOL * max(exact_per, 1.0)
             if not conv_ok:
                 flags.append("conv-perimeter-violated")
-        has_cavity = v0 > CAVITY_THRESHOLD
+        has_cavity = v0 > max(CAVITY_THRESHOLD, vu)
         flaw_rows.append(FlawLimit(
             center=(float(a[0]), float(a[1])), volume=v0, volume_unc=vu,
             perimeter=p0, perimeter_unc=pu,

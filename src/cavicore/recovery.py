@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import cavity_perimeter, cavity_volume, trace_on_circle
+from .cavity import cavity_perimeter, cavity_volume, dyadic_ladder, trace_on_circle
 from .deformation import Deformation, compose
 from .energy import (
     Density,
@@ -238,11 +238,11 @@ class RecoveryTable:
 
 def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
                           lambdas, *, r_rule=None, dom: Domain | None = None,
-                          limit_r_grid=None, tol: float = 1e-6,
-                          row_tol: float = 1e-5,
+                          tol: float = 1e-6, row_tol: float = 1e-5,
                           trace_n: int = 2048) -> RecoveryTable:
     """Per-core-radius energies of the pushed-and-restricted deformations
-    against the vanishing-core limit estimate.
+    against the vanishing-core limit estimate, which extrapolates the cavity
+    metrics on the dyadic ladder from eps_list[0].
 
     Each row verifies that the trace of the composed map on S(a, eps_n)
     carries the same cavity metrics as the original trace on S(a, r_n), and
@@ -255,12 +255,8 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         raise ValueError("a domain is required")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r_rule = r_rule or default_r_rule
-    if limit_r_grid is None:
-        limit_r_grid = list(eps_list)
-        while len(limit_r_grid) < 4:  # quadratic extrapolation needs 4 radii
-            limit_r_grid.append(limit_r_grid[-1] / 2.0)
-    r_grid = np.asarray(limit_r_grid, dtype=float)
-    limit = limit_energy(y, pts, dom, density, lambdas, r_grid, tol=tol)
+    limit = limit_energy(y, pts, dom, density, lambdas,
+                         dyadic_ladder(float(eps_list[0])), tol=tol)
 
     rows: list[RecoveryRow] = []
     for i, eps in enumerate(eps_list):

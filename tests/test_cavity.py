@@ -16,6 +16,7 @@ from cavicore.cavity import (
     converged_trace_metrics,
     degree_range_on_grid,
     degree_tolerance,
+    dyadic_ladder,
     extrapolate_limit,
     tangential_gradient_on_circle,
     tangential_jacobian,
@@ -25,6 +26,7 @@ from cavicore.cavity import (
     winding_numbers_grid,
 )
 from cavicore.deformation import (
+    CATALOG_KEYS,
     Deformation,
     affine_deformation,
     example_radial,
@@ -491,3 +493,42 @@ def test_extrapolate_spike_perimeter():
     pers = [cavity_perimeter(trace_on_circle(y, (0, 0), r, 8192)) for r in rs]
     lim, _ = extrapolate_limit(rs, pers)
     assert abs(lim - (math.pi + 1.0)) <= 1e-2
+
+
+@pytest.mark.parametrize("rs", [[0.2, 0.1, 0.05, 0.025], [0.3, 0.17, 0.1, 0.04]])
+def test_extrapolate_exact_cubic(rs):
+    # four points determine a cubic, dyadic or not
+    rs = np.array(rs)
+    lim, _ = extrapolate_limit(rs, 1.5 - 2.0 * rs + 7.0 * rs**2 - 11.0 * rs**3)
+    assert lim == pytest.approx(1.5, abs=1e-12)
+
+
+# (volume, perimeter) of the b = 0.5 catalog maps' vanishing-core limits; the
+# spike's perimeter limit counts both sides of the collapsed spike
+CATALOG_LIMITS = {
+    "radial": (0.5, 2.0 * math.sqrt(2.0)),
+    "change-of-reference": (math.pi / 4.0, math.pi),
+    "superposition": (2.0, 4.0 * math.sqrt(2.0)),
+    "spike": (math.pi / 4.0, math.pi + 1.0),
+}
+
+
+def _catalog_limits(key, rs):
+    mets = [converged_trace_metrics(make_example(key, 0.5), (0, 0), r) for r in rs]
+    return (extrapolate_limit(rs, [m.volume for m in mets]),
+            extrapolate_limit(rs, [m.perimeter for m in mets]))
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_extrapolate_catalog_estimates_bound_errors(key):
+    for (lim, unc), exact in zip(_catalog_limits(key, [0.2, 0.1, 0.05, 0.025]),
+                                 CATALOG_LIMITS[key]):
+        assert abs(lim - exact) <= unc + 1e-15  # up to rounding
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_extrapolate_catalog_on_the_ladder(key):
+    for (lim, unc), exact in zip(_catalog_limits(key, dyadic_ladder(0.2)),
+                                 CATALOG_LIMITS[key]):
+        assert lim == pytest.approx(exact, abs=1e-10)
+        assert unc <= 1e-10

@@ -344,6 +344,15 @@ def test_limit_energy_flags_unconverged_traces(monkeypatch):
         f"trace-not-converged at (0, 0), r={r}" for r in (0.2, 0.1, 0.05)]
 
 
+def test_limit_energy_flags_uncertain_extrapolation(monkeypatch):
+    # the flag names its flaw center in plain numbers
+    monkeypatch.setattr(energy, "EXTRAP_UNC_TOL", 1e-12)
+    y = example_radial(0.5)
+    rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
+                       (1.0, 1.0), [0.2, 0.1, 0.05])
+    assert "extrapolation-uncertain at (0, 0)" in rep.flags
+
+
 def test_limit_energy_no_flaws():
     idm = identity_deformation()
     rep = limit_energy(idm, np.zeros((0, 2)), Domain(q=2, radius=1.0),
@@ -388,6 +397,7 @@ def test_limit_energy_two_flaws_match_single_flaw():
     assert two.flaws[0].volume == pytest.approx(math.pi * 0.1**2, rel=1e-12)
     regular = two.flaws[1]
     assert abs(regular.volume) <= 1e-4 and abs(regular.perimeter) <= 1e-4
+    assert not two.flaws[1].has_cavity
 
 
 # --------------------------------------------------------------------------
