@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformation import Deformation
-from .geometry import angular_rule, pseudoinverse
+from .geometry import angular_rule, pseudoinverse, refine
 
 TWO_PI = 2.0 * math.pi
 
@@ -222,22 +222,22 @@ def cavity_perimeter(curve: TraceCurve) -> float:
 
 def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
                             n_max: int = 2**14) -> CavityMetrics:
-    """Volume and perimeter from panel traces of 128, 256, ... nodes, until
-    two successive passes agree to `tol` (relative). The last difference is
-    the error estimate; `converged` is False when n_max nodes were reached
-    first."""
-    n, prev = 128, None
-    while True:
+    """Volume and perimeter from panel traces of 128, 256, ... nodes, refined
+    by `geometry.refine` until two successive passes agree to `tol`
+    (relative). `n_samples` is the node count of the last pass; `converged` is
+    False when n_max nodes were reached first."""
+    n_samples = 0
+
+    def one_pass(n):
+        nonlocal n_samples
         curve = panel_trace(y, a, eps, n)
-        vals = np.array([cavity_volume_signed(curve), cavity_perimeter(curve)])
-        converged = prev is not None and bool(
-            np.all(np.abs(vals - prev) < tol * np.maximum(np.abs(vals), 1e-30)))
-        if converged or 2 * n > n_max:
-            break
-        prev, n = vals, 2 * n
-    return CavityMetrics(volume=float(abs(vals[0])), perimeter=float(vals[1]),
-                         orientation=1 if vals[0] >= 0 else -1,
-                         n_samples=len(curve), converged=converged)
+        n_samples = len(curve)
+        return np.array([cavity_volume_signed(curve), cavity_perimeter(curve)]), True
+
+    (vol, per), converged = refine(one_pass, tol, n_max)
+    return CavityMetrics(volume=float(abs(vol)), perimeter=float(per),
+                         orientation=1 if vol >= 0 else -1,
+                         n_samples=n_samples, converged=converged)
 
 
 # --------------------------------------------------------------------------

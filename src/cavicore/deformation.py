@@ -76,7 +76,6 @@ class Deformation:
     trace_kinks: Callable[[np.ndarray, float], list[float]] | None = None
     radial_breaks: Callable[[np.ndarray, float], list[float]] | None = None
     cavity_exact: dict | None = None  # {"volume": v, "perimeter": p} of the limit cavity
-    metadata: dict = field(default_factory=dict)
 
     def __call__(self, x):
         return self.eval(x)
@@ -143,7 +142,6 @@ def example_radial(b: float) -> Deformation:
         singular_points=np.array([[0.0, 0.0]]),
         name="radial",
         cavity_exact={"volume": 2.0 * b * b, "perimeter": 4.0 * math.sqrt(2.0) * b},
-        metadata={"b": b, "p_range": (1.0, 2.0)},
     )
 
 
@@ -234,7 +232,6 @@ def example_change_of_reference(b: float) -> Deformation:
         name="change-of-reference",
         radial_breaks=rbreaks,
         cavity_exact={"volume": math.pi * b * b, "perimeter": 2.0 * math.pi * b},
-        metadata={"b": b, "p_range": (1.0, 2.0)},
     )
 
 
@@ -350,7 +347,6 @@ def example_superposition() -> Deformation:
         trace_kinks=kinks,
         radial_breaks=rbreaks,
         cavity_exact={"volume": 2.0, "perimeter": 8.0 / math.sqrt(2.0)},
-        metadata={"p_range": (1.0, 2.0)},
     )
 
 
@@ -436,7 +432,6 @@ def example_spike() -> Deformation:
         trace_kinks=kinks,
         radial_breaks=rbreaks,
         cavity_exact={"volume": math.pi / 4.0, "perimeter": math.pi},
-        metadata={"p_range": (1.0, 2.0), "conv_perimeter_violated": True},
     )
 
 
@@ -513,7 +508,6 @@ def radial_deformation(profile: RadialProfile, center=(0.0, 0.0)) -> Deformation
         singular_points=a[None, :],
         name="radial-profile",
         radial_breaks=rbreaks,
-        metadata={"profile": profile, "center": tuple(a)},
     )
 
 

@@ -24,12 +24,7 @@ from .cavity import (
 )
 from .deformation import Deformation
 from .geometry import (Domain, FlawConfig, adj2, angular_rule, cof2, det2,
-                       gauss_legendre, mul2, norm2, validate_flaw_config)
-
-
-class QuadratureError(RuntimeError):
-    """Bulk quadrature failed to converge (typically a non-integrable
-    singularity inside the integration region)."""
+                       gauss_legendre, mul2, norm2, refine, validate_flaw_config)
 
 
 # --------------------------------------------------------------------------
@@ -162,6 +157,9 @@ class EnergyBreakdown:
 # gives plain polar coordinates.
 
 BLOCK = 8192  # integrand points per call: keeps temporaries cache-sized
+NG = 8  # Gauss-Legendre nodes per radial panel
+DYADIC_TOL = 1e-12  # a graded level adding less (absolute) ends the grading
+DYADIC_LEVELS = 60  # halvings of the graded ray before the grading gives up
 
 
 def _eval_blocked(f, X):
@@ -184,10 +182,10 @@ def _kappa(q, t):
     return (np.abs(c) ** q + np.abs(s) ** q) ** (1.0 / q)
 
 
-def _segment_sum(f, center, u, jac_t, wt, bounds, nsub, ng):
+def _segment_sum(f, center, u, jac_t, wt, bounds, nsub):
     """Integrate f over radial segments [bounds[:, j], bounds[:, j+1]] per
-    angle, each split into nsub Gauss-ng panels. bounds has shape (nt, m)."""
-    gx, gw = gauss_legendre(ng)
+    angle, each split into nsub Gauss-NG panels. bounds has shape (nt, m)."""
+    gx, gw = gauss_legendre(NG)
     total = 0.0
     nt, m = bounds.shape
     for j in range(m - 1):
@@ -205,14 +203,14 @@ def _segment_sum(f, center, u, jac_t, wt, bounds, nsub, ng):
     return total
 
 
-def _dyadic_sum(f, center, u, jac_t, wt, hi, ng, abs_tol, max_levels=60):
+def _dyadic_sum(f, center, u, jac_t, wt, hi):
     """Integrate f over s in (0, hi] with dyadic panels toward 0; returns
     (value, converged)."""
-    gx, gw = gauss_legendre(ng)
+    gx, gw = gauss_legendre(NG)
     total = 0.0
     top = hi.copy()
     last = np.inf
-    for _ in range(max_levels):
+    for _ in range(DYADIC_LEVELS):
         lo = top / 2.0
         mid = lo[:, None] + 0.5 * (top - lo)[:, None] * (gx + 1.0)
         ws = 0.5 * (top - lo)[:, None] * gw
@@ -221,9 +219,9 @@ def _dyadic_sum(f, center, u, jac_t, wt, hi, ng, abs_tol, max_levels=60):
         last = float(np.sum(vals * mid * ws * (jac_t * wt)[:, None]))
         total += last
         top = lo
-        if abs(last) < abs_tol:
+        if abs(last) < DYADIC_TOL:
             return total, True
-    return total, abs(last) < abs_tol
+    return total, abs(last) < DYADIC_TOL
 
 
 def _ray_circle_crossings(t, ccenter, R, origin):
@@ -240,7 +238,7 @@ def _ray_circle_crossings(t, ccenter, R, origin):
 
 
 def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
-                    singular=False, nt=512, nsub=4, ng=8, abs_tol=1e-12):
+                    singular=False, nt=512, nsub=4):
     """One quadrature pass of f over {center + s u(t) : r_in kappa(t) <= s <=
     r_out}: the q-ball of radius r_out about `center` minus the Euclidean disk
     of radius r_in. Returns (value, converged).
@@ -281,10 +279,10 @@ def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
     total = 0.0
     if singular and r_in == 0.0:
         lo = 0.5 * np.min(np.where(B > 0, B, r_out), axis=1, initial=r_out)
-        total, converged = _dyadic_sum(f, c, u, jac_t, wt, lo, ng, abs_tol)
+        total, converged = _dyadic_sum(f, c, u, jac_t, wt, lo)
     bounds = np.sort(np.concatenate([lo[:, None], np.clip(B, lo[:, None], r_out),
                                      np.full((len(t), 1), r_out)], axis=1), axis=1)
-    total += _segment_sum(f, c, u, jac_t, wt, bounds, nsub, ng)
+    total += _segment_sum(f, c, u, jac_t, wt, bounds, nsub)
     return total, converged
 
 
@@ -305,7 +303,7 @@ def _patch_radius(a, domain: Domain, others, eps):
 
 def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
                           y: Deformation, *, singular=False, nt=512, nsub=4,
-                          ng=8, abs_tol=1e-12, circles=None):
+                          circles=None):
     """Integrate f over the perforated (or punctured, when singular) domain.
 
     With no flaw, or a single flaw at the domain center, this is one polar
@@ -316,7 +314,7 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
     """
     pts = cfg.points if cfg is not None and len(cfg) else np.zeros((0, 2))
     eps = 0.0 if singular or not len(pts) else cfg.eps
-    opts = dict(nt=nt, nsub=nsub, ng=ng, abs_tol=abs_tol)
+    opts = dict(nt=nt, nsub=nsub)
     if len(pts) <= 1 and np.allclose(pts, 0.0):
         at_center = pts if len(pts) else y.singular_points[:1]
         sing = singular and len(at_center) > 0 and np.allclose(at_center, 0.0)
@@ -350,30 +348,30 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
             r = norm2(X - a)
             return f(X) * _smooth_blend(r, cfg.eps, radii[i])
 
-        val, ok = _polar_integral(patch, a, 2, eps, radii[i],
-                                  breaks=y.radial_breaks, circles=circles,
+        inner = [] if eps else [(a, cfg.eps)]  # the blend's kink, if no hole
+        val, ok = _polar_integral(patch, a, 2, eps, radii[i], breaks=y.radial_breaks,
+                                  circles=inner + (circles or []),
                                   singular=singular, **opts)
         total += val
         conv = conv and ok
     return total, conv
 
 
-def _refine(pass_fn, tol, max_refine, nt0=128, nsub0=2):
-    """Refinement that doubles the angular nodes and radial panels per pass.
-    Both rules are composite Gauss between declared kinks, so they converge
-    spectrally and the last successive difference estimates the error of the
-    finer pass."""
-    nt, nsub = nt0, nsub0
-    prev, conv = pass_fn(nt, nsub)
-    for _ in range(max_refine):
-        nt *= 2
-        nsub *= 2
-        cur, ok = pass_fn(nt, nsub)
-        conv = conv and ok
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-30):
-            return cur, conv
-        prev = cur
-    return prev, False
+def _stored_energy(y: Deformation, density: Density, dom: Domain,
+                   cfg: FlawConfig | None, *, singular=False, tol, max_refine):
+    """The stored energy W(grad y) over `dom` perforated by `cfg` (punctured at
+    its points when `singular`), refined by `geometry.refine` from 128 angular
+    nodes and 2 radial panels per segment, doubling both up to max_refine
+    times. Returns (value, converged)."""
+
+    def f(X):
+        return density.w(y.grad(X))
+
+    def one_pass(n):
+        return _integrate_perforated(f, dom, cfg, y, singular=singular,
+                                     nt=n, nsub=n // 64)
+
+    return refine(one_pass, tol, 128 << max_refine)
 
 
 # --------------------------------------------------------------------------
@@ -381,51 +379,32 @@ def _refine(pass_fn, tol, max_refine, nt0=128, nsub0=2):
 
 
 def elastic_energy(y: Deformation, dom: Domain, density: Density, *,
-                   tol: float = 1e-6, max_refine: int = 4,
-                   strict: bool = True):
+                   tol: float = 1e-6, max_refine: int = 4):
     """Bulk stored energy over the (possibly perforated) domain, refined until
-    successive quadrature passes agree to `tol` relative.
-
-    With strict=False returns (value, converged) instead of raising on
-    non-convergence; maps with degenerate rays can have genuinely divergent
-    bulk energy, which shows up as a non-converging refinement."""
-
-    def f(X):
-        return density.w(y.grad(X))
-
-    def one_pass(nt, nsub):
-        return _integrate_perforated(f, dom, dom.flaws, y, nt=nt, nsub=nsub)
-
-    val, ok = _refine(one_pass, tol, max_refine)
-    if not strict:
-        return val, ok
-    if not ok:
-        raise QuadratureError("elastic energy quadrature did not converge")
-    return val
+    successive quadrature passes agree to `tol` relative. Returns (value,
+    converged); maps with degenerate rays can have genuinely divergent bulk
+    energy, which shows up as a non-converging refinement."""
+    return _stored_energy(y, density, dom, dom.flaws, tol=tol,
+                          max_refine=max_refine)
 
 
 def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
                        density: Density, lambdas, *, tol: float = 1e-6,
-                       max_refine: int = 4, strict: bool = True):
+                       max_refine: int = 4):
     """Core-radius energy: bulk term over the perforated domain plus weighted
-    volume and perimeter of each perforation trace.
-
-    With strict=False returns (breakdown, elastic_converged)."""
+    volume and perimeter of each perforation trace. Returns (breakdown,
+    elastic_converged)."""
     report = validate_flaw_config(cfg, dom)
     if not report.ok:
         raise ValueError(f"invalid flaw configuration: {report}")
     dom_p = Domain(q=dom.q, radius=dom.radius, flaws=cfg)
-    el, el_ok = elastic_energy(y, dom_p, density, tol=tol,
-                               max_refine=max_refine, strict=False)
-    if strict and not el_ok:
-        raise QuadratureError("elastic energy quadrature did not converge")
+    el, el_ok = elastic_energy(y, dom_p, density, tol=tol, max_refine=max_refine)
     vol = per = 0.0
     for a in cfg.points:
         m = converged_trace_metrics(y, a, cfg.eps)
         vol += m.volume
         per += m.perimeter
-    bd = EnergyBreakdown.assemble(el, vol, per, lambdas)
-    return bd if strict else (bd, el_ok)
+    return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok
 
 
 @dataclass(frozen=True)
@@ -475,15 +454,8 @@ def limit_energy(y: Deformation, points, dom: Domain, density: Density,
     flags: list[str] = []
 
     cfg = FlawConfig(points=pts, eps=float(r_grid[0]), max_count=max(len(pts), 1))
-
-    def f(X):
-        return density.w(y.grad(X))
-
-    def one_pass(nt, nsub):
-        return _integrate_perforated(f, dom, cfg if len(pts) else None, y,
-                                     singular=True, nt=nt, nsub=nsub)
-
-    el, el_ok = _refine(one_pass, tol, max_refine)
+    el, el_ok = _stored_energy(y, density, dom, cfg if len(pts) else None,
+                               singular=True, tol=tol, max_refine=max_refine)
     if not el_ok:
         flags.append("elastic-not-converged")
 
@@ -557,6 +529,7 @@ class DetPairingResult:
     bulk_term: float
     sphere_term: float
     det_integral: float
+    converged: bool
 
     @property
     def residual_rel(self) -> float:
@@ -568,7 +541,9 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
                          max_refine: int = 4) -> DetPairingResult:
     """Pair the divergence-form determinant of y (with perforation-sphere
     corrections) against a test function, alongside the plain bulk integral
-    of det(grad y) phi for comparison."""
+    of det(grad y) phi for comparison. The bulk, determinant and sphere terms
+    are refined together until each meets `tol`; `converged` says whether
+    they did."""
 
     def f_bulk(X):
         G = y.grad(X)
@@ -580,30 +555,23 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
 
     supp = [(np.asarray(phi.center, dtype=float), phi.radius)]
 
-    def pass_bulk(nt, nsub):
-        return _integrate_perforated(f_bulk, dom, cfg, y, nt=nt, nsub=nsub,
-                                     circles=supp)
-
-    def pass_det(nt, nsub):
-        return _integrate_perforated(f_det, dom, cfg, y, nt=nt, nsub=nsub,
-                                     circles=supp)
-
-    def pass_sphere(nt, nsub):
-        total = 0.0
+    def one_pass(n):
+        bulk, ok_bulk = _integrate_perforated(f_bulk, dom, cfg, y, nt=n,
+                                              nsub=n // 64, circles=supp)
+        deti, ok_det = _integrate_perforated(f_det, dom, cfg, y, nt=n,
+                                             nsub=n // 64, circles=supp)
+        sphere = 0.0
         for a in cfg.points:
-            curve = panel_trace(y, a, cfg.eps, nt)
+            curve = panel_trace(y, a, cfg.eps, n)
             w, dw = curve.points, curve.derivs
             pv = phi.eval(_circle_points(a, cfg.eps, curve.ts))
-            total -= curve.integrate(0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv)
-        return total, True
+            sphere -= curve.integrate(0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv)
+        return np.array([bulk, deti, sphere]), ok_bulk and ok_det
 
-    bulk, ok1 = _refine(pass_bulk, tol, max_refine)
-    deti, ok2 = _refine(pass_det, tol, max_refine)
-    sphere, ok3 = _refine(pass_sphere, tol, max_refine)
-    if not (ok1 and ok2 and ok3):
-        raise QuadratureError("determinant pairing quadrature did not converge")
-    return DetPairingResult(pairing=bulk + sphere, bulk_term=bulk,
-                            sphere_term=sphere, det_integral=deti)
+    (bulk, deti, sphere), converged = refine(one_pass, tol, 128 << max_refine)
+    return DetPairingResult(pairing=float(bulk + sphere), bulk_term=float(bulk),
+                            sphere_term=float(sphere), det_integral=float(deti),
+                            converged=converged)
 
 
 # --------------------------------------------------------------------------
@@ -741,9 +709,10 @@ def check_admissibility_sampled(
         for k in (2, 3, 4):
             phi = bump(k, radius=0.95 * _inradius(dom))
             res = extended_det_pairing(y, cfg, dom, phi, tol=1e-5)
-            if res.residual_rel > det_tol:
+            if not (res.converged and res.residual_rel <= det_tol):
                 det_ok = False
-            det_detail.append(f"k={k}: rel residual {res.residual_rel:.2e}")
+            det_detail.append(f"k={k}: rel residual {res.residual_rel:.2e}"
+                              + ("" if res.converged else " (not converged)"))
     except Exception as e:
         det_ok = False
         det_detail.append(f"check errored: {e}")

@@ -119,6 +119,27 @@ def angular_rule(n, kinks=()):
     return (edges[:-1, None] + half * (gx + 1.0)).ravel(), (half * gw).ravel()
 
 
+def refine(pass_fn, tol, n_max):
+    """The doubling refinement: pass_fn(n) -> (values, ok) for n = 128, 256,
+    ... up to n_max, until two successive passes agree to `tol` relative in
+    every component of `values` (a scalar or an array). Returns (values of the
+    last pass, converged); converged is False at the cap or if any pass was
+    not ok. The rules refined converge spectrally between declared kinks, so
+    the last difference estimates the error of the last pass."""
+    n, prev, all_ok = 128, None, True
+    while True:
+        vals, ok = pass_fn(n)
+        all_ok = all_ok and bool(ok)
+        cur = np.asarray(vals, dtype=float)
+        with np.errstate(invalid="ignore"):  # inf - inf is nan: no agreement
+            if prev is not None and np.all(
+                    np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1e-30)):
+                return vals, all_ok
+        if 2 * n > n_max:
+            return vals, False
+        prev, n = cur, 2 * n
+
+
 # --------------------------------------------------------------------------
 # confinement sets for flaw points
 

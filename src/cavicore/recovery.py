@@ -18,7 +18,7 @@ from .energy import (
     limit_energy,
     regularized_energy,
 )
-from .geometry import Domain, FlawConfig, mat2, norm2, tight_confinement
+from .geometry import Domain, FlawConfig, mat2, norm2, refine, tight_confinement
 
 
 def _smoothstep(u):
@@ -208,8 +208,7 @@ def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deforma
         return phi.zone_radii()
 
     return Deformation(eval=ev, grad=gr, domain=domain, name="radial-push",
-                       radial_breaks=rbreaks,
-                       metadata={"phi": phi, "points": pts})
+                       radial_breaks=rbreaks)
 
 
 # --------------------------------------------------------------------------
@@ -236,59 +235,61 @@ class RecoveryTable:
     conv_perimeter_ok: bool
 
 
+ROW_TOL = 1e-5  # well below the percent-scale gaps; push kinks make 1e-6 wasteful
+TRACE_N = 2048  # identity-check nodes: both traces share them, so it tests the push
+
+
 def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
-                          lambdas, *, r_rule=None, dom: Domain | None = None,
-                          tol: float = 1e-6, row_tol: float = 1e-5,
-                          trace_n: int = 2048) -> RecoveryTable:
+                          lambdas) -> RecoveryTable:
     """Per-core-radius energies of the pushed-and-restricted deformations
     against the vanishing-core limit estimate, which extrapolates the cavity
     metrics on the dyadic ladder from eps_list[0].
 
     Each row verifies that the trace of the composed map on S(a, eps_n)
     carries the same cavity metrics as the original trace on S(a, r_n), and
-    reports the extra bulk energy created in the push annulus. When the
+    reports the extra bulk energy created in the push annulus, refined per
+    flaw at ROW_TOL; a row's `elastic_converged` covers both. When the
     perimeter extrapolation disagrees with the deformation's exact
     reduced-boundary perimeter, the table is still produced and the
     disagreement is flagged."""
-    dom = dom or y.domain
+    dom = y.domain
     if dom is None:
         raise ValueError("a domain is required")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r_rule = r_rule or default_r_rule
     limit = limit_energy(y, pts, dom, density, lambdas,
-                         dyadic_ladder(float(eps_list[0])), tol=tol)
+                         dyadic_ladder(float(eps_list[0])))
 
     rows: list[RecoveryRow] = []
     for i, eps in enumerate(eps_list):
         n = i + 1
-        r_n = r_rule(float(eps), n)
+        r_n = default_r_rule(float(eps), n)
         phi = build_phi(float(eps), r_n, n)
         push = build_push(phi, pts, domain=dom)
         ytil = compose(y, push)
         ytil.radial_breaks = _breaks_through_push(phi, y)
         cfg = FlawConfig(points=pts, eps=float(eps), max_count=len(pts),
                          confinement=tight_confinement(pts))
-        # row quadrature noise only needs to sit well below the percent-scale
-        # gaps being measured; the push kinks make 1e-6 grids wasteful here.
         # non-convergence (divergent bulk energy of degenerate maps) is
         # recorded on the row, not raised
         bd, el_ok = regularized_energy(ytil, cfg, dom, density, lambdas,
-                                       tol=row_tol, max_refine=3, strict=False)
+                                       tol=ROW_TOL, max_refine=3)
 
         worst = 0.0
         for a in pts:
-            ca = trace_on_circle(ytil, a, float(eps), trace_n)
-            cb = trace_on_circle(y, a, r_n, trace_n)
+            ca = trace_on_circle(ytil, a, float(eps), TRACE_N)
+            cb = trace_on_circle(y, a, r_n, TRACE_N)
             for f in (cavity_volume, cavity_perimeter):
                 va, vb = f(ca), f(cb)
                 worst = max(worst, abs(va - vb) / max(abs(vb), 1e-30))
 
         infl = 0.0
-        for a in pts:
-            val, _ = _polar_integral(
+        for a in pts:  # per flaw: each annulus meets ROW_TOL on its own
+            val, ok = refine(lambda n: _polar_integral(
                 lambda X: density.w(ytil.grad(X)), a, 2, float(eps),
-                2.0 * float(eps), breaks=ytil.radial_breaks)
+                2.0 * float(eps), breaks=ytil.radial_breaks, nt=n, nsub=n // 64),
+                ROW_TOL, 1024)
             infl += val
+            el_ok = el_ok and ok
 
         gap = abs(bd.total - limit.breakdown.total)
         rows.append(RecoveryRow(

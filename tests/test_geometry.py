@@ -12,6 +12,7 @@ from cavicore.geometry import (
     SingularMatrixError,
     pseudoinverse,
     qnorm,
+    refine,
     validate_flaw_config,
 )
 
@@ -151,3 +152,52 @@ def test_domain_membership_sphere_points(rng):
 @pytest.mark.parametrize("q,area", [(1, 2.0), (2, math.pi), (np.inf, 4.0)])
 def test_domain_area(q, area):
     assert Domain(q=q, radius=1.0).area() == pytest.approx(area, rel=1e-15)
+
+
+# --------------------------------------------------------------------------
+# refinement
+
+
+def _recording(values, oks=None):
+    """A pass that returns values[k] (and oks[k]) on its k-th call and
+    records the node counts it was called with."""
+    calls = []
+
+    def one_pass(n):
+        k = len(calls)
+        calls.append(n)
+        return values[k], True if oks is None else oks[k]
+
+    return one_pass, calls
+
+
+def test_refine_vector_needs_every_component():
+    # the first component agrees from the second pass on, the second only
+    # from the third
+    one_pass, calls = _recording([np.array([1.0, 1.0]), np.array([1.0, 2.0]),
+                                  np.array([1.0, 2.0 + 1e-12])])
+    vals, ok = refine(one_pass, 1e-9, 2**14)
+    assert ok and calls == [128, 256, 512]
+    assert vals.tolist() == [1.0, 2.0 + 1e-12]
+
+
+def test_refine_tolerance_is_inclusive():
+    # |2 - 1| is exactly 0.5 * 2
+    one_pass, calls = _recording([1.0, 2.0])
+    assert refine(one_pass, 0.5, 2**14) == (2.0, True)
+    assert calls == [128, 256]
+
+
+def test_refine_cap_returns_the_last_pass():
+    one_pass, calls = _recording([1.0, 2.0, 3.0, 4.0])
+    assert refine(one_pass, 1e-9, 1024) == (4.0, False)
+    assert calls == [128, 256, 512, 1024]
+    one_pass, calls = _recording([1.0])
+    assert refine(one_pass, 1e-9, 128) == (1.0, False)
+
+
+def test_refine_failed_pass_is_not_converged():
+    # the values agree, but the first pass reported a failure
+    one_pass, calls = _recording([1.0, 1.0], oks=[False, True])
+    assert refine(one_pass, 1e-9, 2**14) == (1.0, False)
+    assert calls == [128, 256]
