@@ -237,6 +237,7 @@ class RecoveryTable:
 
 ROW_TOL = 1e-5  # well below the percent-scale gaps; push kinks make 1e-6 wasteful
 TRACE_N = 2048  # identity-check nodes: both traces share them, so it tests the push
+ROW_MAX_REFINE = 3  # node cap 128 << 3 = 1024 for a row's bulk and annulus terms
 
 
 def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
@@ -269,10 +270,9 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         ytil.radial_breaks = _breaks_through_push(phi, y)
         cfg = FlawConfig(points=pts, eps=float(eps), max_count=len(pts),
                          confinement=tight_confinement(pts))
-        # non-convergence (divergent bulk energy of degenerate maps) is
-        # recorded on the row, not raised
+        # non-convergence (divergent bulk of degenerate maps) goes on the row
         bd, el_ok = regularized_energy(ytil, cfg, dom, density, lambdas,
-                                       tol=ROW_TOL, max_refine=3)
+                                       tol=ROW_TOL, max_refine=ROW_MAX_REFINE)
 
         worst = 0.0
         for a in pts:
@@ -287,7 +287,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
             val, ok = refine(lambda n: _polar_integral(
                 lambda X: density.w(ytil.grad(X)), a, 2, float(eps),
                 2.0 * float(eps), breaks=ytil.radial_breaks, nt=n, nsub=n // 64),
-                ROW_TOL, 1024)
+                ROW_TOL, 128 << ROW_MAX_REFINE)
             infl += val
             el_ok = el_ok and ok
 

@@ -324,8 +324,10 @@ def test_criterion_10_minimization(rng):
                              density=dens, lambdas=(1.0, 1.0), K=K)
         prof = RadialProfile(nodes=nodes, values=vals)
         one_d = radial_reduced_energy(prof, prob).total
-        two_d = regularized_energy(radial_deformation(prof), cfg, dom, dens,
-                                   (1.0, 1.0), tol=1e-6)[0].total
+        bd, ok = regularized_energy(radial_deformation(prof), cfg, dom, dens,
+                                    (1.0, 1.0), tol=1e-6)
+        assert ok
+        two_d = bd.total
         worst = max(worst, abs(one_d - two_d) / abs(two_d))
     assert worst <= 1e-4
     _report("10 minimization", f"gaps {tuple(round(g, 4) for g in sweep.gaps)}, "
