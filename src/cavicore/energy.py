@@ -219,6 +219,8 @@ def _dyadic_sum(f, center, u, jac_t, wt, hi):
         last = float(np.sum(vals * mid * ws * (jac_t * wt)[:, None]))
         total += last
         top = lo
+        if not math.isfinite(last):  # the total stays non-finite whatever follows
+            return total, False
         if abs(last) < DYADIC_TOL:
             return total, True
     return total, abs(last) < DYADIC_TOL
@@ -650,13 +652,13 @@ def check_admissibility_sampled(
             curve = trace_on_circle(y, center, rho, 512)
         except Exception as e:
             deg_ok = False
-            deg_detail.append(f"trace at {tuple(np.round(center, 3))},r={rho:.3g}: {e}")
+            deg_detail.append(f"trace at ({center[0]:g}, {center[1]:g}),r={rho:.3g}: {e}")
             continue
         degs = degree_range_on_grid(curve, grid, grid)
         if not degs <= {0, 1}:
             deg_ok = False
             deg_detail.append(
-                f"degrees {sorted(degs)} at {tuple(np.round(center, 3))}, r={rho:.3g}")
+                f"degrees {sorted(degs)} at ({center[0]:g}, {center[1]:g}), r={rho:.3g}")
         # membership: inside test circle -> image inside trace; outside -> outside
         samples = _sample_perforated(dom_p, rng, n_membership)
         d = np.linalg.norm(samples - center, axis=-1)
@@ -671,8 +673,8 @@ def check_admissibility_sampled(
             if loc != want:
                 mem_ok = False
                 mem_detail.append(
-                    f"point {tuple(np.round(samples[i], 3))} maps {loc}, expected {want} "
-                    f"(circle {tuple(np.round(center, 3))}, r={rho:.3g})")
+                    f"point ({samples[i][0]:g}, {samples[i][1]:g}) maps {loc}, "
+                    f"expected {want} (circle ({center[0]:g}, {center[1]:g}), r={rho:.3g})")
     rows.append(CheckRow("degree-range", deg_ok,
                          "all degrees in {0,1}" if deg_ok else "; ".join(deg_detail[:4])))
     rows.append(CheckRow("interior-exterior", mem_ok,
@@ -699,7 +701,7 @@ def check_admissibility_sampled(
         if mind <= thresh:
             inj_ok = False
             inj_detail.append(f"closest distinct-parameter pair {mind:.3g} at "
-                              f"{tuple(np.round(a, 3))}")
+                              f"({a[0]:g}, {a[1]:g})")
     rows.append(CheckRow("trace-injectivity", inj_ok,
                          "separated" if inj_ok else "; ".join(inj_detail)))
 

@@ -124,17 +124,20 @@ def refine(pass_fn, tol, n_max):
     ... up to n_max, until two successive passes agree to `tol` relative in
     every component of `values` (a scalar or an array). Returns (values of the
     last pass, converged); converged is False at the cap or if any pass was
-    not ok. The rules refined converge spectrally between declared kinks, so
-    the last difference estimates the error of the last pass."""
+    not ok. A pass with a non-finite component ends the refinement
+    unconverged, since no later pass can agree with it. The rules refined
+    converge spectrally between declared kinks, so the last difference
+    estimates the error of the last pass."""
     n, prev, all_ok = 128, None, True
     while True:
         vals, ok = pass_fn(n)
         all_ok = all_ok and bool(ok)
         cur = np.asarray(vals, dtype=float)
-        with np.errstate(invalid="ignore"):  # inf - inf is nan: no agreement
-            if prev is not None and np.all(
-                    np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1e-30)):
-                return vals, all_ok
+        if not np.all(np.isfinite(cur)):
+            return vals, False
+        if prev is not None and np.all(
+                np.abs(cur - prev) <= tol * np.maximum(np.abs(cur), 1e-30)):
+            return vals, all_ok
         if 2 * n > n_max:
             return vals, False
         prev, n = cur, 2 * n
@@ -317,7 +320,8 @@ def validate_flaw_config(cfg: FlawConfig, outer: Domain) -> ValidityReport:
         violations.append(f"count {len(pts)} exceeds max_count {cfg.max_count}")
     inside = cfg.confinement.contains(pts)
     for i in np.nonzero(~inside)[0]:
-        violations.append(f"point {i} at {tuple(pts[i])} outside confinement")
+        violations.append(f"point {i} at ({pts[i][0]:g}, {pts[i][1]:g}) "
+                          "outside confinement")
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             d = float(qnorm(pts[i] - pts[j], 2))

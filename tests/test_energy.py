@@ -13,6 +13,7 @@ from cavicore.deformation import (
     example_radial,
     example_spike,
     identity_deformation,
+    make_example,
     radial_deformation,
 )
 from cavicore.energy import (
@@ -213,6 +214,23 @@ def test_polar_integral_singular_grading_with_splits():
     assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
 
+def test_dyadic_sum_ends_at_a_non_finite_level():
+    # f is inf below radius 0.1: the third level (0.0625, 0.125) is the first
+    # to reach it, and no later level is evaluated
+    calls = []
+
+    def f(X):
+        calls.append(len(X))
+        return np.where(np.linalg.norm(X, axis=-1) < 0.1, np.inf, 1.0)
+
+    t = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    u = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    total, ok = energy._dyadic_sum(f, np.zeros(2), u, np.ones(8),
+                                   np.full(8, math.pi / 4), np.full(8, 0.5))
+    assert total == math.inf and not ok
+    assert len(calls) == 3
+
+
 # --------------------------------------------------------------------------
 # elastic energy
 
@@ -338,6 +356,29 @@ def test_limit_energy_spike_flags_violation():
     assert "conv-perimeter-violated" in rep.flags
     assert f.perimeter == pytest.approx(math.pi + 1.0, abs=1e-2)
     assert f.perimeter_reduced_boundary == pytest.approx(math.pi, abs=0)
+
+
+@pytest.mark.parametrize("key,flags", [
+    ("superposition", ("elastic-not-converged",)),
+    ("spike", ("elastic-not-converged", "conv-perimeter-violated")),
+])
+def test_limit_energy_divergent_bulk_takes_one_pass(monkeypatch, key, flags):
+    # the bulk energy of these maps is inf from the first pass on (det grad y
+    # cancels to <= 0 next to the flaw), so the refinement stops there
+    real = energy._integrate_perforated
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["nt"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(energy, "_integrate_perforated", counting)
+    y = make_example(key)
+    rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
+                       (1.0, 1.0), [0.2, 0.1, 0.05, 0.025])
+    assert calls == [128]
+    assert rep.breakdown.elastic == math.inf and not rep.elastic_converged
+    assert rep.flags == flags
 
 
 def test_limit_energy_flags_unconverged_traces(monkeypatch):
@@ -533,6 +574,8 @@ def test_admissibility_detects_folding():
     orientation = next(r for r in rep.rows if r.name == "orientation")
     assert not orientation.passed
     assert not rep.ok
+    # points are written as plain numbers, not numpy reprs
+    assert "at (0, 0)" in str(rep) and "np." not in str(rep)
 
 
 def test_admissibility_identity_no_flaws():

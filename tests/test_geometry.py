@@ -120,7 +120,7 @@ def test_validate_flaw_config_examples():
         FlawConfig(points=[[0.9, 0.0]], eps=0.05, max_count=1,
                    confinement=Confinement("disk", (0, 0), 0.5)), outer)
     assert not conf.ok
-    assert any("confinement" in v for v in conf.violations)
+    assert conf.violations == ("point 0 at (0.9, 0) outside confinement",)
 
 
 def test_validate_count_and_margin():
@@ -201,3 +201,25 @@ def test_refine_failed_pass_is_not_converged():
     one_pass, calls = _recording([1.0, 1.0], oks=[False, True])
     assert refine(one_pass, 1e-9, 2**14) == (1.0, False)
     assert calls == [128, 256]
+
+
+@pytest.mark.parametrize("passes", [
+    [1.0, math.inf],
+    [1.0, -math.inf],
+    [np.array([1.0, 2.0]), np.array([math.inf, 2.0])],
+])
+def test_refine_step_to_a_non_finite_pass_is_not_convergence(passes):
+    # |inf - 1| <= tol |inf| reads inf <= inf: an agreement test alone would
+    # accept this step
+    one_pass, calls = _recording(passes)
+    assert refine(one_pass, 1e-6, 2048)[1] is False
+    assert calls == [128, 256]
+
+
+@pytest.mark.parametrize("first", [math.inf, math.nan])
+def test_refine_ends_at_a_non_finite_pass(first):
+    # no later pass can agree with a non-finite one
+    one_pass, calls = _recording([first, 1.0, 1.0])
+    vals, ok = refine(one_pass, 1e-6, 2048)
+    assert not ok and not math.isfinite(vals)
+    assert calls == [128]
