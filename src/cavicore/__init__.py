@@ -61,4 +61,4 @@ from .minimize import (
     minimize_radial,
     radial_reduced_energy,
 )
-from .recovery import build_phi, build_push, default_r_rule, recovery_energy_table
+from .recovery import build_phi, compose_push, default_r_rule, recovery_energy_table

@@ -62,7 +62,10 @@ def write_json(path: Path, payload: dict, cfg: dict):
 
 
 def _floats(text: str):
-    return [float(v) for v in text.split(",") if v.strip()]
+    vals = [float(v) for v in text.split(",") if v.strip()]
+    if not vals:
+        raise ValueError(f"empty list {text!r}")
+    return vals
 
 
 # --------------------------------------------------------------------------

@@ -512,22 +512,21 @@ def radial_deformation(profile: RadialProfile, center=(0.0, 0.0)) -> Deformation
 
 
 def compose(outer: Deformation, inner: Deformation) -> Deformation:
-    """Composition outer(inner(x)) with chain-rule gradient; raises if the
-    inner image leaves the outer map's domain (when one is declared)."""
+    """Composition outer(inner(x)) with chain-rule gradient and no
+    declarations; eval and grad raise if the inner image leaves the outer
+    map's domain (when one is declared)."""
+
+    def image(x):
+        z = inner.eval(x)
+        if outer.domain is not None and not np.all(outer.domain.contains(z, closed=True)):
+            raise EvaluationDomainError("inner image leaves the outer deformation's domain")
+        return z
 
     def ev(x):
-        z = inner.eval(x)
-        if outer.domain is not None:
-            ok = outer.domain.contains(z, closed=True)
-            if not np.all(ok):
-                raise EvaluationDomainError(
-                    "inner image leaves the outer deformation's domain"
-                )
-        return outer.eval(z)
+        return outer.eval(image(x))
 
     def gr(x):
-        z = inner.eval(x)
-        return mul2(outer.grad(z), inner.grad(x))
+        return mul2(outer.grad(image(x)), inner.grad(x))
 
     return Deformation(
         eval=ev,

@@ -395,18 +395,20 @@ def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
                        max_refine: int = 4):
     """Core-radius energy: bulk term over the perforated domain plus weighted
     volume and perimeter of each perforation trace. Returns (breakdown,
-    elastic_converged)."""
+    converged), where converged is False when the bulk refinement or a trace
+    sweep stopped unconverged."""
     report = validate_flaw_config(cfg, dom)
     if not report.ok:
         raise ValueError(f"invalid flaw configuration: {report}")
     dom_p = Domain(q=dom.q, radius=dom.radius, flaws=cfg)
-    el, el_ok = elastic_energy(y, dom_p, density, tol=tol, max_refine=max_refine)
+    el, ok = elastic_energy(y, dom_p, density, tol=tol, max_refine=max_refine)
     vol = per = 0.0
     for a in cfg.points:
         m = converged_trace_metrics(y, a, cfg.eps)
         vol += m.volume
         per += m.perimeter
-    return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok
+        ok = ok and m.converged
+    return EnergyBreakdown.assemble(el, vol, per, lambdas), ok
 
 
 @dataclass(frozen=True)

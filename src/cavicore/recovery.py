@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cavity import cavity_perimeter, cavity_volume, dyadic_ladder, trace_on_circle
-from .deformation import Deformation, compose
+from .deformation import Deformation
 from .energy import (
     Density,
     EnergyBreakdown,
@@ -18,7 +18,7 @@ from .energy import (
     limit_energy,
     regularized_energy,
 )
-from .geometry import Domain, FlawConfig, mat2, norm2, refine, tight_confinement
+from .geometry import FlawConfig, mat2, mul2, norm2, refine, tight_confinement
 
 
 def _smoothstep(u):
@@ -52,32 +52,26 @@ class ProfilePhi:
     slopes: np.ndarray   # (s_left, s_right) per zone; equal entries = constant
     starts: np.ndarray   # phi at zone boundaries
 
-    def eval(self, t):
+    def values(self, t):
+        """(phi(t), phi'(t)) from one zone lookup."""
         t = np.asarray(t, dtype=float)
         zone = np.clip(np.searchsorted(self.bounds, t, side="right") - 1, 0,
                        len(self.bounds) - 1)
-        za = self.bounds[zone]
         sa, sb = self.slopes[zone, 0], self.slopes[zone, 1]
         width = np.append(np.diff(self.bounds), 0.0)[zone]  # 0 = unbounded tail
-        dt = t - za
+        dt = t - self.bounds[zone]
         u = np.divide(dt, width, out=np.zeros_like(dt + 0.0), where=width > 0)
-        return self.starts[zone] + sa * dt + (sb - sa) * width * _smoothstep_int(u)
+        return (self.starts[zone] + sa * dt + (sb - sa) * width * _smoothstep_int(u),
+                sa + (sb - sa) * _smoothstep(u))
+
+    def eval(self, t):
+        return self.values(t)[0]
 
     def deriv(self, t):
-        t = np.asarray(t, dtype=float)
-        zone = np.clip(np.searchsorted(self.bounds, t, side="right") - 1, 0,
-                       len(self.bounds) - 1)
-        sa, sb = self.slopes[zone, 0], self.slopes[zone, 1]
-        za = self.bounds[zone]
-        width = np.append(np.diff(self.bounds), 0.0)[zone]
-        u = np.divide(t - za, width, out=np.zeros_like(t + 0.0), where=width > 0)
-        return sa + (sb - sa) * _smoothstep(u)
+        return self.values(t)[1]
 
     def zone_radii(self):
         return [float(b) for b in self.bounds[1:]]
-
-    def __call__(self, t):
-        return self.eval(t)
 
 
 def build_phi(eps_n: float, r_n: float, n: int) -> ProfilePhi:
@@ -141,27 +135,20 @@ def _phi_inverse(phi: ProfilePhi, s: float) -> float:
     return float(t)
 
 
-def _breaks_through_push(phi: ProfilePhi, y: Deformation):
-    """`radial_breaks` of y o push: along the ray from a flaw point a, the
-    push junction radii plus the pullbacks of y's own break radii."""
-    zones = phi.zone_radii()
+def compose_push(y: Deformation, phi: ProfilePhi, points) -> Deformation:
+    """y o push, where the radial push fixes each flaw point a, maps
+    B(a, eps_n) onto B(a, r_n) and is the identity outside the 2 eps_n balls.
+    The push alone is `compose_push(identity_deformation(domain), phi, points)`.
 
-    def breaks(a, t):
-        out = list(zones)
-        if y.radial_breaks is not None:
-            out += [_phi_inverse(phi, float(s)) for s in y.radial_breaks(a, t)]
-        return out
-
-    return breaks
-
-
-def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deformation:
-    """Radial push fixing each flaw point, mapping B(a, eps_n) onto B(a, r_n),
-    and equal to the identity outside the 2 eps_n balls.
-
-    Gradient in closed form: (phi(t)/t) I + (phi'(t) - phi(t)/t) e x e with
-    t = |x - a|, and phi'(0) I at the flaw point."""
+    The push gradient has the closed form (phi(t)/t) I + (phi'(t) - phi(t)/t)
+    e x e with t = |x - a|, and phi'(0) I at a flaw point. The map keeps y's
+    domain and singular points and declares both kinds of jump. Along a ray
+    from a flaw point they are the push's zone radii plus phi^-1 of y's
+    breaks. The push maps S(a, s) onto S(a, phi(s)) at the same angles, so
+    the trace kinks on S(a, s) are y's kinks on S(a, phi(s)); this holds for
+    circles about a flaw point inside its push ball."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    domain = y.domain
     two_eps = 2.0 * phi.eps_n
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
@@ -170,23 +157,10 @@ def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deforma
         if domain is not None and domain.dist_to_boundary(pts[i]) < two_eps:
             raise ValueError("push support leaves the domain")
 
-    def ev(x):
+    def frame(x):
+        """The push image z of x and the push gradient G at x."""
         x = np.asarray(x, dtype=float)
-        out = x.copy()
-        for a in pts:
-            d = x - a
-            t = norm2(d)
-            inside = t < two_eps
-            if not np.any(inside):
-                continue
-            ts = np.where(t > 0, t, 1.0)
-            mapped = a + (phi.eval(ts) / ts)[..., None] * d
-            out = np.where(inside[..., None] & (t > 0)[..., None], mapped, out)
-            out = np.where((t == 0)[..., None], a, out)
-        return out
-
-    def gr(x):
-        x = np.asarray(x, dtype=float)
+        z = x.copy()
         shape = x.shape[:-1]
         g00, g01, g11 = np.ones(shape), np.zeros(shape), np.ones(shape)
         for a in pts:
@@ -196,18 +170,38 @@ def build_push(phi: ProfilePhi, points, domain: Domain | None = None) -> Deforma
             if not np.any(inside):
                 continue
             ts = np.where(t > 0, t, 1.0)
+            val, slope = phi.values(ts)
+            ratio = val / ts
+            z = np.where((inside & (t > 0))[..., None], a + ratio[..., None] * d, z)
+            z = np.where((t == 0)[..., None], a, z)
             e0, e1 = d[..., 0] / ts, d[..., 1] / ts  # (0, 0) at the flaw point
-            iso = np.where(t > 0, phi.eval(ts) / ts, phi.slopes[0, 0])
-            k = phi.deriv(ts) - iso
+            iso = np.where(t > 0, ratio, phi.slopes[0, 0])
+            k = slope - iso
             g00 = np.where(inside, iso + k * e0 * e0, g00)
             g01 = np.where(inside, k * e0 * e1, g01)
             g11 = np.where(inside, iso + k * e1 * e1, g11)
-        return mat2(g00, g01, g01, g11)
+        return z, mat2(g00, g01, g01, g11)
 
-    def rbreaks(center, t):
-        return phi.zone_radii()
+    def ev(x):
+        return y.eval(frame(x)[0])
 
-    return Deformation(eval=ev, grad=gr, domain=domain, name="radial-push",
+    def gr(x):
+        z, G = frame(x)
+        return mul2(y.grad(z), G)
+
+    zones = phi.zone_radii()
+
+    def rbreaks(a, t):
+        own = y.radial_breaks(a, t) if y.radial_breaks is not None else []
+        return zones + [_phi_inverse(phi, float(s)) for s in own]
+
+    def kinks(a, s):
+        return y.trace_kinks(a, float(phi.eval(s)))
+
+    return Deformation(eval=ev, grad=gr, domain=domain,
+                       singular_points=y.singular_points,
+                       name=f"{y.name}*radial-push",
+                       trace_kinks=kinks if y.trace_kinks is not None else None,
                        radial_breaks=rbreaks)
 
 
@@ -225,7 +219,7 @@ class RecoveryRow:
     shadow_margin: float        # energy.total - limit.total
     trace_identity_rel: float   # worst relative metric mismatch across flaws
     annulus_inflation: float
-    elastic_converged: bool = True
+    elastic_converged: bool     # bulk, traces and inflation all converged
 
 
 @dataclass(frozen=True)
@@ -249,7 +243,8 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
     Each row verifies that the trace of the composed map on S(a, eps_n)
     carries the same cavity metrics as the original trace on S(a, r_n), and
     reports the extra bulk energy created in the push annulus, refined per
-    flaw at ROW_TOL; a row's `elastic_converged` covers both. When the
+    flaw at ROW_TOL. A row's `elastic_converged` is False when its bulk term,
+    a perforation trace or an annulus term stopped unconverged. When the
     perimeter extrapolation disagrees with the deformation's exact
     reduced-boundary perimeter, the table is still produced and the
     disagreement is flagged."""
@@ -265,9 +260,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         n = i + 1
         r_n = default_r_rule(float(eps), n)
         phi = build_phi(float(eps), r_n, n)
-        push = build_push(phi, pts, domain=dom)
-        ytil = compose(y, push)
-        ytil.radial_breaks = _breaks_through_push(phi, y)
+        ytil = compose_push(y, phi, pts)
         cfg = FlawConfig(points=pts, eps=float(eps), max_count=len(pts),
                          confinement=tight_confinement(pts))
         # non-convergence (divergent bulk of degenerate maps) goes on the row

@@ -58,6 +58,15 @@ def test_example_sweep_bad_radii(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("argv", [
+    ["recovery", "--example", "radial", "--eps-list", ","],
+    ["gamma-sweep", "--eps-list", ","],
+    ["limit-energy", "--example", "radial", "--radii", ","],
+], ids=["recovery", "gamma-sweep", "limit-energy"])
+def test_empty_list_is_config_error(tmp_path, argv):
+    assert main(argv + ["--output", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
 def test_byte_identical_reruns(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

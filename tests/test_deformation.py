@@ -5,8 +5,10 @@ import pytest
 
 from cavicore.deformation import (
     CATALOG_KEYS,
+    EvaluationDomainError,
     RadialProfile,
     NonmonotoneProfileError,
+    affine_deformation,
     change_of_reference_parts,
     compose,
     example_change_of_reference,
@@ -19,6 +21,7 @@ from cavicore.deformation import (
     radial_deformation,
 )
 from cavicore.geometry import det2, qnorm
+from cavicore.recovery import build_phi, compose_push, default_r_rule
 
 SQRT3 = math.sqrt(3.0)
 
@@ -491,12 +494,10 @@ def test_compose_and_radial_profile_kernels_match_oracle(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 5])
 def test_push_kernel_matches_matrix_oracle(n, rng):
-    from cavicore.recovery import build_phi, build_push, default_r_rule
-
     eps = 0.1
     phi = build_phi(eps, default_r_rule(eps, n), n)
     flaws = np.array([[0.0, 0.0], [0.5, 0.1]])
-    push = build_push(phi, flaws)
+    push = compose_push(identity_deformation(), phi, flaws)
     t = rng.uniform(0.0, 2.0 * math.pi, 40)
     u = np.stack([np.cos(t), np.sin(t)], -1)
     radii = np.concatenate([[0.0, 2.0 * eps], phi.zone_radii(), [1e-9, eps]])
@@ -504,10 +505,37 @@ def test_push_kernel_matches_matrix_oracle(n, rng):
     pts = np.concatenate([rng.uniform(-0.3, 0.8, (5000, 2)), seams, flaws])
     _assert_ulps(push.grad(pts), _oracle_push(phi, flaws, pts))
     y = example_radial(0.5)
-    comp = compose(y, push)
+    comp = compose_push(y, phi, flaws)
     keep = np.min(np.abs(pts), axis=-1) > 0
     _assert_ulps(comp.grad(pts[keep]),
                  _oracle_radial(0.5, push.eval(pts[keep])) @ _oracle_push(phi, flaws, pts[keep]))
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_compose_push_is_compose_with_the_push(key, rng):
+    # one kernel for the push image and gradient gives the same bits as the
+    # general composition with the push alone
+    y = make_example(key, 0.5)
+    eps, n = 0.2, 2
+    phi = build_phi(eps, default_r_rule(eps, n), n)
+    comp = compose_push(y, phi, y.singular_points)
+    ref = compose(y, compose_push(identity_deformation(y.domain), phi, y.singular_points))
+    t = rng.uniform(0.0, 2.0 * math.pi, 40)
+    u = np.stack([np.cos(t), np.sin(t)], -1)
+    radii = np.array([1e-9, 2.0 * eps, *phi.zone_radii(), eps])
+    pts = np.concatenate([rng.uniform(-1.0, 1.0, (5000, 2)), _seams(key, rng),
+                          (radii[:, None, None] * u).reshape(-1, 2)])
+    pts = pts[y.domain.contains(pts) & (qnorm(pts, 2) > 0)]
+    assert np.array_equal(comp.eval(pts), ref.eval(pts))
+    assert np.array_equal(comp.grad(pts), ref.grad(pts))
+
+
+def test_compose_outside_outer_domain_raises():
+    comp = compose(example_radial(0.5), affine_deformation(2.0 * np.eye(2)))
+    for f in (comp.eval, comp.grad):
+        with pytest.raises(EvaluationDomainError):
+            f(np.array([[0.6, 0.1]]))
+    assert np.all(np.isfinite(comp.grad(np.array([[0.3, 0.1]]))))
 
 
 # --------------------------------------------------------------------------
@@ -537,14 +565,24 @@ def _jump_locations(g, s):
     return found
 
 
+_PUSHES = ((0.2, 1), (0.025, 4))  # the recovery rows at the README's first and last eps
+
+
 def _audited_maps():
     prof = RadialProfile(nodes=np.linspace(0.1, 0.9, 6),
                          values=np.array([0.2, 0.35, 0.45, 0.7, 0.8, 1.0]))
     maps = [(make_example(k, 0.5), np.zeros(2)) for k in CATALOG_KEYS]
+    for eps, n in _PUSHES:
+        phi = build_phi(eps, default_r_rule(eps, n), n)
+        maps += [(compose_push(y, phi, y.singular_points), a) for y, a in maps[:4]]
     return maps + [(radial_deformation(prof, center=(0.1, -0.2)), np.array([0.1, -0.2]))]
 
 
-@pytest.mark.parametrize("y, a", _audited_maps(), ids=[*CATALOG_KEYS, "radial-profile"])
+_AUDIT_IDS = [*CATALOG_KEYS, *(f"{k}*push{e}" for e, _ in _PUSHES for k in CATALOG_KEYS),
+              "radial-profile"]
+
+
+@pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 def test_break_audit_rays(y, a):
     # grad y sampled along 64 rays from the flaw; every jump must sit at a
     # declared radial break
@@ -561,7 +599,7 @@ def test_break_audit_rays(y, a):
                 (y.name, t, rho, declared)
 
 
-@pytest.mark.parametrize("y, a", _audited_maps(), ids=[*CATALOG_KEYS, "radial-profile"])
+@pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 @pytest.mark.parametrize("eps", [0.2, 0.025])
 def test_break_audit_circles(y, a, eps):
     # grad y sampled along S(a, eps); every jump must sit at a declared trace

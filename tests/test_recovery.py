@@ -3,13 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from cavicore.cavity import cavity_perimeter, cavity_volume, trace_on_circle
+from cavicore.cavity import (
+    cavity_perimeter,
+    cavity_volume,
+    converged_trace_metrics,
+    trace_on_circle,
+)
 from cavicore.deformation import (
+    CATALOG_KEYS,
     compose,
     example_radial,
     example_spike,
     finite_difference_grad,
     identity_deformation,
+    make_example,
 )
 from cavicore.energy import _integrate_perforated, subquadratic_density
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
@@ -17,7 +24,7 @@ from cavicore.recovery import (
     ProfilePhi,
     _phi_inverse,
     build_phi,
-    build_push,
+    compose_push,
     default_r_rule,
     recovery_energy_table,
 )
@@ -109,9 +116,10 @@ def test_breaks_through_push_leaves_scipy_unloaded():
     code = (
         "import math, sys\n"
         "from cavicore.deformation import example_spike\n"
-        "from cavicore.recovery import build_phi, _breaks_through_push\n"
+        "from cavicore.recovery import build_phi, compose_push\n"
         "phi = build_phi(0.2, 0.2, 1)\n"
-        "b = _breaks_through_push(phi, example_spike())((0.0, 0.0), math.pi / 2 - 0.1)\n"
+        "ytil = compose_push(example_spike(), phi, [[0.0, 0.0]])\n"
+        "b = ytil.radial_breaks((0.0, 0.0), math.pi / 2 - 0.1)\n"
         "assert len(b) == len(phi.zone_radii()) + 1 and 0 < b[-1] < phi.bounds[-1]\n"
         "assert 'scipy' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
@@ -123,12 +131,13 @@ def test_breaks_through_push_leaves_scipy_unloaded():
 
 def _push(eps=0.1, n=2):
     phi = build_phi(eps, default_r_rule(eps, n), n)
-    return phi, build_push(phi, [[0.0, 0.0]], domain=Domain(q=2, radius=1.0))
+    disk = identity_deformation(Domain(q=2, radius=1.0))
+    return phi, compose_push(disk, phi, [[0.0, 0.0]])
 
 
 def test_push_identity_profile_is_identity(rng):
     phi = build_phi(0.1, 0.1, 4)
-    f = build_push(phi, [[0.0, 0.0]])
+    f = compose_push(identity_deformation(), phi, [[0.0, 0.0]])
     pts = rng.uniform(-0.5, 0.5, (200, 2))
     assert np.allclose(f(pts), pts, atol=1e-12)
 
@@ -176,15 +185,15 @@ def test_push_lipschitz_distance_bound(rng):
 def test_push_rejects_overlap_and_boundary():
     phi = build_phi(0.1, 0.1005, 5)
     with pytest.raises(ValueError):
-        build_push(phi, [[0.0, 0.0], [0.3, 0.0]])
+        compose_push(identity_deformation(), phi, [[0.0, 0.0], [0.3, 0.0]])
     with pytest.raises(ValueError):
-        build_push(phi, [[0.85, 0.0]], domain=Domain(q=2, radius=1.0))
+        compose_push(identity_deformation(Domain(q=2, radius=1.0)), phi, [[0.85, 0.0]])
 
 
 def test_composition_chain_rule(rng):
     y = example_radial(0.5)
-    phi, f = _push(eps=0.1, n=2)
-    comp = compose(y, f)
+    phi, _ = _push(eps=0.1, n=2)
+    comp = compose_push(y, phi, y.singular_points)
     pts = rng.uniform(-0.4, 0.4, (300, 2))
     keep = (np.linalg.norm(pts, axis=1) > 0.03) & (np.min(np.abs(pts), axis=1) > 1e-3)
     # stay away from the push's radial junctions where curvature jumps
@@ -238,7 +247,8 @@ def test_recovery_rows_meet_row_tol(radial_table):
     y = example_radial(0.5)
     for n, row in enumerate(radial_table.rows, start=1):
         phi = build_phi(row.eps, row.r, n)
-        ytil = compose(y, build_push(phi, y.singular_points, domain=y.domain))
+        ytil = compose(y, compose_push(identity_deformation(y.domain), phi,
+                                       y.singular_points))  # no declared breaks
         cfg = FlawConfig(points=y.singular_points, eps=row.eps, max_count=1,
                          confinement=tight_confinement(y.singular_points))
         dom = Domain(q=y.domain.q, radius=y.domain.radius, flaws=cfg)
@@ -277,14 +287,41 @@ def test_recovery_trace_identity_is_parametric():
     y = example_radial(0.5)
     eps = 0.1
     phi = build_phi(eps, default_r_rule(eps, 1), 1)
-    push = build_push(phi, y.singular_points, domain=y.domain)
-    ytil = compose(y, push)
+    ytil = compose_push(y, phi, y.singular_points)
     ca = trace_on_circle(ytil, (0, 0), eps, 512)
     cb = trace_on_circle(y, (0, 0), phi.r_n, 512)
     assert np.allclose(ca.points, cb.points, atol=1e-14)
     assert np.allclose(ca.derivs, cb.derivs, atol=1e-12)
     assert cavity_volume(ca) == pytest.approx(cavity_volume(cb), rel=1e-12)
     assert cavity_perimeter(ca) == pytest.approx(cavity_perimeter(cb), rel=1e-12)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_recovery_sweeps_are_declared(key):
+    # the pushed trace on S(a, eps) is y's trace on S(a, r_n) at the same
+    # angles, so the pushed map's kinks let its sweep converge as y's does
+    y = make_example(key, 0.5)
+    a = y.singular_points[0]
+    for n, eps in enumerate([0.2, 0.1, 0.05, 0.025], start=1):
+        phi = build_phi(eps, default_r_rule(eps, n), n)
+        m = converged_trace_metrics(compose_push(y, phi, y.singular_points), a, eps)
+        want = converged_trace_metrics(y, a, phi.r_n)
+        assert m.converged and m.n_samples < 512, (key, eps, m.n_samples)
+        assert m.volume == pytest.approx(want.volume, rel=1e-14, abs=0)
+        assert m.perimeter == pytest.approx(want.perimeter, rel=1e-14, abs=0)
+
+
+def test_recovery_row_flags_an_unconverged_trace(monkeypatch):
+    import dataclasses
+
+    import cavicore.energy as energy
+
+    real = energy.converged_trace_metrics
+    monkeypatch.setattr(energy, "converged_trace_metrics", lambda *a, **k: dataclasses.replace(
+        real(*a, **k), converged=False))
+    y = example_radial(0.5)
+    table = recovery_energy_table(y, y.singular_points, [0.2], DENS, LAMBDAS)
+    assert not table.rows[0].elastic_converged
 
 
 def test_recovery_spike_flagged_but_produced():
