@@ -40,6 +40,7 @@ from .energy import (
     density_by_name,
     elastic_energy,
     extended_det_pairing,
+    flaw_limit,
     limit_energy,
     regularized_energy,
     subquadratic_density,

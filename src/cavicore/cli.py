@@ -17,10 +17,10 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .cavity import converged_trace_metrics, dyadic_ladder, extrapolate_limit
+from .cavity import dyadic_ladder
 from .deformation import CATALOG_KEYS, make_example
-from .energy import (CONV_PERIMETER_TOL, check_admissibility_sampled,
-                     density_by_name, limit_energy)
+from .energy import (check_admissibility_sampled, density_by_name, flaw_limit,
+                     limit_energy)
 from .geometry import Confinement, FlawConfig, validate_flaw_config
 from .minimize import RadialProblem, gamma_sweep, minimize_radial
 from .recovery import recovery_energy_table
@@ -75,30 +75,26 @@ def _floats(text: str):
 def cmd_example_sweep(args, cfg) -> int:
     y = make_example(args.example, args.b)
     radii = _floats(args.radii)
-    mets = [converged_trace_metrics(y, (0.0, 0.0), r, tol=args.trace_tol)
-            for r in radii]
-    vols = [m.volume for m in mets]
-    pers = [m.perimeter for m in mets]
-    v0, vu = extrapolate_limit(radii, vols)
-    p0, pu = extrapolate_limit(radii, pers)
+    fl = flaw_limit(y, (0.0, 0.0), radii, tol=args.trace_tol)
 
-    rows = [[r, m.volume, m.perimeter, m.n_samples] for r, m in zip(radii, mets)]
-    rows.append(["limit", v0, p0, ""])
-    rows.append(["uncertainty", vu, pu, ""])
+    rows = [[r, m.volume, m.perimeter, m.n_samples]
+            for r, m in zip(radii, fl.metrics)]
+    rows.append(["limit", fl.volume, fl.perimeter, ""])
+    rows.append(["uncertainty", fl.volume_unc, fl.perimeter_unc, ""])
     write_csv(Path(args.output), ["r", "volume", "perimeter", "n_samples"], rows, cfg)
 
     flagged = False
-    for r, m in zip(radii, mets):
+    for r, m in zip(radii, fl.metrics):
         if not m.converged:
             print(f"flag: trace-not-converged at r {r:g} ({m.n_samples} nodes)")
             flagged = True
-    if y.cavity_exact is not None:
-        exact = y.cavity_exact["perimeter"]
-        if abs(p0 - exact) > CONV_PERIMETER_TOL * max(exact, 1.0):
-            print(f"flag: conv-perimeter violated (extrapolated {p0:.6f} vs "
-                  f"reduced-boundary {exact:.6f}, gap {p0 - exact:+.6f})")
-            flagged = True
-    print(f"volume limit {v0:.8f} (+- {vu:.2e}); perimeter limit {p0:.8f} (+- {pu:.2e})")
+    if fl.conv_perimeter_ok is False:
+        exact = fl.perimeter_reduced_boundary
+        print(f"flag: conv-perimeter violated (extrapolated {fl.perimeter:.6f} vs "
+              f"reduced-boundary {exact:.6f}, gap {fl.perimeter - exact:+.6f})")
+        flagged = True
+    print(f"volume limit {fl.volume:.8f} (+- {fl.volume_unc:.2e}); "
+          f"perimeter limit {fl.perimeter:.8f} (+- {fl.perimeter_unc:.2e})")
     print(f"wrote {args.output}")
     return EXIT_FLAGGED if flagged else EXIT_OK
 
@@ -136,13 +132,9 @@ def cmd_limit_energy(args, cfg) -> int:
 
 def cmd_minimize_radial(args, cfg) -> int:
     density = density_by_name(args.density, args.p)
-    try:
-        prob = RadialProblem(eps=args.eps, outer_radius=args.outer_radius,
-                             boundary_value=args.boundary_value, density=density,
-                             lambdas=(args.lambda_v, args.lambda_p), K=args.K)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    prob = RadialProblem(eps=args.eps, outer_radius=args.outer_radius,
+                         boundary_value=args.boundary_value, density=density,
+                         lambdas=(args.lambda_v, args.lambda_p), K=args.K)
     res = minimize_radial(prob, tol=args.tol, max_iter=args.max_iter)
     rows = list(zip(res.profile.nodes, res.profile.values))
     write_csv(Path(args.output), ["node", "value"], rows, cfg)
@@ -156,15 +148,10 @@ def cmd_minimize_radial(args, cfg) -> int:
 def cmd_gamma_sweep(args, cfg) -> int:
     density = density_by_name(args.density, args.p)
     eps_list = _floats(args.eps_list)
-    try:
-        template = RadialProblem(eps=eps_list[0], outer_radius=args.outer_radius,
-                                 boundary_value=args.boundary_value,
-                                 density=density,
-                                 lambdas=(args.lambda_v, args.lambda_p), K=args.K)
-        sweep = gamma_sweep(eps_list, template, max_iter=args.max_iter)
-    except ValueError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+    template = RadialProblem(eps=eps_list[0], outer_radius=args.outer_radius,
+                             boundary_value=args.boundary_value, density=density,
+                             lambdas=(args.lambda_v, args.lambda_p), K=args.K)
+    sweep = gamma_sweep(eps_list, template, max_iter=args.max_iter)
     rows = [
         [r.eps, r.min_energy.elastic, r.min_energy.volume_term,
          r.min_energy.perimeter_term, r.min_energy.total, r.cavity_radius,
@@ -197,7 +184,7 @@ def cmd_recovery(args, cfg) -> int:
                "shadow_margin", "trace_identity_rel", "annulus_inflation",
                "elastic_converged"],
               rows, cfg)
-    if not table.conv_perimeter_ok:
+    if table.limit.conv_perimeter_violated:
         print("flag: conv-perimeter violated; convergence assertion skipped")
     if table.limit.flags:
         print(f"limit flags: {', '.join(table.limit.flags)}")
@@ -205,8 +192,8 @@ def cmd_recovery(args, cfg) -> int:
     if unconverged:
         print(f"flag: elastic-not-converged at eps {', '.join(unconverged)}")
     print(f"limit total {table.limit.breakdown.total:.8f}; wrote {args.output}")
-    ok = table.conv_perimeter_ok and not table.limit.flags and not unconverged
-    return EXIT_OK if ok else EXIT_FLAGGED
+    # a violated perimeter limit is one of the limit flags
+    return EXIT_FLAGGED if table.limit.flags or unconverged else EXIT_OK
 
 
 def cmd_check(args, cfg) -> int:
@@ -217,8 +204,7 @@ def cmd_check(args, cfg) -> int:
                     confinement=Confinement("disk", (0.0, 0.0), 0.6))
     rep_validity = validate_flaw_config(fc, dom)
     if not rep_validity.ok:
-        print(f"config error: {rep_validity}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError(str(rep_validity))
     radii = _floats(args.radii) if args.radii else [2.5 * args.eps, 4.0 * args.eps]
     report = check_admissibility_sampled(y, fc, dom, radii, seed=args.seed)
     payload = {

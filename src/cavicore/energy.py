@@ -14,6 +14,7 @@ from .cavity import (
     INSIDE,
     NEAR_BOUNDARY,
     OUTSIDE,
+    CavityMetrics,
     _circle_points,
     converged_trace_metrics,
     degree_range_on_grid,
@@ -413,16 +414,19 @@ def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
 
 @dataclass(frozen=True)
 class FlawLimit:
+    """One flaw's vanishing-core limit (flaw_limit), with the trace metrics
+    on each radius that it extrapolates."""
+
     center: tuple[float, float]
     volume: float
     volume_unc: float
     perimeter: float
     perimeter_unc: float
-    volume_series: tuple
-    perimeter_series: tuple
+    metrics: tuple[CavityMetrics, ...]
     perimeter_reduced_boundary: float | None
     conv_perimeter_ok: bool | None
     has_cavity: bool
+    flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -443,57 +447,59 @@ CONV_PERIMETER_TOL = 5e-2
 EXTRAP_UNC_TOL = 5e-2  # a larger extrapolation error estimate is flagged
 
 
+def flaw_limit(y: Deformation, a, radii, *, tol: float = 1e-9) -> FlawLimit:
+    """Cavity volume and perimeter of the flaw at `a` as r -> 0: the traces
+    on S(a, r) for each of the strictly decreasing `radii`, refined to `tol`,
+    extrapolated to r = 0.
+
+    When the deformation carries an exact reduced-boundary perimeter for its
+    cavity and the flaw is at the origin, the extrapolated perimeter is
+    compared against it and disagreement is flagged (the perimeter term of
+    the vanishing-core limit can exceed the perimeter of the limiting
+    cavity)."""
+    a = np.asarray(a, dtype=float)
+    flags: list[str] = []
+    mets = []
+    for r in radii:
+        m = converged_trace_metrics(y, a, float(r), tol=tol)
+        if not m.converged:
+            flags.append(f"trace-not-converged at ({a[0]:g}, {a[1]:g}), r={r:g}")
+        mets.append(m)
+    v0, vu = extrapolate_limit(radii, [m.volume for m in mets])
+    p0, pu = extrapolate_limit(radii, [m.perimeter for m in mets])
+    if max(vu, pu) > EXTRAP_UNC_TOL:
+        flags.append(f"extrapolation-uncertain at ({a[0]:g}, {a[1]:g})")
+    exact_per = conv_ok = None
+    if y.cavity_exact is not None and np.allclose(a, 0.0):
+        exact_per = float(y.cavity_exact["perimeter"])
+        conv_ok = abs(p0 - exact_per) <= CONV_PERIMETER_TOL * max(exact_per, 1.0)
+        if not conv_ok:
+            flags.append("conv-perimeter-violated")
+    return FlawLimit(
+        center=(float(a[0]), float(a[1])), volume=v0, volume_unc=vu,
+        perimeter=p0, perimeter_unc=pu, metrics=tuple(mets),
+        perimeter_reduced_boundary=exact_per, conv_perimeter_ok=conv_ok,
+        has_cavity=v0 > max(CAVITY_THRESHOLD, vu), flags=tuple(flags))
+
+
 def limit_energy(y: Deformation, points, dom: Domain, density: Density,
                  lambdas, r_grid, *, tol: float = 1e-6,
                  max_refine: int = 4) -> LimitEnergyReport:
     """Vanishing-core energy: bulk term over the full domain (graded toward
-    each flaw point) plus extrapolated cavity volumes/perimeters.
-
-    When the deformation carries an exact reduced-boundary perimeter for its
-    cavity, the extrapolated value is compared against it and disagreement is
-    flagged (the perimeter term of the vanishing-core limit can exceed the
-    perimeter of the limiting cavity)."""
+    each flaw point) plus each flaw's extrapolated cavity volume and
+    perimeter (flaw_limit)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     r_grid = np.asarray(r_grid, dtype=float)
-    flags: list[str] = []
 
     cfg = FlawConfig(points=pts, eps=float(r_grid[0]), max_count=max(len(pts), 1))
     el, el_ok = _stored_energy(y, density, dom, cfg if len(pts) else None,
                                singular=True, tol=tol, max_refine=max_refine)
-    if not el_ok:
-        flags.append("elastic-not-converged")
-
-    flaw_rows = []
-    vol_sum = per_sum = 0.0
-    for a in pts:
-        vols, pers = [], []
-        for r in r_grid:
-            m = converged_trace_metrics(y, a, float(r))
-            if not m.converged:
-                flags.append(f"trace-not-converged at ({a[0]:g}, {a[1]:g}), r={r:g}")
-            vols.append(m.volume)
-            pers.append(m.perimeter)
-        v0, vu = extrapolate_limit(r_grid, vols)
-        p0, pu = extrapolate_limit(r_grid, pers)
-        if max(vu, pu) > EXTRAP_UNC_TOL:
-            flags.append(f"extrapolation-uncertain at ({a[0]:g}, {a[1]:g})")
-        exact_per = conv_ok = None
-        if y.cavity_exact is not None and np.allclose(a, 0.0):
-            exact_per = float(y.cavity_exact["perimeter"])
-            conv_ok = abs(p0 - exact_per) <= CONV_PERIMETER_TOL * max(exact_per, 1.0)
-            if not conv_ok:
-                flags.append("conv-perimeter-violated")
-        has_cavity = v0 > max(CAVITY_THRESHOLD, vu)
-        flaw_rows.append(FlawLimit(
-            center=(float(a[0]), float(a[1])), volume=v0, volume_unc=vu,
-            perimeter=p0, perimeter_unc=pu,
-            volume_series=tuple(vols), perimeter_series=tuple(pers),
-            perimeter_reduced_boundary=exact_per, conv_perimeter_ok=conv_ok,
-            has_cavity=has_cavity))
-        vol_sum += v0
-        per_sum += p0
-    bd = EnergyBreakdown.assemble(el, vol_sum, per_sum, lambdas)
-    return LimitEnergyReport(breakdown=bd, flaws=tuple(flaw_rows),
+    flaws = tuple(flaw_limit(y, a, r_grid) for a in pts)
+    flags = ([] if el_ok else ["elastic-not-converged"]) + [
+        f for fl in flaws for f in fl.flags]
+    bd = EnergyBreakdown.assemble(el, sum(f.volume for f in flaws),
+                                  sum(f.perimeter for f in flaws), lambdas)
+    return LimitEnergyReport(breakdown=bd, flaws=flaws,
                              elastic_converged=el_ok, flags=tuple(flags))
 
 

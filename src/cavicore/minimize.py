@@ -4,19 +4,20 @@ on candidate grids, and the vanishing-core sweep harness."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cavity import extrapolate_limit
 from .deformation import RadialProfile
 from .energy import Density, EnergyBreakdown
-from .geometry import Confinement, Domain, FlawConfig, validate_flaw_config
+from .geometry import (Confinement, Domain, FlawConfig, gauss_legendre,
+                       validate_flaw_config)
 
 DELTA_MIN = 1e-8  # monotonicity gap keeping det > 0 strictly
 EPS_ACTIVE = 1e-3  # cap on the distance at which a bound counts as active
 
-_GX, _GW = np.polynomial.legendre.leggauss(8)
+_GX, _GW = gauss_legendre(8)
 
 
 @dataclass(frozen=True)
@@ -361,11 +362,8 @@ def gamma_sweep(eps_list, prob_template: RadialProblem, *, tol: float = 1e-7,
         raise ValueError("need at least three strictly decreasing core radii")
     rows: list[SweepRow] = []
     for eps in eps_list:
-        prob = RadialProblem(eps=eps, outer_radius=prob_template.outer_radius,
-                             boundary_value=prob_template.boundary_value,
-                             density=prob_template.density,
-                             lambdas=prob_template.lambdas, K=prob_template.K)
-        res = minimize_radial(prob, tol=tol, max_iter=max_iter)
+        res = minimize_radial(replace(prob_template, eps=eps), tol=tol,
+                              max_iter=max_iter)
         rows.append(SweepRow(eps=eps, min_energy=res.energy,
                              cavity_radius=res.profile.cavity_radius,
                              iterations=res.iterations, converged=res.converged))

@@ -226,7 +226,6 @@ class RecoveryRow:
 class RecoveryTable:
     rows: tuple[RecoveryRow, ...]
     limit: LimitEnergyReport
-    conv_perimeter_ok: bool
 
 
 ROW_TOL = 1e-5  # well below the percent-scale gaps; push kinks make 1e-6 wasteful
@@ -291,5 +290,4 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
             shadow_margin=bd.total - limit.breakdown.total,
             trace_identity_rel=worst, annulus_inflation=infl,
             elastic_converged=el_ok))
-    return RecoveryTable(rows=tuple(rows), limit=limit,
-                         conv_perimeter_ok=not limit.conv_perimeter_violated)
+    return RecoveryTable(rows=tuple(rows), limit=limit)

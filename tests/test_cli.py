@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from cavicore.cli import EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, main, write_csv, write_json
+from cavicore.cli import (EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, _fmt, main, write_csv,
+                          write_json)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -65,6 +66,30 @@ def test_example_sweep_bad_radii(tmp_path):
 ], ids=["recovery", "gamma-sweep", "limit-energy"])
 def test_empty_list_is_config_error(tmp_path, argv):
     assert main(argv + ["--output", str(tmp_path / "x")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize-radial", "--eps", "2.0"],
+    ["gamma-sweep", "--eps-list", "0.1,0.2,0.05"],
+    ["gamma-sweep", "--eps-list", "1.5,0.2,0.05"],
+    ["check", "--example", "radial", "--eps", "0.7"],
+], ids=["minimize-eps", "gamma-order", "gamma-eps", "check-eps"])
+def test_config_error_is_reported(tmp_path, capsys, argv):
+    assert main(argv + ["--output", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["radial", "spike"])
+def test_example_sweep_limit_is_limit_energy_flaw(tmp_path, key):
+    # both commands compute the flaw's limit on the same default radii
+    csv_out, json_out = tmp_path / "sweep.csv", tmp_path / "limit.json"
+    main(["example-sweep", "--example", key, "--output", str(csv_out)])
+    main(["limit-energy", "--example", key, "--output", str(json_out)])
+    row = next(l for l in csv_out.read_text().splitlines() if l.startswith("limit,"))
+    flaw = json.loads(json_out.read_text())["flaws"][0]
+    assert row.split(",")[1:3] == [_fmt(flaw["volume"]), _fmt(flaw["perimeter"])]
 
 
 def test_byte_identical_reruns(tmp_path):

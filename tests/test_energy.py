@@ -385,7 +385,7 @@ def test_limit_energy_flags_unconverged_traces(monkeypatch):
     # a trace sweep stopped by its node cap raises a flag per radius
     sweep = energy.converged_trace_metrics
     monkeypatch.setattr(energy, "converged_trace_metrics",
-                        lambda y, a, eps: sweep(y, a, eps, n_max=128))
+                        lambda y, a, eps, **kw: sweep(y, a, eps, n_max=128, **kw))
     y = example_radial(0.5)
     rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
                        (1.0, 1.0), [0.2, 0.1, 0.05])
