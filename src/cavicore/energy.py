@@ -161,15 +161,24 @@ BLOCK = 8192  # integrand points per call: keeps temporaries cache-sized
 NG = 8  # Gauss-Legendre nodes per radial panel
 DYADIC_TOL = 1e-12  # a graded level adding less (absolute) ends the grading
 DYADIC_LEVELS = 60  # halvings of the graded ray before the grading gives up
+MAX_REFINE = 4  # doublings of a refined bulk pass, from 128 up to 2048 nodes
 
 
 def _eval_blocked(f, X):
-    """f at the points X (..., 2), called on at most BLOCK points at a time."""
+    """f at the points X (..., 2), called on at most BLOCK points at a time.
+    f returns one value per point, shape (points,), or k, shape (k, points);
+    zeros of shape (points,), which `background` returns for a block with no
+    live point, stand for k zeros per point."""
     pts = X.reshape(-1, 2)
-    vals = np.empty(len(pts))
+    vals = None
     for i in range(0, len(pts), BLOCK):
-        vals[i:i + BLOCK] = f(pts[i:i + BLOCK])
-    return vals.reshape(X.shape[:-1])
+        v = f(pts[i:i + BLOCK])
+        if vals is None:
+            vals = np.empty(v.shape[:-1] + (len(pts),))
+        elif v.ndim > vals.ndim:  # the blocks so far were zeros
+            vals = np.zeros(v.shape[:-1] + (len(pts),))
+        vals[..., i:i + BLOCK] = v
+    return vals.reshape(vals.shape[:-1] + X.shape[:-1])
 
 
 def _kappa(q, t):
@@ -178,53 +187,52 @@ def _kappa(q, t):
         return np.abs(c) + np.abs(s)
     if q == 2:
         return np.ones_like(t)
-    if math.isinf(q):
-        return np.maximum(np.abs(c), np.abs(s))
-    return (np.abs(c) ** q + np.abs(s) ** q) ** (1.0 / q)
+    return np.maximum(np.abs(c), np.abs(s))
 
 
-def _segment_sum(f, center, u, jac_t, wt, bounds, nsub):
-    """Integrate f over radial segments [bounds[:, j], bounds[:, j+1]] per
-    angle, each split into nsub Gauss-NG panels. bounds has shape (nt, m)."""
+def _panel_sum(f, center, u, jw, start, width):
+    """Integrate f along the rays center + s u[i] over the Gauss-NG panels
+    s in [start, start + width] (shape (rays, panels)); jw is each ray's
+    angular weight times its area element 1 / kappa^2. A float, or one per
+    component of f."""
     gx, gw = gauss_legendre(NG)
+    mid = start[..., None] + 0.5 * width[..., None] * (gx + 1.0)
+    ws = 0.5 * width[..., None] * gw
+    vals = _eval_blocked(f, center + mid[..., None] * u[:, None, None, :])
+    jw = jw[:, None, None]
+    if vals.ndim == mid.ndim:
+        return float(np.sum(vals * mid * ws * jw))
+    return np.array([np.sum(v * mid * ws * jw) for v in vals])
+
+
+def _segment_sum(f, center, u, jw, bounds, p):
+    """Integrate f over radial segments [bounds[:, j], bounds[:, j+1]] per
+    ray, each split into p panels. bounds has shape (rays, m)."""
     total = 0.0
-    nt, m = bounds.shape
-    for j in range(m - 1):
-        lo = bounds[:, j]
-        hi = bounds[:, j + 1]
-        width = (hi - lo) / nsub
+    for lo, hi in zip(bounds.T, bounds.T[1:]):
+        width = (hi - lo) / p
         if np.all(width <= 0):
             continue
-        edges = lo[:, None] + width[:, None] * np.arange(nsub)[None, :]
-        mid = edges[..., None] + 0.5 * width[:, None, None] * (gx + 1.0)
-        ws = 0.5 * width[:, None, None] * gw
-        X = center + mid[..., None] * u[:, None, None, :]
-        vals = _eval_blocked(f, X)
-        total += float(np.sum(vals * mid * ws * (jac_t * wt)[:, None, None]))
+        total += _panel_sum(f, center, u, jw,
+                            lo[:, None] + width[:, None] * np.arange(p), width[:, None])
     return total
 
 
-def _dyadic_sum(f, center, u, jac_t, wt, hi):
+def _dyadic_sum(f, center, u, jw, hi):
     """Integrate f over s in (0, hi] with dyadic panels toward 0; returns
     (value, converged)."""
-    gx, gw = gauss_legendre(NG)
     total = 0.0
     top = hi.copy()
-    last = np.inf
     for _ in range(DYADIC_LEVELS):
         lo = top / 2.0
-        mid = lo[:, None] + 0.5 * (top - lo)[:, None] * (gx + 1.0)
-        ws = 0.5 * (top - lo)[:, None] * gw
-        X = center + mid[..., None] * u[:, None, :]
-        vals = _eval_blocked(f, X)
-        last = float(np.sum(vals * mid * ws * (jac_t * wt)[:, None]))
+        last = _panel_sum(f, center, u, jw, lo[:, None], (top - lo)[:, None])
         total += last
         top = lo
-        if not math.isfinite(last):  # the total stays non-finite whatever follows
+        if not np.all(np.isfinite(last)):  # the total stays non-finite whatever follows
             return total, False
-        if abs(last) < DYADIC_TOL:
+        if np.all(np.abs(last) < DYADIC_TOL):
             return total, True
-    return total, abs(last) < DYADIC_TOL
+    return total, False
 
 
 def _ray_circle_crossings(t, ccenter, R, origin):
@@ -240,19 +248,21 @@ def _ray_circle_crossings(t, ccenter, R, origin):
     return np.stack([lo, hi], axis=-1)
 
 
-def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
-                    singular=False, nt=512, nsub=4):
+def _polar_integral(f, center, q, r_in, r_out, *, n, breaks=None, circles=None,
+                    singular=False):
     """One quadrature pass of f over {center + s u(t) : r_in kappa(t) <= s <=
     r_out}: the q-ball of radius r_out about `center` minus the Euclidean disk
-    of radius r_in. Returns (value, converged).
+    of radius r_in. f returns one value per point or k (shape (k, points));
+    returns (value or k values, converged).
 
-    The angles are `angular_rule(nt, kinks)`, with the angles at which a ray
-    is tangent to one of the (center, radius) `circles` as the extra kinks.
-    Each ray is split where `breaks(center, t)` (Euclidean distances, as
-    `Deformation.radial_breaks` returns them) and where it crosses one of the
-    `circles`. With `singular` and r_in == 0 the ray is graded dyadically
-    toward `center` below half its first positive split, or below r_out / 2 if
-    it has none."""
+    The rays are at the about n angles `angular_rule(n, kinks)`, with the
+    angles at which a ray is tangent to one of the (center, radius) `circles`
+    as the extra kinks. Each ray is split where `breaks(center, t)`
+    (Euclidean distances, as `Deformation.radial_breaks` returns them) and
+    where it crosses one of the `circles`, and each segment into n // 64
+    panels. With `singular` and r_in == 0 the ray is graded dyadically toward
+    `center` below half its first positive split, or below r_out / 2 if it
+    has none."""
     c = np.asarray(center, dtype=float)
     kinks = []
     for cc, R in circles or []:
@@ -260,10 +270,10 @@ def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
         dist = math.hypot(d[0], d[1])
         if dist >= R:
             kinks += [math.atan2(d[1], d[0]) + s * math.asin(R / dist) for s in (-1, 1)]
-    t, wt = angular_rule(nt, kinks)
+    t, wt = angular_rule(n, kinks)
     kap = _kappa(q, t)
     u = np.stack([np.cos(t), np.sin(t)], axis=-1) / kap[:, None]
-    jac_t = 1.0 / kap**2
+    jw = (1.0 / kap**2) * wt
     lo = r_in * kap
 
     cols = []
@@ -282,10 +292,10 @@ def _polar_integral(f, center, q, r_in, r_out, *, breaks=None, circles=None,
     total = 0.0
     if singular and r_in == 0.0:
         lo = 0.5 * np.min(np.where(B > 0, B, r_out), axis=1, initial=r_out)
-        total, converged = _dyadic_sum(f, c, u, jac_t, wt, lo)
+        total, converged = _dyadic_sum(f, c, u, jw, lo)
     bounds = np.sort(np.concatenate([lo[:, None], np.clip(B, lo[:, None], r_out),
                                      np.full((len(t), 1), r_out)], axis=1), axis=1)
-    total += _segment_sum(f, c, u, jac_t, wt, bounds, nsub)
+    total += _segment_sum(f, c, u, jw, bounds, n // 64)
     return total, converged
 
 
@@ -305,47 +315,48 @@ def _patch_radius(a, domain: Domain, others, eps):
 
 
 def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
-                          y: Deformation, *, singular=False, nt=512, nsub=4,
-                          circles=None):
+                          y: Deformation, *, n, singular=False, circles=None):
     """Integrate f over the perforated (or punctured, when singular) domain.
 
     With no flaw, or a single flaw at the domain center, this is one polar
     pass with the exact hole. Otherwise a smooth partition of unity splits the
     integral into per-flaw polar patches plus a background with the patches
     blended out. `circles` lists (center, radius) pairs along which the
-    integrand has reduced smoothness; rays are split there.
+    integrand has reduced smoothness; rays are split there. f and the pass
+    size n are as for _polar_integral.
     """
     pts = cfg.points if cfg is not None and len(cfg) else np.zeros((0, 2))
     eps = 0.0 if singular or not len(pts) else cfg.eps
-    opts = dict(nt=nt, nsub=nsub)
     if len(pts) <= 1 and np.allclose(pts, 0.0):
         at_center = pts if len(pts) else y.singular_points[:1]
         sing = singular and len(at_center) > 0 and np.allclose(at_center, 0.0)
         return _polar_integral(f, np.zeros(2), domain.q, eps, domain.radius,
                                breaks=y.radial_breaks, circles=circles,
-                               singular=sing, **opts)
+                               singular=sing, n=n)
 
     radii = {i: _patch_radius(pts[i], domain, np.delete(pts, i, axis=0), cfg.eps)
              for i in range(len(pts))}
 
-    def background(X):
+    def background(X):  # zeros of shape (points,) where no point is live
         w = np.ones(X.shape[:-1])
         hole = np.zeros(X.shape[:-1], dtype=bool)
         for i, a in enumerate(pts):
             r = norm2(X - a)
             w = w * (1.0 - _smooth_blend(r, cfg.eps, radii[i]))
             hole |= r <= eps
-        out = np.zeros(X.shape[:-1])
         live = (w > 1e-14) & ~hole
-        if np.any(live):
-            out[live] = f(X[live]) * w[live]
+        if not np.any(live):
+            return np.zeros(X.shape[:-1])
+        v = f(X[live]) * w[live]
+        out = np.zeros(v.shape[:-1] + X.shape[:-1])
+        out[..., live] = v
         return out
 
     patch_circles = [(pts[i], radii[i]) for i in range(len(pts))]
     patch_circles += [(pts[i], cfg.eps) for i in range(len(pts))]
     total, conv = _polar_integral(background, np.zeros(2), domain.q, 0.0,
                                   domain.radius,
-                                  circles=patch_circles + (circles or []), **opts)
+                                  circles=patch_circles + (circles or []), n=n)
     for i, a in enumerate(pts):
         def patch(X, a=a, i=i):
             r = norm2(X - a)
@@ -354,27 +365,24 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
         inner = [] if eps else [(a, cfg.eps)]  # the blend's kink, if no hole
         val, ok = _polar_integral(patch, a, 2, eps, radii[i], breaks=y.radial_breaks,
                                   circles=inner + (circles or []),
-                                  singular=singular, **opts)
+                                  singular=singular, n=n)
         total += val
         conv = conv and ok
     return total, conv
 
 
 def _stored_energy(y: Deformation, density: Density, dom: Domain,
-                   cfg: FlawConfig | None, *, singular=False, tol, max_refine):
+                   cfg: FlawConfig | None, *, singular=False, tol,
+                   max_refine=MAX_REFINE):
     """The stored energy W(grad y) over `dom` perforated by `cfg` (punctured at
-    its points when `singular`), refined by `geometry.refine` from 128 angular
-    nodes and 2 radial panels per segment, doubling both up to max_refine
-    times. Returns (value, converged)."""
+    its points when `singular`), refined by `geometry.refine` from passes of
+    size 128, doubling up to max_refine times. Returns (value, converged)."""
 
     def f(X):
         return density.w(y.grad(X))
 
-    def one_pass(n):
-        return _integrate_perforated(f, dom, cfg, y, singular=singular,
-                                     nt=n, nsub=n // 64)
-
-    return refine(one_pass, tol, 128 << max_refine)
+    return refine(lambda n: _integrate_perforated(f, dom, cfg, y, n=n, singular=singular),
+                  tol, 128 << max_refine)
 
 
 # --------------------------------------------------------------------------
@@ -382,7 +390,7 @@ def _stored_energy(y: Deformation, density: Density, dom: Domain,
 
 
 def elastic_energy(y: Deformation, dom: Domain, density: Density, *,
-                   tol: float = 1e-6, max_refine: int = 4):
+                   tol: float = 1e-6, max_refine: int = MAX_REFINE):
     """Bulk stored energy over the (possibly perforated) domain, refined until
     successive quadrature passes agree to `tol` relative. Returns (value,
     converged); maps with degenerate rays can have genuinely divergent bulk
@@ -393,7 +401,7 @@ def elastic_energy(y: Deformation, dom: Domain, density: Density, *,
 
 def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
                        density: Density, lambdas, *, tol: float = 1e-6,
-                       max_refine: int = 4):
+                       max_refine: int = MAX_REFINE):
     """Core-radius energy: bulk term over the perforated domain plus weighted
     volume and perimeter of each perforation trace. Returns (breakdown,
     converged), where converged is False when the bulk refinement or a trace
@@ -483,8 +491,7 @@ def flaw_limit(y: Deformation, a, radii, *, tol: float = 1e-9) -> FlawLimit:
 
 
 def limit_energy(y: Deformation, points, dom: Domain, density: Density,
-                 lambdas, r_grid, *, tol: float = 1e-6,
-                 max_refine: int = 4) -> LimitEnergyReport:
+                 lambdas, r_grid, *, tol: float = 1e-6) -> LimitEnergyReport:
     """Vanishing-core energy: bulk term over the full domain (graded toward
     each flaw point) plus each flaw's extrapolated cavity volume and
     perimeter (flaw_limit)."""
@@ -493,7 +500,7 @@ def limit_energy(y: Deformation, points, dom: Domain, density: Density,
 
     cfg = FlawConfig(points=pts, eps=float(r_grid[0]), max_count=max(len(pts), 1))
     el, el_ok = _stored_energy(y, density, dom, cfg if len(pts) else None,
-                               singular=True, tol=tol, max_refine=max_refine)
+                               singular=True, tol=tol)
     flaws = tuple(flaw_limit(y, a, r_grid) for a in pts)
     flags = ([] if el_ok else ["elastic-not-converged"]) + [
         f for fl in flaws for f in fl.flags]
@@ -547,38 +554,32 @@ class DetPairingResult:
 
 
 def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
-                         phi: TestFunction, *, tol: float = 1e-6,
-                         max_refine: int = 4) -> DetPairingResult:
+                         phi: TestFunction, *, tol: float = 1e-6) -> DetPairingResult:
     """Pair the divergence-form determinant of y (with perforation-sphere
     corrections) against a test function, alongside the plain bulk integral
-    of det(grad y) phi for comparison. The bulk, determinant and sphere terms
-    are refined together until each meets `tol`; `converged` says whether
-    they did."""
+    of det(grad y) phi for comparison. The bulk and determinant terms are
+    integrated in one pass over the same nodes, and refined together with the
+    sphere term until each meets `tol`; `converged` says whether they did."""
 
-    def f_bulk(X):
+    def f(X):  # [bulk, det] integrands
         G = y.grad(X)
         ay = np.einsum("...ij,...j->...i", adj2(G), y.eval(X))
-        return -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X))
-
-    def f_det(X):
-        return det2(y.grad(X)) * phi.eval(X)
+        return np.stack([-0.5 * np.einsum("...i,...i->...", ay, phi.grad(X)),
+                         det2(G) * phi.eval(X)])
 
     supp = [(np.asarray(phi.center, dtype=float), phi.radius)]
 
     def one_pass(n):
-        bulk, ok_bulk = _integrate_perforated(f_bulk, dom, cfg, y, nt=n,
-                                              nsub=n // 64, circles=supp)
-        deti, ok_det = _integrate_perforated(f_det, dom, cfg, y, nt=n,
-                                             nsub=n // 64, circles=supp)
+        (bulk, deti), ok = _integrate_perforated(f, dom, cfg, y, n=n, circles=supp)
         sphere = 0.0
         for a in cfg.points:
             curve = panel_trace(y, a, cfg.eps, n)
             w, dw = curve.points, curve.derivs
             pv = phi.eval(_circle_points(a, cfg.eps, curve.ts))
             sphere -= curve.integrate(0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv)
-        return np.array([bulk, deti, sphere]), ok_bulk and ok_det
+        return np.array([bulk, deti, sphere]), ok
 
-    (bulk, deti, sphere), converged = refine(one_pass, tol, 128 << max_refine)
+    (bulk, deti, sphere), converged = refine(one_pass, tol, 128 << MAX_REFINE)
     return DetPairingResult(pairing=float(bulk + sphere), bulk_term=float(bulk),
                             sphere_term=float(sphere), det_integral=float(deti),
                             converged=converged)

@@ -174,10 +174,9 @@ class Confinement:
         """Largest |x|_q over the region (used for boundary-margin checks)."""
         c = np.asarray(self.center, dtype=float)
         if self.kind == "disk":
-            # sup over the euclidean disk of a q-norm is |c|_q + size * |.|_q->2 gain
-            gain = {1: math.sqrt(2.0), 2: 1.0}.get(q, 1.0 if math.isinf(q) else None)
-            if gain is None:  # generic q: bound via corner direction
-                gain = qnorm(np.array([1.0, 1.0]) / math.sqrt(2.0), q)
+            # |c|_q + size * sup{|v|_q : |v|_2 = 1}, that sup being
+            # 2^(1/q - 1/2) for q <= 2 and 1 for q >= 2
+            gain = math.sqrt(2.0) ** max(2.0 / q - 1.0, 0.0)
             return float(qnorm(c, q) + self.size * gain)
         corners = c + self.size * np.array(
             [[1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
@@ -238,6 +237,8 @@ class Domain:
     flaws: FlawConfig | None = None
 
     def __post_init__(self):
+        if self.q not in (1, 2, math.inf):
+            raise ValueError(f"domain q must be 1, 2 or inf, got {self.q}")
         if self.radius <= 0:
             raise ValueError("domain radius must be positive")
 
@@ -246,9 +247,7 @@ class Domain:
             return 2.0 * self.radius**2
         if self.q == 2:
             return math.pi * self.radius**2
-        if math.isinf(self.q):
-            return 4.0 * self.radius**2
-        raise NotImplementedError("area only implemented for q in {1, 2, inf}")
+        return 4.0 * self.radius**2
 
     def contains(self, pts, *, closed: bool = False) -> np.ndarray:
         """Membership in the outer q-ball (open by default)."""
@@ -285,9 +284,7 @@ class Domain:
         n = qnorm(pts, self.q)
         if self.q == 1:
             return (self.radius - n) / math.sqrt(2.0)
-        if self.q == 2 or math.isinf(self.q):
-            return self.radius - n
-        raise NotImplementedError
+        return self.radius - n
 
 
 def boundary_margin(confinement: Confinement, outer: Domain) -> float:

@@ -278,7 +278,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         for a in pts:  # per flaw: each annulus meets ROW_TOL on its own
             val, ok = refine(lambda n: _polar_integral(
                 lambda X: density.w(ytil.grad(X)), a, 2, float(eps),
-                2.0 * float(eps), breaks=ytil.radial_breaks, nt=n, nsub=n // 64),
+                2.0 * float(eps), n=n, breaks=ytil.radial_breaks),
                 ROW_TOL, 128 << ROW_MAX_REFINE)
             infl += val
             el_ok = el_ok and ok

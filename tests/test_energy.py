@@ -153,7 +153,7 @@ def test_polar_integral_splits_are_euclidean(q, r_in, split):
     kw = ({"breaks": lambda c, t: [0.45]} if split == "breaks"
           else {"circles": [((0.0, 0.0), 0.45)]})
     val, ok = _polar_integral(_disk_indicator, (0.0, 0.0), q, r_in, 1.0,
-                              nt=64, nsub=1, **kw)
+                              n=64, **kw)
     assert ok
     assert val == pytest.approx(math.pi * (0.45**2 - r_in**2), rel=1e-13)
 
@@ -164,21 +164,21 @@ def test_polar_integral_tangent_rays_are_panel_edges():
     # converges spectrally, without them it stalls near 1e-7
     phi = bump(2, radius=0.25, center=(0.55, 0.1))
     val, ok = _polar_integral(phi.eval, (0.0, 0.0), 2, 0.0, 1.0,
-                              circles=[((0.55, 0.1), 0.25)], nt=1024, nsub=2)
+                              circles=[((0.55, 0.1), 0.25)], n=1024)
     assert ok
     assert val == pytest.approx(math.pi * 0.25**2 / 3.0, rel=1e-12)
 
 
 def test_polar_integral_blocking_is_bit_identical(monkeypatch):
-    # 250 x 5 x 8 points per segment and 250 x 8 per dyadic level: not a
-    # multiple of any block size used here
+    # about 250 x 3 x 8 points per segment and 250 x 8 per dyadic level: not
+    # a multiple of any block size used here
     y = example_change_of_reference(0.5)
     dens = subquadratic_density(1.1)
 
     def one_pass():
         return _polar_integral(lambda X: dens.w(y.grad(X)), (0.0, 0.0), math.inf,
                                0.0, 1.0, circles=[((0.2, 0.1), 0.3)],
-                               singular=True, nt=250, nsub=5)
+                               singular=True, n=250)
 
     ref = one_pass()
     for block in (7, 10**9):
@@ -187,7 +187,7 @@ def test_polar_integral_blocking_is_bit_identical(monkeypatch):
 
 
 def test_finest_pass_memory_is_blocked():
-    # one finest refinement pass: 2^20 points per segment, each evaluated in
+    # one pass of 2944 x 46 x 8 >= 2^20 points per segment, each evaluated in
     # blocks, so no (N, 2, 2) temporary of the whole segment is ever made
     import tracemalloc
 
@@ -196,7 +196,7 @@ def test_finest_pass_memory_is_blocked():
     tracemalloc.start()
     try:
         _polar_integral(lambda X: dens.w(y.grad(X)), (0.0, 0.0), 1, 0.0, 1.0,
-                        breaks=y.radial_breaks, singular=True, nt=4096, nsub=32)
+                        breaks=y.radial_breaks, singular=True, n=2944)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -207,7 +207,7 @@ def test_polar_integral_singular_grading_with_splits():
     # |x|^(-1/2) over the unit disk is 4 pi / 3; the grading stays below the
     # first split on every ray, also on rays that miss the circle
     val, ok = _polar_integral(lambda X: np.linalg.norm(X, axis=-1) ** -0.5,
-                              (0.0, 0.0), 2, 0.0, 1.0, singular=True,
+                              (0.0, 0.0), 2, 0.0, 1.0, n=512, singular=True,
                               breaks=lambda c, t: [0.5],
                               circles=[((0.5, 0.0), 0.2)])
     assert ok
@@ -225,8 +225,8 @@ def test_dyadic_sum_ends_at_a_non_finite_level():
 
     t = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-    total, ok = energy._dyadic_sum(f, np.zeros(2), u, np.ones(8),
-                                   np.full(8, math.pi / 4), np.full(8, 0.5))
+    total, ok = energy._dyadic_sum(f, np.zeros(2), u, np.full(8, math.pi / 4),
+                                   np.full(8, 0.5))
     assert total == math.inf and not ok
     assert len(calls) == 3
 
@@ -256,7 +256,7 @@ def test_elastic_refinement_stability():
     a, ok = elastic_energy(y, dom, dens, tol=1e-6)
     assert ok
     ref, _ = _integrate_perforated(lambda X: dens.w(y.grad(X)), dom, dom.flaws,
-                                   y, nt=8192, nsub=32)
+                                   y, n=4096)
     assert abs(a - ref) <= 2e-6 * abs(ref)
 
 
@@ -369,7 +369,7 @@ def test_limit_energy_divergent_bulk_takes_one_pass(monkeypatch, key, flags):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(kwargs["nt"])
+        calls.append(kwargs["n"])
         return real(*args, **kwargs)
 
     monkeypatch.setattr(energy, "_integrate_perforated", counting)
@@ -530,6 +530,40 @@ def test_pairing_failed_pass_is_reported(monkeypatch):
     parsed = re.findall(r"k=(\d+): rel residual ([0-9.eE+-]+)", row.detail)
     assert [k for k, _ in parsed] == ["2", "3", "4"]
     assert all(float(v) <= 1e-4 for _, v in parsed)
+
+
+@pytest.mark.parametrize("block", [8192, 7])
+@pytest.mark.parametrize("case", ["centred", "partition-of-unity"])
+def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
+    # one pass of the [bulk, det] pairing integrands gives, component by
+    # component, the bits of one pass of each integrand alone; with 7-point
+    # blocks some background blocks have no live point before others do
+    if case == "centred":
+        y = example_radial(0.5)
+        cfg = FlawConfig(points=[[0, 0]], eps=0.1, max_count=1,
+                         confinement=tight_confinement([[0, 0]]))
+        dom, phi = y.domain, bump(2, radius=0.95 / math.sqrt(2.0))
+    else:
+        y = radial_deformation(RadialProfile([0.0, 1.5], [0.1, 1.6]), center=(0.4, 0.0))
+        cfg = FlawConfig(points=[[0.4, 0.0], [-0.3, 0.1]], eps=0.08, max_count=2,
+                         confinement=tight_confinement([[0.4, 0.0], [-0.3, 0.1]]))
+        dom, phi = Domain(q=2, radius=1.0), bump(3, 0.9, (0.1, 0.0))
+
+    def f_bulk(X):
+        ay = np.einsum("...ij,...j->...i", energy.adj2(y.grad(X)), y.eval(X))
+        return -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X))
+
+    def f_det(X):
+        return det2(y.grad(X)) * phi.eval(X)
+
+    monkeypatch.setattr(energy, "BLOCK", block)
+    supp = [(np.asarray(phi.center), phi.radius)]
+    vec, ok = energy._integrate_perforated(lambda X: np.stack([f_bulk(X), f_det(X)]),
+                                           dom, cfg, y, n=128, circles=supp)
+    assert ok and vec.shape == (2,)
+    for k, f in enumerate((f_bulk, f_det)):
+        val, ok = energy._integrate_perforated(f, dom, cfg, y, n=128, circles=supp)
+        assert ok and vec[k] == val
 
 
 def test_pairing_radial_example_identity():

@@ -154,6 +154,25 @@ def test_domain_area(q, area):
     assert Domain(q=q, radius=1.0).area() == pytest.approx(area, rel=1e-15)
 
 
+@pytest.mark.parametrize("q", [3, 1.5, 0.5, math.nan])
+def test_domain_q_is_one_two_or_inf(q):
+    with pytest.raises(ValueError, match="q must be 1, 2 or inf"):
+        Domain(q=q)
+
+
+@pytest.mark.parametrize("q,sup", [(1, 0.5 * math.sqrt(2.0)), (1.5, 0.5 * 2 ** (1 / 6)),
+                                   (2, 0.5), (3, 0.5), (np.inf, 0.5)],
+                         ids=["1", "1.5", "2", "3", "inf"])
+def test_disk_confinement_max_qnorm(q, sup):
+    # the sup of |x|_q over the disk of radius 0.5 about 0, against a dense
+    # sample of its boundary
+    disk = Confinement("disk", (0.0, 0.0), 0.5)
+    t = np.linspace(0.0, 2.0 * math.pi, 100_001)
+    sampled = np.max(qnorm(0.5 * np.stack([np.cos(t), np.sin(t)], -1), q))
+    assert disk.max_qnorm(q) == pytest.approx(sup, rel=1e-14)
+    assert sampled == pytest.approx(sup, rel=1e-9)
+
+
 # --------------------------------------------------------------------------
 # refinement
 

@@ -1,14 +1,16 @@
 """The benchmark in perfbench/ reads library names at import and patches
-others when tracing; a rename in the library must fail here, not only in a
-traced benchmark run."""
+others when tracing; a rename in the library, or a change that makes traced
+and untraced outputs differ, must fail here, not only in a benchmark run."""
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture
@@ -35,3 +37,11 @@ def test_tracer_patch_points_resolve(perfbench):
         tracer.uninstall()
     for owner, attr, orig in patched:
         assert getattr(owner, attr) is orig, (owner, attr)
+
+
+def test_benchmark_selftest_passes():
+    # traced and untraced outputs agree bit for bit, and the metric names are
+    # those of BENCHMARK.json
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -255,8 +255,8 @@ def test_recovery_rows_meet_row_tol(radial_table):
         zones = [((0.0, 0.0), z) for z in phi.zone_radii()]
         coarse, fine = (
             _integrate_perforated(lambda X: DENS.w(ytil.grad(X)), dom, cfg, ytil,
-                                  nt=nt, nsub=nsub, circles=zones)[0]
-            for nt, nsub in ((1024, 8), (2048, 16)))
+                                  n=n, circles=zones)[0]
+            for n in (1024, 2048))
         ref = fine + (fine - coarse) / 3.0
         assert row.elastic_converged
         assert abs(row.energy.elastic - ref) <= 1e-5 * abs(ref)
