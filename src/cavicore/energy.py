@@ -4,25 +4,18 @@ and sampled admissibility checks."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cavity import (
-    INSIDE,
-    NEAR_BOUNDARY,
-    OUTSIDE,
-    CavityMetrics,
-    _circle_points,
-    converged_trace_metrics,
-    degree_range_on_grid,
-    extrapolate_limit,
-    panel_trace,
-    topological_image_contains,
-    trace_on_circle,
-)
+from .cavity import (INSIDE, OUTSIDE, CavityMetrics, _circle_points,
+                     converged_trace_metrics, degree_range_on_grid,
+                     extrapolate_limit, panel_trace, trace_on_circle,
+                     winding_numbers_grid)
+from .cavity import topological_image_contains  # noqa: F401 (perfbench patches it here)
 from .deformation import Deformation
 from .geometry import (Domain, FlawConfig, adj2, angular_rule, cof2, det2,
                        gauss_legendre, mul2, norm2, refine, validate_flaw_config)
@@ -554,35 +547,55 @@ class DetPairingResult:
 
 
 def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
-                         phi: TestFunction, *, tol: float = 1e-6) -> DetPairingResult:
+                         phis: Sequence[TestFunction], *,
+                         tol: float = 1e-6) -> tuple[DetPairingResult, ...]:
     """Pair the divergence-form determinant of y (with perforation-sphere
-    corrections) against a test function, alongside the plain bulk integral
-    of det(grad y) phi for comparison. The bulk and determinant terms are
-    integrated in one pass over the same nodes, and refined together with the
-    sphere term until each meets `tol`; `converged` says whether they did."""
+    corrections) against each test function of `phis`, alongside the plain
+    bulk integral of det(grad y) phi for comparison; one result per phi.
 
-    def f(X):  # [bulk, det] integrands
-        G = y.grad(X)
-        ay = np.einsum("...ij,...j->...i", adj2(G), y.eval(X))
-        return np.stack([-0.5 * np.einsum("...i,...i->...", ay, phi.grad(X)),
-                         det2(G) * phi.eval(X)])
+    The test functions share each pass of size n: one bulk quadrature per
+    distinct support disk, split along its circle, integrates the bulk and
+    determinant terms of all its test functions from one evaluation of y and
+    grad y per node, and one panel trace per flaw gives every sphere term.
+    Each test function's [bulk, det, sphere] is refined until it meets `tol`
+    (`converged` says whether it did), so its result is, bit for bit, that of
+    a one-element call."""
+    phis = tuple(phis)
+    supports = {}
+    for j, phi in enumerate(phis):
+        supports.setdefault((tuple(phi.center), phi.radius), []).append(j)
 
-    supp = [(np.asarray(phi.center, dtype=float), phi.radius)]
+    @functools.cache
+    def one_pass(n):  # ([bulk, det, sphere] per phi, ok per phi)
+        vals = np.zeros((len(phis), 3))
+        ok = np.ones(len(phis), dtype=bool)
+        for (c, R), js in supports.items():
+            def f(X, group=[phis[j] for j in js]):  # [bulk, det] per phi
+                G = y.grad(X)
+                ay = np.einsum("...ij,...j->...i", adj2(G), y.eval(X))
+                dG = det2(G)
+                return np.stack([v for phi in group for v in (
+                    -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X)), dG * phi.eval(X))])
 
-    def one_pass(n):
-        (bulk, deti), ok = _integrate_perforated(f, dom, cfg, y, n=n, circles=supp)
-        sphere = 0.0
+            v, ok[js] = _integrate_perforated(f, dom, cfg, y, n=n,
+                                              circles=[(np.asarray(c, dtype=float), R)])
+            vals[js, :2] = np.reshape(v, (-1, 2))
         for a in cfg.points:
             curve = panel_trace(y, a, cfg.eps, n)
             w, dw = curve.points, curve.derivs
-            pv = phi.eval(_circle_points(a, cfg.eps, curve.ts))
-            sphere -= curve.integrate(0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0]) * pv)
-        return np.array([bulk, deti, sphere]), ok
+            area = 0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0])
+            x = _circle_points(a, cfg.eps, curve.ts)
+            vals[:, 2] -= [curve.integrate(area * phi.eval(x)) for phi in phis]
+        return vals, ok
 
-    (bulk, deti, sphere), converged = refine(one_pass, tol, 128 << MAX_REFINE)
-    return DetPairingResult(pairing=float(bulk + sphere), bulk_term=float(bulk),
-                            sphere_term=float(sphere), det_integral=float(deti),
-                            converged=converged)
+    def result(j):
+        (bulk, deti, sphere), converged = refine(
+            lambda n: tuple(v[j] for v in one_pass(n)), tol, 128 << MAX_REFINE)
+        return DetPairingResult(pairing=float(bulk + sphere), bulk_term=float(bulk),
+                                sphere_term=float(sphere), det_integral=float(deti),
+                                converged=converged)
+
+    return tuple(result(j) for j in range(len(phis)))
 
 
 # --------------------------------------------------------------------------
@@ -617,20 +630,18 @@ def _sample_perforated(dom: Domain, rng, n):
     return out[:n]
 
 
-def check_admissibility_sampled(
-    y: Deformation,
-    cfg: FlawConfig,
-    dom: Domain,
-    radii,
-    *,
-    grid: int = 100,
-    n_bulk: int = 2000,
-    n_membership: int = 200,
-    seed: int = 0,
-    det_tol: float = 1e-4,
-) -> AdmissibilityReport:
+def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, radii, *,
+                                grid: int = 100, n_bulk: int = 2000,
+                                n_membership: int = 200, seed: int = 0,
+                                det_tol: float = 1e-4) -> AdmissibilityReport:
     """Sampled surrogate of the admissibility requirements for core-radius
-    deformations. Returns a report and never raises."""
+    deformations. Returns a report and never raises.
+
+    Each test circle's trace is asked two crossing counts
+    (`winding_numbers_grid`): one for the degrees on a grid x grid box, and
+    one that locates the images of all n_membership sampled points. The
+    determinant identity is one `extended_det_pairing` of the bumps k = 2, 3,
+    4 on 0.95 of the domain's inradius, which share their quadrature nodes."""
     rng = np.random.default_rng(seed)
     rows: list[CheckRow] = []
     dom_p = Domain(q=dom.q, radius=dom.radius, flaws=cfg)
@@ -668,22 +679,17 @@ def check_admissibility_sampled(
             deg_ok = False
             deg_detail.append(
                 f"degrees {sorted(degs)} at ({center[0]:g}, {center[1]:g}), r={rho:.3g}")
-        # membership: inside test circle -> image inside trace; outside -> outside
+        # membership: inside the circle -> image inside the trace; outside -> outside
         samples = _sample_perforated(dom_p, rng, n_membership)
         d = np.linalg.norm(samples - center, axis=-1)
-        img = y.eval(samples)
-        for i in range(len(samples)):
-            loc = topological_image_contains(curve, img[i])
-            if loc == NEAR_BOUNDARY:
-                continue
-            want = INSIDE if d[i] < rho - 1e-9 else OUTSIDE
-            if d[i] >= rho - 1e-9 and d[i] <= rho + 1e-9:
-                continue
-            if loc != want:
-                mem_ok = False
-                mem_detail.append(
-                    f"point ({samples[i][0]:g}, {samples[i][1]:g}) maps {loc}, "
-                    f"expected {want} (circle ({center[0]:g}, {center[1]:g}), r={rho:.3g})")
+        deg, near = winding_numbers_grid(curve, y.eval(samples))
+        inside, outside = d < rho - 1e-9, d > rho + 1e-9
+        got, want = np.where(deg != 0, INSIDE, OUTSIDE), np.where(inside, INSIDE, OUTSIDE)
+        for i in np.flatnonzero(~near & (inside | outside) & (got != want)):
+            mem_ok = False
+            mem_detail.append(
+                f"point ({samples[i][0]:g}, {samples[i][1]:g}) maps {got[i]}, "
+                f"expected {want[i]} (circle ({center[0]:g}, {center[1]:g}), r={rho:.3g})")
     rows.append(CheckRow("degree-range", deg_ok,
                          "all degrees in {0,1}" if deg_ok else "; ".join(deg_detail[:4])))
     rows.append(CheckRow("interior-exterior", mem_ok,
@@ -698,16 +704,12 @@ def check_admissibility_sampled(
             inj_ok = False
             inj_detail.append(str(e))
             continue
-        pts = curve.points
-        n = len(pts)
-        thresh = 1e-6 * curve.diameter
-        idx = np.arange(n)
-        sep = np.minimum(np.abs(idx[:, None] - idx[None, :]),
-                         n - np.abs(idx[:, None] - idx[None, :]))
+        pts, idx = curve.points, np.arange(len(curve))
+        gap = np.abs(idx[:, None] - idx)
         dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        mask = sep > 4
-        mind = float(np.min(dist[mask])) if np.any(mask) else np.inf
-        if mind <= thresh:
+        # the closest pair more than 4 nodes apart around the circle
+        mind = float(np.min(dist[np.minimum(gap, len(idx) - gap) > 4]))
+        if mind <= 1e-6 * curve.diameter:
             inj_ok = False
             inj_detail.append(f"closest distinct-parameter pair {mind:.3g} at "
                               f"({a[0]:g}, {a[1]:g})")
@@ -717,9 +719,11 @@ def check_admissibility_sampled(
     # determinant identity on the perforated domain
     det_ok, det_detail = True, []
     try:
-        for k in (2, 3, 4):
-            phi = bump(k, radius=0.95 * _inradius(dom))
-            res = extended_det_pairing(y, cfg, dom, phi, tol=1e-5)
+        ks = (2, 3, 4)
+        inradius = dom.radius / math.sqrt(2.0) if dom.q == 1 else dom.radius
+        pairings = extended_det_pairing(
+            y, cfg, dom, [bump(k, radius=0.95 * inradius) for k in ks], tol=1e-5)
+        for k, res in zip(ks, pairings):
             if not (res.converged and res.residual_rel <= det_tol):
                 det_ok = False
             det_detail.append(f"k={k}: rel residual {res.residual_rel:.2e}"
@@ -730,9 +734,3 @@ def check_admissibility_sampled(
     rows.append(CheckRow("det-identity", det_ok, "; ".join(det_detail)))
 
     return AdmissibilityReport(rows=tuple(rows), ok=all(r.passed for r in rows))
-
-
-def _inradius(dom: Domain) -> float:
-    if dom.q == 1:
-        return dom.radius / math.sqrt(2.0)
-    return dom.radius

@@ -230,7 +230,7 @@ def test_criterion_7_distributional_determinant():
     idm = identity_deformation()
     cfg = FlawConfig(points=[[0, 0]], eps=0.3, max_count=1,
                      confinement=tight_confinement([[0, 0]]))
-    res = extended_det_pairing(idm, cfg, Domain(q=2, radius=1.0), bump(2))
+    res, = extended_det_pairing(idm, cfg, Domain(q=2, radius=1.0), [bump(2)])
     exact = math.pi * (1 - 0.3**2) ** 3 / 3.0
     assert abs(res.pairing - exact) <= 1e-6
 
@@ -239,7 +239,7 @@ def test_criterion_7_distributional_determinant():
                       confinement=tight_confinement([[0, 0]]))
     worst = 0.0
     for k in (2, 3, 4):
-        r = extended_det_pairing(y, cfg2, y.domain, bump(k, radius=0.7))
+        r = extended_det_pairing(y, cfg2, y.domain, [bump(k, radius=0.7)])[0]
         worst = max(worst, r.residual_rel)
     assert worst <= 1e-4
     _report("7 determinant", f"identity pairing err {abs(res.pairing - exact):.2e}, "

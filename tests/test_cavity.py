@@ -266,6 +266,28 @@ def test_topological_image_contains_radial():
     assert topological_image_contains(c, tuple(c.points[7])) == NEAR_BOUNDARY
 
 
+@pytest.mark.parametrize("key", ["radial", "change-of-reference"])
+def test_batched_membership_matches_point_queries(key, rng):
+    # one crossing count for a batch of queries labels every query as the
+    # single-point API does
+    y = make_example(key, 0.5)
+    rho = 0.25
+    c = trace_on_circle(y, (0, 0), rho, 512)
+    row = np.stack([np.linspace(-1.5, 1.5, 41), np.full(41, c.points[3, 1])], -1)
+    # the image of a point of the circle between two nodes: off the polyline
+    on_circle = y.eval(rho * np.array([[math.cos(0.3), math.sin(0.3)]]))
+    outside_box = np.array([[5.0, 5.0], [-3.0, 0.1], [0.1, 7.0]])
+    r, t = np.sqrt(rng.uniform(0, 0.8, 200)), rng.uniform(0, TWO_PI, 200)
+    images = y.eval(np.stack([r * np.cos(t), r * np.sin(t)], -1))
+    queries = np.vstack([row, c.points[7:8], on_circle, outside_box, images])
+    degs, near = winding_numbers_grid(c, queries)
+    batch = [NEAR_BOUNDARY if nb else INSIDE if d != 0 else OUTSIDE
+             for d, nb in zip(degs, near)]
+    assert batch == [topological_image_contains(c, q) for q in queries]
+    assert batch[41] == NEAR_BOUNDARY  # a trace node
+    assert set(batch[-203:-200]) == {OUTSIDE} and {INSIDE, OUTSIDE} <= set(batch[:41])
+
+
 def test_degree_range_catalog():
     for key in ("radial", "change-of-reference", "superposition", "spike"):
         y = make_example(key, 0.5)

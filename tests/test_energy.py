@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import cavicore.cavity as cavity
 import cavicore.energy as energy
 from cavicore.cavity import cavity_perimeter, cavity_volume, trace_on_circle
 from cavicore.deformation import (
@@ -488,7 +489,7 @@ def test_pairing_identity_closed_form():
     idm = identity_deformation()
     cfg = FlawConfig(points=[[0, 0]], eps=0.3, max_count=1,
                      confinement=tight_confinement([[0, 0]]))
-    res = extended_det_pairing(idm, cfg, Domain(q=2, radius=1.0), bump(2))
+    res, = extended_det_pairing(idm, cfg, Domain(q=2, radius=1.0), [bump(2)])
     expect = math.pi * (1 - 0.3**2) ** 3 / 3.0
     assert res.pairing == pytest.approx(expect, abs=1e-6)
     assert res.det_integral == pytest.approx(expect, abs=1e-6)
@@ -501,7 +502,7 @@ def test_pairing_support_away_from_flaw():
     cfg = FlawConfig(points=[[0, 0]], eps=0.1, max_count=1,
                      confinement=tight_confinement([[0, 0]]))
     phi = bump(2, radius=0.25, center=(0.55, 0.0))
-    res = extended_det_pairing(idm, cfg, Domain(q=2, radius=1.0), phi)
+    res, = extended_det_pairing(idm, cfg, Domain(q=2, radius=1.0), [phi])
     exact = math.pi * 0.25**2 / 3.0  # integral of (1-|u|^2)^2 over the unit disk, scaled
     assert abs(res.sphere_term) <= 1e-12
     assert res.pairing == pytest.approx(exact, rel=1e-6)
@@ -519,7 +520,7 @@ def test_pairing_failed_pass_is_reported(monkeypatch):
     y = example_radial(0.5)
     cfg = FlawConfig(points=[[0, 0]], eps=0.15, max_count=1,
                      confinement=tight_confinement([[0, 0]]))
-    res = extended_det_pairing(y, cfg, y.domain, bump(2, radius=0.7))
+    res, = extended_det_pairing(y, cfg, y.domain, [bump(2, radius=0.7)])
     assert not res.converged
     assert res.residual_rel <= 1e-4  # the values are still those of the last pass
     rep = check_admissibility_sampled(y, cfg, y.domain, [0.3], seed=1)
@@ -544,10 +545,8 @@ def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
                          confinement=tight_confinement([[0, 0]]))
         dom, phi = y.domain, bump(2, radius=0.95 / math.sqrt(2.0))
     else:
-        y = radial_deformation(RadialProfile([0.0, 1.5], [0.1, 1.6]), center=(0.4, 0.0))
-        cfg = FlawConfig(points=[[0.4, 0.0], [-0.3, 0.1]], eps=0.08, max_count=2,
-                         confinement=tight_confinement([[0.4, 0.0], [-0.3, 0.1]]))
-        dom, phi = Domain(q=2, radius=1.0), bump(3, 0.9, (0.1, 0.0))
+        y, cfg, dom = _two_flaw_pairing_case()
+        phi = bump(3, 0.9, (0.1, 0.0))
 
     def f_bulk(X):
         ay = np.einsum("...ij,...j->...i", energy.adj2(y.grad(X)), y.eval(X))
@@ -571,8 +570,68 @@ def test_pairing_radial_example_identity():
     cfg = FlawConfig(points=[[0, 0]], eps=0.15, max_count=1,
                      confinement=tight_confinement([[0, 0]]))
     for k in (2, 3, 4):
-        res = extended_det_pairing(y, cfg, y.domain, bump(k, radius=0.7))
+        res = extended_det_pairing(y, cfg, y.domain, [bump(k, radius=0.7)])[0]
         assert res.residual_rel <= 1e-4
+
+
+def _two_flaw_pairing_case():
+    # an off-centre radial map with two flaws: its quadrature takes the
+    # partition-of-unity path
+    y = radial_deformation(RadialProfile([0.0, 1.5], [0.1, 1.6]), center=(0.4, 0.0))
+    cfg = FlawConfig(points=[[0.4, 0.0], [-0.3, 0.1]], eps=0.08, max_count=2,
+                     confinement=tight_confinement([[0.4, 0.0], [-0.3, 0.1]]))
+    return y, cfg, Domain(q=2, radius=1.0)
+
+
+# two supports; at tol 1e-7 the narrow bump's pairing takes passes up to 512,
+# the others stop at 256
+_TWO_FLAW_PHIS = [bump(2, 0.9, (0.1, 0.0)), bump(2, 0.3, (0.45, 0.0)),
+                  bump(4, 0.9, (0.1, 0.0))]
+
+
+@pytest.mark.parametrize("case", ["centred", "partition-of-unity"])
+def test_multi_phi_pairing_is_single_phi_pairing(case):
+    # test functions paired together give, bit for bit, their one-element
+    # pairings: shared nodes where the supports agree, own splits where not,
+    # and each refined to its own last pass
+    if case == "centred":
+        y = example_radial(0.5)
+        cfg = FlawConfig(points=[[0, 0]], eps=0.15, max_count=1,
+                         confinement=tight_confinement([[0, 0]]))
+        dom = y.domain
+        phis = [bump(k, radius=0.7) for k in (2, 3, 4)]
+    else:
+        y, cfg, dom = _two_flaw_pairing_case()
+        phis = _TWO_FLAW_PHIS
+    together = extended_det_pairing(y, cfg, dom, phis, tol=1e-7)
+    assert len(together) == len(phis)
+    for phi, res in zip(phis, together):
+        alone, = extended_det_pairing(y, cfg, dom, [phi], tol=1e-7)
+        assert res == alone
+
+
+def test_multi_phi_pairing_shares_each_pass(monkeypatch):
+    # one bulk quadrature per pass and distinct support, one trace per flaw
+    # per pass, and each test function still stops at its own pass
+    calls, traces = [], []
+    real_int, real_trace = energy._integrate_perforated, energy.panel_trace
+
+    def spy_int(*args, **kwargs):
+        calls.append((kwargs["n"], len(kwargs["circles"])))
+        return real_int(*args, **kwargs)
+
+    def spy_trace(y, a, eps, n):
+        traces.append(n)
+        return real_trace(y, a, eps, n)
+
+    y, cfg, dom = _two_flaw_pairing_case()
+    monkeypatch.setattr(energy, "_integrate_perforated", spy_int)
+    monkeypatch.setattr(energy, "panel_trace", spy_trace)
+    extended_det_pairing(y, cfg, dom, _TWO_FLAW_PHIS, tol=1e-7)
+    ns = sorted({n for n, _ in calls})
+    assert ns == [128, 256, 512]
+    assert sorted(calls) == sorted((n, 1) for n in ns for _ in range(2))
+    assert sorted(traces) == sorted(n for n in ns for _ in range(2))
 
 
 # --------------------------------------------------------------------------
@@ -585,6 +644,42 @@ def test_admissibility_radial_example_passes():
                      confinement=tight_confinement([[0, 0]]))
     rep = check_admissibility_sampled(y, cfg, y.domain, [0.25, 0.4], seed=1)
     assert rep.ok, str(rep)
+
+
+def test_admissibility_batches_membership_and_pairing(monkeypatch):
+    # per test circle, one crossing count for the degree grid and one for all
+    # membership queries; one bulk quadrature per det-identity pass
+    queries, ns, circles = {}, [], []
+    real_wind, real_int = cavity.winding_numbers_grid, energy._integrate_perforated
+    real_trace = energy.trace_on_circle
+
+    def spy_wind(curve, q):
+        queries.setdefault(id(curve), []).append(len(np.atleast_2d(q)))
+        return real_wind(curve, q)
+
+    def spy_int(*args, **kwargs):
+        ns.append(kwargs["n"])
+        return real_int(*args, **kwargs)
+
+    def spy_trace(y, a, eps, n):
+        curve = real_trace(y, a, eps, n)
+        circles.append((curve, eps))  # kept alive, so ids stay unique
+        return curve
+
+    monkeypatch.setattr(cavity, "winding_numbers_grid", spy_wind)
+    monkeypatch.setattr(energy, "winding_numbers_grid", spy_wind)
+    monkeypatch.setattr(energy, "_integrate_perforated", spy_int)
+    monkeypatch.setattr(energy, "trace_on_circle", spy_trace)
+    y = example_radial(0.5)
+    cfg = FlawConfig(points=[[0, 0]], eps=0.1, max_count=1,
+                     confinement=tight_confinement([[0, 0]]))
+    rep = check_admissibility_sampled(y, cfg, y.domain, [0.25, 0.4], seed=1,
+                                      grid=100, n_membership=200)
+    assert rep.ok, str(rep)
+    tested = [id(c) for c, eps in circles if eps != cfg.eps]  # the rest: injectivity
+    assert len(tested) >= 2
+    assert queries == {c: [100 * 100, 200] for c in tested}
+    assert len(ns) >= 2 and ns == [128 << i for i in range(len(ns))]
 
 
 def test_admissibility_detects_folding():
