@@ -184,15 +184,15 @@ def topological_image_contains(curve: TraceCurve, xi) -> str:
     return INSIDE if deg[0] != 0 else OUTSIDE
 
 
-def degree_range_on_grid(curve: TraceCurve, nx: int = 200, ny: int = 200,
-                         pad: float = 0.1) -> frozenset:
-    """Set of degrees observed on a bounding-box query grid (near-boundary
+def degree_range_on_grid(curve: TraceCurve, nx: int = 200, ny: int = 200) -> frozenset:
+    """Set of degrees observed on an nx x ny query grid over the trace's
+    bounding box, widened by a tenth of its span on each side (near-boundary
     points skipped)."""
     lo = np.min(curve.points, axis=0)
     hi = np.max(curve.points, axis=0)
     span = hi - lo
-    lo = lo - pad * span
-    hi = hi + pad * span
+    lo = lo - 0.1 * span
+    hi = hi + 0.1 * span
     xs, ys = np.meshgrid(np.linspace(lo[0], hi[0], nx), np.linspace(lo[1], hi[1], ny))
     degs, near = winding_numbers_grid(curve, np.stack([xs.ravel(), ys.ravel()], axis=-1))
     return frozenset(np.unique(degs[~near]).tolist())

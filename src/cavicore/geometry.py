@@ -119,6 +119,12 @@ def angular_rule(n, kinks=()):
     return (edges[:-1, None] + half * (gx + 1.0)).ravel(), (half * gw).ravel()
 
 
+def smoothstep(u):
+    """The cubic smoothstep 3u^2 - 2u^3 of u clipped to [0, 1]."""
+    u = np.clip(u, 0.0, 1.0)
+    return 3.0 * u * u - 2.0 * u**3
+
+
 def refine(pass_fn, tol, n_max):
     """The doubling refinement: pass_fn(n) -> (values, ok) for n = 128, 256,
     ... up to n_max, until two successive passes agree to `tol` relative in

@@ -143,7 +143,7 @@ def _project_free(free, bv):
     return u + k * DELTA_MIN
 
 
-@dataclass
+@dataclass(frozen=True)
 class MinimizeResult:
     profile: RadialProfile
     energy: EnergyBreakdown
@@ -151,7 +151,7 @@ class MinimizeResult:
     converged: bool
     pg_norm: float
     status: str
-    energy_trace: np.ndarray = field(repr=False, default=None)
+    energy_trace: np.ndarray = field(repr=False)
 
 
 def _newton_step(H, g):
@@ -242,8 +242,7 @@ def _default_inits(prob: RadialProblem):
 
 
 def minimize_radial(prob: RadialProblem, *, tol: float = 1e-7,
-                    max_iter: int = 100_000, init=None,
-                    multistart: bool = True) -> MinimizeResult:
+                    max_iter: int = 100_000) -> MinimizeResult:
     """Projected Newton on the exact tridiagonal Hessian over monotone radial
     profiles, with a Levenberg shift where the Hessian is indefinite and an
     Armijo search along the projected arc.
@@ -252,14 +251,11 @@ def minimize_radial(prob: RadialProblem, *, tol: float = 1e-7,
     run stops when the projected gradient x - P(x - grad E) has norm below
     `tol` (status "converged"), after `max_iter` iterations
     ("max-iterations"), or when no step along the arc decreases E or, below
-    E's resolution, the projected gradient ("line-search-stalled"). With
-    multistart the descent is run from each standard initial profile and the
-    best final energy is returned. Non-convergence is flagged, never raised."""
-    inits = [np.asarray(init, dtype=float)[: prob.K]] if init is not None else []
-    if multistart or init is None:
-        inits.extend(_default_inits(prob))
+    E's resolution, the projected gradient ("line-search-stalled"). The
+    descent is run from each standard initial profile and the best final
+    energy is returned. Non-convergence is flagged, never raised."""
     best = None
-    for f0 in inits:
+    for f0 in _default_inits(prob):
         free, E, it, pgn, status, trace = _descend(prob, f0, tol, max_iter)
         better = best is None or E < best[1] - 1e-12 * (1.0 + abs(E)) or (
             abs(E - best[1]) <= 1e-12 * (1.0 + abs(E))
@@ -295,8 +291,7 @@ class FlawSearchResult:
 
 def flaw_search(candidates, outer: Domain, confinement: Confinement,
                 eps: float, stretch: float, density: Density, lambdas,
-                *, K: int = 16, tol: float = 1e-7,
-                max_iter: int = 20_000) -> FlawSearchResult:
+                *, K: int = 16) -> FlawSearchResult:
     """Exhaustive single-flaw search over candidate centers.
 
     Each candidate re-centers the radial problem on the largest disk around
@@ -320,7 +315,7 @@ def flaw_search(candidates, outer: Domain, confinement: Confinement,
         prob = RadialProblem(eps=eps, outer_radius=Ra,
                              boundary_value=stretch * Ra, density=density,
                              lambdas=lambdas, K=K)
-        res = minimize_radial(prob, tol=tol, max_iter=max_iter)
+        res = minimize_radial(prob)
         total = res.energy.total + w_ambient * (area - math.pi * Ra**2)
         rows.append(FlawCandidate(center=(float(a[0]), float(a[1])), valid=True,
                                   reason="", energy_total=total, result=res))
@@ -352,7 +347,7 @@ class GammaSweep:
     gaps: tuple[float, ...]
 
 
-def gamma_sweep(eps_list, prob_template: RadialProblem, *, tol: float = 1e-7,
+def gamma_sweep(eps_list, prob_template: RadialProblem, *,
                 max_iter: int = 20_000) -> GammaSweep:
     """Minimize at each core radius from the default starts, then extrapolate
     the minimum energies to the vanishing-core limit and report the gap
@@ -362,8 +357,7 @@ def gamma_sweep(eps_list, prob_template: RadialProblem, *, tol: float = 1e-7,
         raise ValueError("need at least three strictly decreasing core radii")
     rows: list[SweepRow] = []
     for eps in eps_list:
-        res = minimize_radial(replace(prob_template, eps=eps), tol=tol,
-                              max_iter=max_iter)
+        res = minimize_radial(replace(prob_template, eps=eps), max_iter=max_iter)
         rows.append(SweepRow(eps=eps, min_energy=res.energy,
                              cavity_radius=res.profile.cavity_radius,
                              iterations=res.iterations, converged=res.converged))

@@ -18,12 +18,8 @@ from .energy import (
     limit_energy,
     regularized_energy,
 )
-from .geometry import FlawConfig, mat2, mul2, norm2, refine, tight_confinement
-
-
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return 3.0 * u * u - 2.0 * u**3
+from .geometry import (FlawConfig, mat2, mul2, norm2, refine, smoothstep,
+                       tight_confinement)
 
 
 def _smoothstep_int(u):
@@ -62,7 +58,7 @@ class ProfilePhi:
         dt = t - self.bounds[zone]
         u = np.divide(dt, width, out=np.zeros_like(dt + 0.0), where=width > 0)
         return (self.starts[zone] + sa * dt + (sb - sa) * width * _smoothstep_int(u),
-                sa + (sb - sa) * _smoothstep(u))
+                sa + (sb - sa) * smoothstep(u))
 
     def eval(self, t):
         return self.values(t)[0]

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -8,7 +12,8 @@ import pytest
 from cavicore.cli import (EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, _fmt, main, write_csv,
                           write_json)
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _strict_loads(text):
@@ -234,3 +239,29 @@ def test_readme_commands_exit_codes(tmp_path):
         expected = EXIT_FLAGGED if argv[:3] == ["example-sweep", "--example", "spike"] else EXIT_OK
         assert main(argv) == expected, argv
         assert Path(argv[k + 1]).exists()
+
+
+def test_experiment_drivers_run():
+    # the scripts/ drivers run from a checkout, with the library from ./src
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    out = {}
+    for name in ("run_limit_table.py", "run_gamma_experiments.py"):
+        proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        out[name] = proc.stdout
+    # only the spike's perimeter limit exceeds its cavity's perimeter
+    sections = dict(re.findall(r"== (\S+)\n(.*?)(?=\n== |\Z)", out["run_limit_table.py"],
+                               re.S))
+    assert set(sections) == {"radial", "change-of-reference", "superposition", "spike"}
+    flagged = [k for k, v in sections.items()
+               if "<-- limit exceeds the cavity perimeter" in v]
+    assert flagged == ["spike"]
+    # one recovery row per eps, the relative gap shrinking as eps does
+    rows = re.findall(r"eps=(\S+) +total=\S+ rel_gap=(\S+) shadow=",
+                      out["run_gamma_experiments.py"])
+    assert [e for e, _ in rows] == ["0.2", "0.1", "0.05", "0.025"]
+    gaps = [float(g) for _, g in rows]
+    assert all(b < a for a, b in zip(gaps, gaps[1:]))

@@ -11,6 +11,7 @@ from cavicore.minimize import (
     GammaSweep,
     RadialProblem,
     _default_inits,
+    _descend,
     _energy_and_grad,
     _project_free,
     flaw_search,
@@ -143,9 +144,9 @@ def test_every_default_start_converges(dens):
             prob = RadialProblem(eps=eps, outer_radius=1.0, boundary_value=bv,
                                  density=dens, lambdas=(1.0, 1.0), K=16)
             for i, init in enumerate(_default_inits(prob)):
-                res = minimize_radial(prob, init=init, multistart=False)
-                assert res.status == "converged", (bv, eps, i, res.status, res.pg_norm)
-                assert res.pg_norm < 1e-7
+                _, _, _, pg_norm, status, _ = _descend(prob, init, 1e-7, 100_000)
+                assert status == "converged", (bv, eps, i, status, pg_norm)
+                assert pg_norm < 1e-7
 
 
 GRID_ENERGIES = {  # standard p = 2, lambda = (1, 1), K = 16
@@ -168,10 +169,10 @@ def test_grid_minimum_energies(bv, eps):
 def test_multistart_picks_lower_local_minimum():
     # at stretch 2, eps 0.05 the affine start ends in the higher of two minima
     prob = _problem(eps=0.05, bv=2.0, lam=(1.0, 1.0))
-    first = minimize_radial(prob, init=next(_default_inits(prob)), multistart=False)
+    _, first, _, _, status, _ = _descend(prob, next(_default_inits(prob)), 1e-7, 100_000)
     best = minimize_radial(prob)
-    assert first.converged and best.converged
-    assert first.energy.total == pytest.approx(54.5753, abs=1e-4)
+    assert status == "converged" and best.converged
+    assert first == pytest.approx(54.5753, abs=1e-4)
     assert best.energy.total == pytest.approx(54.5064, abs=1e-4)
 
 
@@ -243,7 +244,7 @@ def _search_grid():
 def test_flaw_search_symmetry_center_wins():
     fs = flaw_search(_search_grid(), Domain(q=2, radius=1.0),
                      Confinement("square", (0, 0), 0.3), 0.05, 2.0, DENS,
-                     (0.0, 0.0), max_iter=10_000)
+                     (0.0, 0.0))
     assert fs.best.center == (0.0, 0.0)
     # symmetry orbit of the corners ties exactly
     corners = [r.energy_total for r in fs.table
@@ -257,7 +258,7 @@ def test_flaw_search_rejects_outside_confinement():
     cands = np.array([[0.0, 0.0], [0.55, 0.0]])
     fs = flaw_search(cands, Domain(q=2, radius=1.0),
                      Confinement("disk", (0, 0), 0.3), 0.05, 2.0, DENS,
-                     (0.0, 0.0), max_iter=5_000)
+                     (0.0, 0.0))
     rejected = [r for r in fs.table if not r.valid]
     assert len(rejected) == 1
     assert "confinement" in rejected[0].reason
@@ -266,7 +267,7 @@ def test_flaw_search_rejects_outside_confinement():
 def test_flaw_search_reports_full_table():
     fs = flaw_search(_search_grid(), Domain(q=2, radius=1.0),
                      Confinement("square", (0, 0), 0.3), 0.05, 2.0, DENS,
-                     (1.0, 1.0), max_iter=5_000)
+                     (1.0, 1.0))
     assert len(fs.table) == 9
     assert all(r.energy_total is not None for r in fs.table if r.valid)
     best = min(r.energy_total for r in fs.table if r.valid)
