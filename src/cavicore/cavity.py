@@ -10,6 +10,7 @@ import numpy as np
 
 from .deformation import Deformation
 from .geometry import angular_rule, pseudoinverse, refine
+from .seams import circle_kinks
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,10 +104,10 @@ def trace_on_circle(y: Deformation, a, eps: float, n: int = 256) -> TraceCurve:
 
 def panel_trace(y: Deformation, a, eps: float, n: int) -> TraceCurve:
     """The image of S(a, eps) at the nodes of `angular_rule(n, kinks)`, with
-    the map's `trace_kinks` as the extra kinks: for boundary integrals."""
+    the angles where the circle crosses the map's seams as the extra kinks:
+    for boundary integrals."""
     a = np.asarray(a, dtype=float)
-    kinks = y.trace_kinks(a, eps) if y.trace_kinks is not None else ()
-    return _trace(y, a, eps, *angular_rule(n, kinks))
+    return _trace(y, a, eps, *angular_rule(n, circle_kinks(y.seams, a, eps)))
 
 
 # --------------------------------------------------------------------------
@@ -227,10 +228,12 @@ def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
     (relative). `n_samples` is the node count of the last pass; `converged` is
     False when n_max nodes were reached first."""
     n_samples = 0
+    a = np.asarray(a, dtype=float)
+    kinks = circle_kinks(y.seams, a, eps)  # those of panel_trace, derived once
 
     def one_pass(n):
         nonlocal n_samples
-        curve = panel_trace(y, a, eps, n)
+        curve = _trace(y, a, eps, *angular_rule(n, kinks))
         n_samples = len(curve)
         return np.array([cavity_volume_signed(curve), cavity_perimeter(curve)]), True
 

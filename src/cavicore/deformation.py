@@ -8,12 +8,13 @@ the point, with ties resolved toward the first printed branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .geometry import Domain, mat2, mul2, norm2
+from .seams import Arc, Spoke
 
 SQRT3 = math.sqrt(3.0)
 _I2 = np.eye(2)
@@ -25,19 +26,6 @@ class EvaluationDomainError(ValueError):
 
 class NonmonotoneProfileError(ValueError):
     """Raised when a radial profile is not strictly increasing."""
-
-
-def _increasing_root(f, lo, hi):
-    """Root of f, increasing on [lo, hi] with f(lo) < 0 < f(hi), by bisection
-    down to adjacent floats."""
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return mid
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
 
 
 def _sign(x):
@@ -56,14 +44,11 @@ def _radial_entries(alpha, beta, e0, e1):
 class Deformation:
     """An evaluable planar map with exact gradient.
 
-    `trace_kinks(center, eps)` optionally returns parameter angles where the
-    trace of the map on the circle S(center, eps) has derivative jumps (the
-    angles k pi/4 need not be listed); `radial_breaks(center, t)` optionally
-    returns the Euclidean distances from `center` at which the gradient jumps
-    along the ray with direction angle `t` (the bulk quadrature converts them
-    to its own radial coordinate, whatever the norm of the domain). The
-    quadratures put panel edges at both, and are spectrally accurate only if
-    every jump is declared.
+    `seams` declares where the gradient jumps: polar arcs and radial segments
+    about their own points (`seams.Arc`, `seams.Spoke`). From them the
+    quadratures derive, about any center, the ray breaks and angular kinks of
+    a bulk pass and the kinks of a trace; they are spectrally accurate only
+    if every jump is declared.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -73,8 +58,7 @@ class Deformation:
         default_factory=lambda: np.zeros((0, 2))
     )
     name: str = ""
-    trace_kinks: Callable[[np.ndarray, float], list[float]] | None = None
-    radial_breaks: Callable[[np.ndarray, float], list[float]] | None = None
+    seams: tuple[Arc | Spoke, ...] = ()
     cavity_exact: dict | None = None  # {"volume": v, "perimeter": p} of the limit cavity
 
     def __call__(self, x):
@@ -141,6 +125,7 @@ def example_radial(b: float) -> Deformation:
         domain=Domain(q=1, radius=1.0),
         singular_points=np.array([[0.0, 0.0]]),
         name="radial",
+        seams=tuple(Spoke((0.0, 0.0), k * math.pi / 2, 0.0, 1.0) for k in range(4)),
         cavity_exact={"volume": 2.0 * b * b, "perimeter": 4.0 * math.sqrt(2.0) * b},
     )
 
@@ -188,15 +173,12 @@ def _half_stretch_map():
     return ev, gr
 
 
-def _ray_conic(c, e, k0, k1):
-    """Distances rho > 0 at which the ray c + rho e meets k0 x1^2 + k1 x2^2 = 1."""
-    A = k0 * e[0] ** 2 + k1 * e[1] ** 2
-    B = k0 * c[0] * e[0] + k1 * c[1] * e[1]
-    disc = B * B - A * (k0 * c[0] ** 2 + k1 * c[1] ** 2 - 1.0)
-    if disc <= 0.0:
-        return []
-    return [rho for rho in ((-B - math.sqrt(disc)) / A, (-B + math.sqrt(disc)) / A)
-            if rho > 0.0]
+def _stretch_seam(t):
+    """Polar radius of the seam |f(x)| = 1: the ellipse 4 x1^2 + x2^2 = 1 for
+    x1 >= 0, the unit circle for x1 < 0."""
+    c, s = np.cos(t), np.sin(t)
+    A = np.where(c >= 0.0, 4.0, 1.0) * c**2 + s**2
+    return np.sqrt(A) / A
 
 
 def example_change_of_reference(b: float) -> Deformation:
@@ -204,40 +186,20 @@ def example_change_of_reference(b: float) -> Deformation:
     reference configuration: y = u o f with f = (2 x1, x2) for x1 >= 0."""
     if not 0.0 < b < 1.0:
         raise ValueError("b must lie in (0, 1)")
-    uev, ugr = _euclid_cavity_map(b)
-    fev, fgr = _half_stretch_map()
-
-    def ev(x):
-        return uev(fev(x))
-
-    def gr(x):
-        return mul2(ugr(fev(x)), fgr(x))
-
-    def rbreaks(center, t):
-        # grad y jumps on the line x1 = 0 and on the seam |f(x)| = 1, which is
-        # the ellipse 4 x1^2 + x2^2 = 1 for x1 >= 0 and the unit circle for x1 < 0
-        c, e = np.asarray(center, dtype=float), (math.cos(t), math.sin(t))
-        out = [rho for k0, right in ((4.0, True), (1.0, False))
-               for rho in _ray_conic(c, e, k0, 1.0)
-               if (c[0] + rho * e[0] >= 0.0) == right]
-        if e[0] != 0.0 and -c[0] / e[0] > 0.0:
-            out.append(-c[0] / e[0])
-        return out
-
-    return Deformation(
-        eval=ev,
-        grad=gr,
-        domain=Domain(q=np.inf, radius=1.0),
+    return replace(
+        compose(*change_of_reference_parts(b)),
         singular_points=np.array([[0.0, 0.0]]),
         name="change-of-reference",
-        radial_breaks=rbreaks,
+        # grad y jumps on the line x1 = 0 and on the seam |f(x)| = 1
+        seams=(Spoke((0.0, 0.0), math.pi / 2, 0.0, 1.0),
+               Spoke((0.0, 0.0), 3 * math.pi / 2, 0.0, 1.0),
+               Arc((0.0, 0.0), _stretch_seam)),
         cavity_exact={"volume": math.pi * b * b, "perimeter": 2.0 * math.pi * b},
     )
 
 
 def change_of_reference_parts(b: float) -> tuple[Deformation, Deformation]:
-    """The (outer, inner) factors of the change-of-reference map, for
-    composition tests."""
+    """The (outer, inner) factors of the change-of-reference map."""
     uev, ugr = _euclid_cavity_map(b)
     outer = Deformation(eval=uev, grad=ugr, name="round-cavity")
     fev, fgr = _half_stretch_map()
@@ -304,48 +266,26 @@ def _supnorm_annulus_map():
 def example_superposition() -> Deformation:
     """Square-annulus cavity map composed with the piecewise squeeze that
     flattens the annulus sides onto the unit diamond."""
-    uev, ugr = _supnorm_annulus_map()
-    gev, ggr = _superposition_g()
-
-    def ev(x):
-        return gev(uev(x))
-
-    def gr(x):
-        return mul2(ggr(uev(x)), ugr(x))
-
-    def kinks(center, eps):
-        # trace derivative jumps where the annulus image crosses |z_i| = 1/2,
-        # i.e. where r sin(t) + tan(t) = 1 in the first octant
-        r = float(eps)
-        f = lambda t: r * math.sin(t) + math.tan(t) - 1.0
-        if f(1e-12) >= 0 or f(math.pi / 4) <= 0:
-            return []
-        th = _increasing_root(f, 1e-12, math.pi / 4)
-        base = [th, math.pi / 2 - th]
-        return sorted(
-            (a + k * math.pi / 2) % (2 * math.pi) for a in base for k in range(4)
-        )
-
-    def rbreaks(center, t):
-        # gradient of g o u jumps where |z_2| = 1/2 (resp. |z_1| = 1/2);
-        # along the ray with direction angle t this happens at one radius
-        c, s = abs(math.cos(t)), abs(math.sin(t))
-        hi, lo = max(c, s), min(c, s)
-        if lo < 1e-14:
-            return []
+    def squeeze_seam(t):
         # |z_minor| = (m+1)/2 * lo/hi = 1/2 at sup-norm radius m = hi/lo - 1,
-        # Euclidean distance m / hi
-        m = hi / lo - 1.0
-        return [m / hi] if 0.0 < m < 1.0 else []
+        # Euclidean distance m / hi: x1 (1 + x0) = x0 in the first octant
+        c, s = np.abs(np.cos(t)), np.abs(np.sin(t))
+        hi = np.maximum(c, s)
+        return (hi / np.minimum(c, s) - 1.0) / hi
 
-    return Deformation(
-        eval=ev,
-        grad=gr,
+    # the gradient of g o u jumps on the axes and diagonals, and where
+    # |z_2| = 1/2 (resp. |z_1| = 1/2): in each octant on an arc from the
+    # origin (m = 0, on the diagonal) to the boundary (m = 1, tan t = 1/2)
+    ex, q = math.atan(0.5), math.pi / 4
+    ends = [(k * q + ex, (k + 1) * q) if k % 2 == 0 else (k * q, (k + 1) * q - ex)
+            for k in range(8)]
+    return replace(
+        compose(Deformation(*_superposition_g()), Deformation(*_supnorm_annulus_map())),
         domain=Domain(q=np.inf, radius=1.0),
         singular_points=np.array([[0.0, 0.0]]),
         name="superposition",
-        trace_kinks=kinks,
-        radial_breaks=rbreaks,
+        seams=tuple(Spoke((0.0, 0.0), k * math.pi / 4, 0.0, math.sqrt(1.0 + k % 2))
+                    for k in range(8)) + (Arc((0.0, 0.0), squeeze_seam, *zip(*ends)),),
         cavity_exact={"volume": 2.0, "perimeter": 8.0 / math.sqrt(2.0)},
     )
 
@@ -407,21 +347,9 @@ def example_spike() -> Deformation:
                          np.where(w, cp * z1 / R * np.abs(z1) + c * _sign(z1), 0.0),
                          np.where(w, cp * z2 / R * np.abs(z1), 1.0)), Du)
 
-    def kinks(center, eps):
-        R = 0.5 * (1.0 + float(eps))
-        f = lambda t: R * math.sin(t) - (SQRT3 - 1.0) * R * abs(math.cos(t)) - 0.5
-        if f(math.pi / 2) <= 0:
-            return []
-        t_hi = _increasing_root(f, 1e-12, math.pi / 2)
-        return [t_hi, math.pi - t_hi]
-
-    def rbreaks(center, t):
-        denom = math.sin(t) - (SQRT3 - 1.0) * abs(math.cos(t))
-        if denom <= 0:
-            return []
-        Rstar = 0.5 / denom
-        s = 2.0 * Rstar - 1.0
-        return [s] if 0.0 < s < 1.0 else []
+    def wedge_seam(t):
+        # the wedge boundary z2 = (sqrt 3 - 1)|z1| + 1/2 at |z| = (|x| + 1)/2
+        return 2.0 * (0.5 / (np.sin(t) - (SQRT3 - 1.0) * np.abs(np.cos(t)))) - 1.0
 
     return Deformation(
         eval=ev,
@@ -429,8 +357,10 @@ def example_spike() -> Deformation:
         domain=Domain(q=2, radius=1.0),
         singular_points=np.array([[0.0, 0.0]]),
         name="spike",
-        trace_kinks=kinks,
-        radial_breaks=rbreaks,
+        # inside the wedge grad y jumps across x1 = 0; the wedge leaves the
+        # unit disk at t = pi/3 and 2 pi/3
+        seams=(Spoke((0.0, 0.0), math.pi / 2, 0.0, 1.0),
+               Arc((0.0, 0.0), wedge_seam, math.pi / 3, 2 * math.pi / 3)),
         cavity_exact={"volume": math.pi / 4.0, "perimeter": math.pi},
     )
 
@@ -499,15 +429,12 @@ def radial_deformation(profile: RadialProfile, center=(0.0, 0.0)) -> Deformation
         return mat2(*_radial_entries(profile(r) / r, profile.slope(r),
                                      d[..., 0] / r, d[..., 1] / r))
 
-    def rbreaks(center_, t):
-        return [float(s) for s in profile.nodes[1:-1]]
-
     return Deformation(
         eval=ev,
         grad=gr,
         singular_points=a[None, :],
         name="radial-profile",
-        radial_breaks=rbreaks,
+        seams=tuple(Arc(tuple(a), float(s)) for s in profile.nodes[1:-1]),
     )
 
 

@@ -5,7 +5,6 @@ and sampled admissibility checks."""
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -20,6 +19,7 @@ from .deformation import Deformation
 from .geometry import (Domain, FlawConfig, adj2, angular_rule, cof2, det2,
                        gauss_legendre, mul2, norm2, refine, smoothstep,
                        validate_flaw_config)
+from .seams import Arc, pass_kinks, ray_breaks
 
 
 # --------------------------------------------------------------------------
@@ -230,66 +230,37 @@ def _dyadic_sum(f, center, u, jw, hi):
     return total, False
 
 
-def _ray_circle_crossings(t, ccenter, R, origin):
-    """Euclidean distances from `origin` at which the rays with angles t cross
-    the circle |x - ccenter| = R; rays that miss it get zeros."""
-    c = np.asarray(ccenter, dtype=float) - origin
-    proj = np.cos(t) * c[0] + np.sin(t) * c[1]
-    disc = proj**2 - (c @ c - R * R)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    hit = disc > 0
-    lo = np.where(hit, proj - root, 0.0)
-    hi = np.where(hit, proj + root, 0.0)
-    return np.stack([lo, hi], axis=-1)
-
-
-def _polar_integral(f, center, q, r_in, r_out, *, n, breaks=None, circles=None,
-                    singular=False):
+def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     """One quadrature pass of f over {center + s u(t) : r_in kappa(t) <= s <=
     r_out}: the q-ball of radius r_out about `center` minus the Euclidean disk
     of radius r_in. f returns one value per point or k (shape (k, points));
     returns (value or k values, converged).
 
     The rays are at the about n angles `angular_rule(n, kinks)`, with the
-    angles at which a ray is tangent to one of the (center, radius) `circles`
-    as the extra kinks. Each ray is split where `breaks(center, t)`
-    (Euclidean distances, as `Deformation.radial_breaks` returns them) and
-    where it crosses one of the `circles`, and each segment into n // 64
+    `seams.pass_kinks` of `seams` about `center` as the extra kinks. Each ray
+    is split where it crosses a seam (`seams.ray_breaks`, Euclidean distances
+    converted to the radial coordinate), and each segment into n // 64
     panels. With `singular` and r_in == 0 the ray is graded dyadically toward
-    `center` below half its first positive split, or below r_out / 2 if it
-    has none."""
+    `center` below half its first split, or below r_out / 2 if it has
+    none."""
     c = np.asarray(center, dtype=float)
-    kinks = []
-    for cc, R in circles or []:
-        d = np.asarray(cc, dtype=float) - c
-        dist = math.hypot(d[0], d[1])
-        if dist >= R:
-            kinks += [math.atan2(d[1], d[0]) + s * math.asin(R / dist) for s in (-1, 1)]
-    t, wt = angular_rule(n, kinks)
+    t, wt = angular_rule(n, pass_kinks(seams, c))
     kap = _kappa(q, t)
     u = np.stack([np.cos(t), np.sin(t)], axis=-1) / kap[:, None]
     jw = (1.0 / kap**2) * wt
     lo = r_in * kap
 
-    cols = []
-    if breaks is not None:
-        per_ray = [[b for b in sorted(rho * k for rho in breaks(c, float(tv)))
-                    if lo_i + 1e-14 < b < r_out]
-                   for tv, k, lo_i in zip(t, kap, lo)]
-        maxb = max(map(len, per_ray))
-        if maxb:
-            cols.append(np.array([r + [r_out] * (maxb - len(r)) for r in per_ray]))
-    for cc, R in circles or []:
-        cols.append(_ray_circle_crossings(t, cc, R, c) * kap[:, None])
-    B = np.concatenate(cols, axis=1) if cols else np.empty((len(t), 0))
+    # splits inside (lo, r_out), sorted per ray and padded with r_out
+    B = ray_breaks(seams, c, t) * kap[:, None]
+    B = np.sort(np.where((B > lo[:, None] + 1e-14) & (B < r_out), B, r_out), axis=1)
+    B = B[:, :np.max(np.sum(B < r_out, axis=1), initial=0)]
 
     converged = True
     total = 0.0
     if singular and r_in == 0.0:
-        lo = 0.5 * np.min(np.where(B > 0, B, r_out), axis=1, initial=r_out)
+        lo = 0.5 * np.min(B, axis=1, initial=r_out)
         total, converged = _dyadic_sum(f, c, u, jw, lo)
-    bounds = np.sort(np.concatenate([lo[:, None], np.clip(B, lo[:, None], r_out),
-                                     np.full((len(t), 1), r_out)], axis=1), axis=1)
+    bounds = np.concatenate([lo[:, None], B, np.full((len(t), 1), r_out)], axis=1)
     total += _segment_sum(f, c, u, jw, bounds, n // 64)
     return total, converged
 
@@ -309,24 +280,24 @@ def _patch_radius(a, domain: Domain, others, eps):
 
 
 def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
-                          y: Deformation, *, n, singular=False, circles=None):
+                          y: Deformation, *, n, singular=False, seams=()):
     """Integrate f over the perforated (or punctured, when singular) domain.
 
     With no flaw, or a single flaw at the domain center, this is one polar
     pass with the exact hole. Otherwise a smooth partition of unity splits the
     integral into per-flaw polar patches plus a background with the patches
-    blended out. `circles` lists (center, radius) pairs along which the
-    integrand has reduced smoothness; rays are split there. f and the pass
-    size n are as for _polar_integral.
+    blended out. Every pass is split along y's seams and the extra `seams`
+    where the integrand has reduced smoothness (and the background along the
+    blend circles). f and the pass size n are as for _polar_integral.
     """
+    seams = y.seams + tuple(seams)
     pts = cfg.points if cfg is not None and len(cfg) else np.zeros((0, 2))
     eps = 0.0 if singular or not len(pts) else cfg.eps
     if len(pts) <= 1 and np.allclose(pts, 0.0):
         at_center = pts if len(pts) else y.singular_points[:1]
         sing = singular and len(at_center) > 0 and np.allclose(at_center, 0.0)
         return _polar_integral(f, np.zeros(2), domain.q, eps, domain.radius,
-                               breaks=y.radial_breaks, circles=circles,
-                               singular=sing, n=n)
+                               seams=seams, singular=sing, n=n)
 
     radii = {i: _patch_radius(pts[i], domain, np.delete(pts, i, axis=0), cfg.eps)
              for i in range(len(pts))}
@@ -346,19 +317,16 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
         out[..., live] = v
         return out
 
-    patch_circles = [(pts[i], radii[i]) for i in range(len(pts))]
-    patch_circles += [(pts[i], cfg.eps) for i in range(len(pts))]
+    blends = tuple(Arc(tuple(a), R) for i, a in enumerate(pts) for R in (radii[i], cfg.eps))
     total, conv = _polar_integral(background, np.zeros(2), domain.q, 0.0,
-                                  domain.radius,
-                                  circles=patch_circles + (circles or []), n=n)
+                                  domain.radius, seams=blends + seams, n=n)
     for i, a in enumerate(pts):
         def patch(X, a=a, i=i):
             r = norm2(X - a)
             return f(X) * _smooth_blend(r, cfg.eps, radii[i])
 
-        inner = [] if eps else [(a, cfg.eps)]  # the blend's kink, if no hole
-        val, ok = _polar_integral(patch, a, 2, eps, radii[i], breaks=y.radial_breaks,
-                                  circles=inner + (circles or []),
+        inner = () if eps else (Arc(tuple(a), cfg.eps),)  # the blend's kink, if no hole
+        val, ok = _polar_integral(patch, a, 2, eps, radii[i], seams=inner + seams,
                                   singular=singular, n=n)
         total += val
         conv = conv and ok
@@ -576,8 +544,7 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
                 return np.stack([v for phi in group for v in (
                     -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X)), dG * phi.eval(X))])
 
-            v, ok[js] = _integrate_perforated(f, dom, cfg, y, n=n,
-                                              circles=[(np.asarray(c, dtype=float), R)])
+            v, ok[js] = _integrate_perforated(f, dom, cfg, y, n=n, seams=(Arc(c, R),))
             vals[js, :2] = np.reshape(v, (-1, 2))
         for a in cfg.points:
             curve = panel_trace(y, a, cfg.eps, n)

@@ -4,7 +4,7 @@ tracking convergence of the composed deformations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .energy import (
 )
 from .geometry import (FlawConfig, mat2, mul2, norm2, refine, smoothstep,
                        tight_confinement)
+from .seams import Arc, Spoke, circle_kinks
 
 
 def _smoothstep_int(u):
@@ -107,28 +108,26 @@ def default_r_rule(eps_n: float, n: int) -> float:
     return eps_n * (1.0 + 1.0 / (8.0 * n))
 
 
-def _phi_inverse(phi: ProfilePhi, s: float) -> float:
-    """Radius t with phi(t) = s (phi is strictly increasing, identity beyond
-    its last junction).
+def _phi_inverse(phi: ProfilePhi, s):
+    """Radii t with phi(t) = s, elementwise (phi is strictly increasing,
+    identity beyond its last junction).
 
     The chord through the ends of the zone holding s is the exact inverse on
     an affine zone. On a blend it starts Newton's iteration, which converges
     quadratically there (phi' stays near 1 and phi'' is bounded), so once a
     step is below 1e-8 t the next one would be below rounding."""
-    top = float(phi.bounds[-1])
-    if s >= top:
-        return s
-    j = int(np.clip(np.searchsorted(phi.starts, s, side="right") - 1, 0,
-                    len(phi.bounds) - 2))
+    s = np.asarray(s, dtype=float)
+    j = np.clip(np.searchsorted(phi.starts, s, side="right") - 1, 0, len(phi.bounds) - 2)
     a, b = phi.bounds[j], phi.bounds[j + 1]
     t = a + (b - a) * (s - phi.starts[j]) / (phi.starts[j + 1] - phi.starts[j])
-    if phi.slopes[j, 0] != phi.slopes[j, 1]:
-        for _ in range(4):
-            step = (float(phi.eval(t)) - s) / float(phi.deriv(t))
-            t -= step
-            if abs(step) <= 1e-8 * t:
-                break
-    return float(t)
+    live = (phi.slopes[j, 0] != phi.slopes[j, 1]) & (s < phi.bounds[-1])
+    for _ in range(4):
+        if not np.any(live):
+            break
+        step = (phi.eval(t) - s) / phi.deriv(t)
+        t = np.where(live, t - step, t)
+        live &= np.abs(step) > 1e-8 * t
+    return np.where(s < phi.bounds[-1], t, s)
 
 
 def compose_push(y: Deformation, phi: ProfilePhi, points) -> Deformation:
@@ -138,11 +137,12 @@ def compose_push(y: Deformation, phi: ProfilePhi, points) -> Deformation:
 
     The push gradient has the closed form (phi(t)/t) I + (phi'(t) - phi(t)/t)
     e x e with t = |x - a|, and phi'(0) I at a flaw point. The map keeps y's
-    domain and singular points and declares both kinds of jump. Along a ray
-    from a flaw point they are the push's zone radii plus phi^-1 of y's
-    breaks. The push maps S(a, s) onto S(a, phi(s)) at the same angles, so
-    the trace kinks on S(a, s) are y's kinks on S(a, phi(s)); this holds for
-    circles about a flaw point inside its push ball."""
+    domain and singular points. Its seams are circles about each flaw a at
+    the push's zone radii, and y's seams: the push maps S(a, s) onto
+    S(a, phi(s)) at the same angles, so a seam rho = f(theta) about a becomes
+    rho = phi^-1(f(theta)), exactly. A seam about another point is kept when
+    it clears every push ball B(a, 2 eps_n); any other seam raises
+    ValueError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     domain = y.domain
     two_eps = 2.0 * phi.eps_n
@@ -185,20 +185,25 @@ def compose_push(y: Deformation, phi: ProfilePhi, points) -> Deformation:
         z, G = frame(x)
         return mul2(y.grad(z), G)
 
-    zones = phi.zone_radii()
+    def pulled(s):  # s pulled back through the push
+        own = np.all(pts == s.point, axis=1)
+        for a in pts[~own]:
+            start = s.at(np.atleast_1d(s.lo)[:1])  # inside the ball if no crossing
+            if circle_kinks((s,), a, two_eps) or norm2(start - a) < two_eps:
+                raise ValueError(f"seam {s} meets the push ball about ({a[0]:g}, {a[1]:g})")
+        if not own.any():
+            return s
+        if isinstance(s, Spoke):
+            return replace(s, lo=float(_phi_inverse(phi, s.lo)),
+                           hi=float(_phi_inverse(phi, s.hi)))
+        return replace(s, f=(lambda t, f=s.f: _phi_inverse(phi, f(t))) if callable(s.f)
+                       else float(_phi_inverse(phi, s.f)))
 
-    def rbreaks(a, t):
-        own = y.radial_breaks(a, t) if y.radial_breaks is not None else []
-        return zones + [_phi_inverse(phi, float(s)) for s in own]
-
-    def kinks(a, s):
-        return y.trace_kinks(a, float(phi.eval(s)))
-
+    zones = tuple(Arc(tuple(a), z) for a in pts for z in phi.zone_radii())
     return Deformation(eval=ev, grad=gr, domain=domain,
                        singular_points=y.singular_points,
                        name=f"{y.name}*radial-push",
-                       trace_kinks=kinks if y.trace_kinks is not None else None,
-                       radial_breaks=rbreaks)
+                       seams=zones + tuple(pulled(s) for s in y.seams))
 
 
 # --------------------------------------------------------------------------
@@ -274,7 +279,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         for a in pts:  # per flaw: each annulus meets ROW_TOL on its own
             val, ok = refine(lambda n: _polar_integral(
                 lambda X: density.w(ytil.grad(X)), a, 2, float(eps),
-                2.0 * float(eps), n=n, breaks=ytil.radial_breaks),
+                2.0 * float(eps), n=n, seams=ytil.seams),
                 ROW_TOL, 128 << ROW_MAX_REFINE)
             infl += val
             el_ok = el_ok and ok

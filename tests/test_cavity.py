@@ -37,6 +37,7 @@ from cavicore.deformation import (
 )
 
 TWO_PI = 2.0 * math.pi
+SQRT3 = math.sqrt(3.0)
 
 
 def _manual_curve(points_fn, derivs_fn=None, n=512):
@@ -390,19 +391,60 @@ def test_boundary_integrals_vs_dense_oracles(rng):
         assert abs(cavity_perimeter(curve) - arclen) <= 1e-6 * arclen
 
 
-def _quad_trace_metrics(y, eps):
-    """Volume and perimeter of the trace on S(0, eps) by adaptive quadrature,
-    split at the axes, the diagonals and the declared trace kinks."""
+def _seam_equations(key):
+    """Functions of x whose zero sets hold the gradient seams of a catalog
+    map (and may hold more, which only adds split points)."""
+    k = SQRT3 - 1.0
+
+    def annulus(x):  # the superposition's inner map onto 1/2 < |z|_inf < 1
+        m = max(abs(x[0]), abs(x[1]))
+        return 0.5 * (m + 1.0) * x / m
+
+    def spike_z(x):
+        n = math.hypot(x[0], x[1])
+        return 0.5 * (n + 1.0) * x / n
+
+    return {
+        "radial": [lambda x: x[0], lambda x: x[1]],
+        "change-of-reference": [
+            lambda x: x[0],
+            lambda x: (4.0 if x[0] >= 0 else 1.0) * x[0] ** 2 + x[1] ** 2 - 1.0],
+        "superposition": [
+            lambda x: x[0], lambda x: x[1], lambda x: x[0] - x[1], lambda x: x[0] + x[1],
+            lambda x: min(abs(annulus(x)[0]), abs(annulus(x)[1])) - 0.5],
+        "spike": [lambda x: x[0],
+                  lambda x: spike_z(x)[1] - k * abs(spike_z(x)[0]) - 0.5],
+    }[key]
+
+
+def _brentq_kinks(key, c, eps):
+    """Angles at which S(c, eps) crosses a zero set of `_seam_equations`:
+    sign changes on 4096 angles, refined by brentq."""
+    from scipy.optimize import brentq
+
+    ts = np.linspace(0.0, TWO_PI, 4097)
+    out = []
+    for F in _seam_equations(key):
+        g = lambda t: F(np.asarray(c) + eps * np.array([math.cos(t), math.sin(t)]))
+        v = np.array([g(t) for t in ts])
+        out += [brentq(g, ts[i], ts[i + 1], xtol=1e-15)
+                for i in np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)]
+    return out
+
+
+def _quad_trace_metrics(y, key, c, eps):
+    """Volume and perimeter of the trace on S(c, eps) by adaptive quadrature,
+    split at the axes, the diagonals and the kinks that `_brentq_kinks` finds
+    on the seam equations."""
     from scipy.integrate import quad
 
     def speed_and_area(t):
-        x = eps * np.array([math.cos(t), math.sin(t)])
+        x = np.asarray(c) + eps * np.array([math.cos(t), math.sin(t)])
         w = y.eval(x)
         dw = y.grad(x) @ (eps * np.array([-math.sin(t), math.cos(t)]))
         return math.hypot(dw[0], dw[1]), 0.5 * (w[0] * dw[1] - w[1] * dw[0])
 
-    kinks = y.trace_kinks(np.zeros(2), eps) if y.trace_kinks else []
-    edges = sorted(set(np.arange(9) * (math.pi / 4)) | set(kinks))
+    edges = sorted(set(np.arange(9) * (math.pi / 4)) | set(_brentq_kinks(key, c, eps)))
     vol = per = 0.0
     for lo, hi in zip(edges, edges[1:]):
         kw = dict(epsabs=0.0, epsrel=1e-13, limit=200)
@@ -417,11 +459,27 @@ def _quad_trace_metrics(y, eps):
 def test_converged_trace_metrics_match_quad(key, eps):
     y = make_example(key, 0.5)
     m = converged_trace_metrics(y, (0, 0), eps)
-    vol, per = _quad_trace_metrics(y, eps)
+    vol, per = _quad_trace_metrics(y, key, (0.0, 0.0), eps)
     assert m.converged and m.n_samples <= 1024
     assert m.orientation == 1
     assert m.volume == pytest.approx(vol, rel=1e-12)
     assert m.perimeter == pytest.approx(per, rel=1e-12)
+
+
+@pytest.mark.parametrize("key, c, eps", [("spike", (0.1, 0.5), 0.1),
+                                         ("change-of-reference", (0.3, 0.5), 0.2),
+                                         ("radial", (0.2, 0.1), 0.15)],
+                         ids=["spike", "change-of-reference", "radial"])
+def test_off_centre_trace_metrics_converge(key, c, eps):
+    # circles about points other than the singular point cross the seams at
+    # kinks that the seams give from any center: the sweep converges below
+    # the node cap, to the quad oracle split at independently found kinks
+    y = make_example(key, 0.5)
+    m = converged_trace_metrics(y, c, eps)
+    vol, per = _quad_trace_metrics(y, key, c, eps)
+    assert m.converged and m.n_samples < 2**14
+    assert m.volume == pytest.approx(vol, rel=1e-9)
+    assert m.perimeter == pytest.approx(per, rel=1e-9)
 
 
 def test_converged_trace_metrics_reports_the_cap():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from cavicore.deformation import (
 )
 from cavicore.geometry import det2, qnorm
 from cavicore.recovery import build_phi, compose_push, default_r_rule
+from cavicore.seams import circle_kinks, pass_kinks, ray_breaks
 
 SQRT3 = math.sqrt(3.0)
 
@@ -248,19 +250,22 @@ def test_make_example_unknown_key():
 
 @pytest.mark.parametrize("r", [0.2, 0.1, 0.05, 0.025])
 def test_kink_angles_match_brentq(r):
+    # the kinks derived from the seams on S(0, r), less the spokes' k pi/4
     from scipy.optimize import brentq
+
+    def derived(y):
+        got = np.sort(np.mod(circle_kinks(y.seams, np.zeros(2), r), 2 * math.pi))
+        return got[np.abs((got + math.pi / 8) % (math.pi / 4) - math.pi / 8) > 1e-9]
 
     th = brentq(lambda t: r * math.sin(t) + math.tan(t) - 1.0, 1e-12, math.pi / 4)
     want = sorted((a + k * math.pi / 2) % (2 * math.pi)
                   for a in (th, math.pi / 2 - th) for k in range(4))
-    got = example_superposition().trace_kinks(np.zeros(2), r)
-    assert np.max(np.abs(np.array(got) - want)) <= 1e-12
+    assert np.max(np.abs(derived(example_superposition()) - want)) <= 1e-12
 
     R = 0.5 * (1.0 + r)
     t_hi = brentq(lambda t: R * math.sin(t) - (SQRT3 - 1.0) * R * abs(math.cos(t)) - 0.5,
                   1e-12, math.pi / 2)
-    got = example_spike().trace_kinks(np.zeros(2), r)
-    assert np.max(np.abs(np.array(got) - [t_hi, math.pi - t_hi])) <= 1e-12
+    assert np.max(np.abs(derived(example_spike()) - [t_hi, math.pi - t_hi])) <= 1e-12
 
 
 def test_import_leaves_scipy_unloaded():
@@ -504,7 +509,9 @@ def test_push_kernel_matches_matrix_oracle(n, rng):
     seams = (flaws[:, None, None, :] + radii[None, :, None, None] * u).reshape(-1, 2)
     pts = np.concatenate([rng.uniform(-0.3, 0.8, (5000, 2)), seams, flaws])
     _assert_ulps(push.grad(pts), _oracle_push(phi, flaws, pts))
-    y = example_radial(0.5)
+    # the second push ball meets the map's axis seams, which compose_push
+    # rejects; the gradient kernel does not read them
+    y = dataclasses.replace(example_radial(0.5), seams=())
     comp = compose_push(y, phi, flaws)
     keep = np.min(np.abs(pts), axis=-1) > 0
     _assert_ulps(comp.grad(pts[keep]),
@@ -547,22 +554,22 @@ def _jump_locations(g, s):
 
     An interval whose change exceeds 20 times that of both neighbours is
     bisected, keeping the half with the larger change, down to a width of
-    1e-13; it holds a jump when the change has not shrunk with the width."""
+    1e-13; it holds a jump when the change has not shrunk with the width.
+    All such intervals are bisected together."""
     dist = lambda A, B: np.max(np.abs(A - B), axis=(-2, -1))
     d = dist(g(s[1:]), g(s[:-1]))
-    found = []
-    for i in np.flatnonzero(d[1:-1] > 20.0 * np.maximum(d[:-2], d[2:]) + 1e-12) + 1:
-        lo, hi = s[i], s[i + 1]
-        while hi - lo > 1e-13:
-            G = g(np.array([lo, 0.5 * (lo + hi), hi]))
-            if dist(G[1], G[0]) >= dist(G[2], G[1]):
-                hi = 0.5 * (lo + hi)
-            else:
-                lo = 0.5 * (lo + hi)
-        G = g(np.array([lo, hi]))
-        if dist(G[1], G[0]) > 0.5 * d[i]:
-            found.append(0.5 * (lo + hi))
-    return found
+    i = np.flatnonzero(d[1:-1] > 20.0 * np.maximum(d[:-2], d[2:]) + 1e-12) + 1
+    if not len(i):
+        return []
+    lo, hi = s[i], s[i + 1]
+    while np.any(hi - lo > 1e-13):
+        mid = 0.5 * (lo + hi)
+        G = g(np.concatenate([lo, mid, hi])).reshape(3, len(i), 2, 2)
+        left = dist(G[1], G[0]) >= dist(G[2], G[1])
+        live = hi - lo > 1e-13
+        lo, hi = np.where(live & ~left, mid, lo), np.where(live & left, mid, hi)
+    G = g(np.concatenate([lo, hi])).reshape(2, len(i), 2, 2)
+    return list((0.5 * (lo + hi))[dist(G[1], G[0]) > 0.5 * d[i]])
 
 
 _PUSHES = ((0.2, 1), (0.025, 4))  # the recovery rows at the README's first and last eps
@@ -582,32 +589,81 @@ _AUDIT_IDS = [*CATALOG_KEYS, *(f"{k}*push{e}" for e, _ in _PUSHES for k in CATAL
               "radial-profile"]
 
 
+def test_constant_arc_is_a_full_circle():
+    # the closed forms treat an arc of constant radius as a whole circle
+    from cavicore.seams import Arc
+
+    with pytest.raises(ValueError):
+        Arc((0.0, 0.0), 0.5, 0.0, math.pi)
+
+
+def _in_region(y, a, X):
+    """Points of X where the audit samples grad y: inside the domain and off
+    its singular points; for the profile map, on its annulus about a."""
+    if y.domain is None:
+        r = np.linalg.norm(X - a, axis=-1)
+        return (r > 0.1 + 1e-3) & (r < 0.9 - 1e-3)
+    ok = y.domain.contains(X) & (y.domain.dist_to_boundary(X) > 1e-3)
+    for p in y.singular_points:
+        ok &= np.linalg.norm(X - p, axis=-1) > 1e-3
+    return ok
+
+
+def _audit_centres(y, a):
+    """The flaw point and three random points of the sampled region, drawn
+    from a generator seeded by the map's name."""
+    rng = np.random.default_rng(sum(map(ord, y.name)))
+    cand = a + rng.uniform(-0.9, 0.9, size=(400, 2))
+    return [a, *cand[_in_region(y, a, cand)][:3]]
+
+
+def _runs(mask):
+    """(start, stop) of the runs of True in mask."""
+    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int), [0]])))
+    return zip(edges[::2], edges[1::2])
+
+
 @pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 def test_break_audit_rays(y, a):
-    # grad y sampled along 64 rays from the flaw; every jump must sit at a
-    # declared radial break
-    for t in 2 * math.pi * (np.arange(64) + 0.3) / 64:
-        e = np.array([math.cos(t), math.sin(t)])
-        if y.domain is None:  # the profile's annulus
-            lo, hi = 0.1, 0.9
-        else:
-            lo, hi = 1e-3, y.domain.radius / float(qnorm(e, y.domain.q))
-        s = np.linspace(lo + 1e-3, hi - 1e-3, 4001)
-        declared = y.radial_breaks(a, t) if y.radial_breaks else []
-        for rho in _jump_locations(lambda r: y.grad(a + r[:, None] * e), s):
-            assert min((abs(rho - b) for b in declared), default=1.0) < 1e-8, \
-                (y.name, t, rho, declared)
+    # grad y sampled along 16 rays from each audit centre; every jump must sit
+    # at a break derived from the seams
+    ts = 2 * math.pi * (np.arange(16) + 0.3) / 16
+    s = np.linspace(1e-3, 2.0, 8001)
+    for c in _audit_centres(y, a):
+        for t, declared in zip(ts, ray_breaks(y.seams, c, ts)):
+            e = np.array([math.cos(t), math.sin(t)])
+            for i, j in _runs(_in_region(y, a, c + s[:, None] * e)):
+                for rho in _jump_locations(lambda r: y.grad(c + r[:, None] * e), s[i:j]):
+                    assert np.min(np.abs(rho - declared), initial=1.0) < 1e-8, \
+                        (y.name, c, t, rho, declared)
 
 
 @pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 @pytest.mark.parametrize("eps", [0.2, 0.025])
 def test_break_audit_circles(y, a, eps):
-    # grad y sampled along S(a, eps); every jump must sit at a declared trace
-    # kink or at a multiple of pi/4
-    declared = np.append(np.arange(8) * (math.pi / 4),
-                         y.trace_kinks(a, eps) if y.trace_kinks else [])
-    ts = 2 * math.pi * (np.arange(8193) + 0.37) / 8192
-    circle = lambda t: a + eps * np.stack([np.cos(t), np.sin(t)], -1)
-    for t in _jump_locations(lambda t: y.grad(circle(t)), ts):
-        off = np.abs((t - declared + math.pi) % (2 * math.pi) - math.pi)
-        assert np.min(off) < 1e-8, (y.name, eps, t)
+    # grad y sampled along S(c, eps) about each audit centre; every jump must
+    # sit at a kink derived from the seams
+    for c in _audit_centres(y, a):
+        declared = np.array(circle_kinks(y.seams, c, eps))
+        ts = 2 * math.pi * (np.arange(8193) + 0.37) / 8192
+        circle = lambda t: c + eps * np.stack([np.cos(t), np.sin(t)], -1)
+        for i, j in _runs(_in_region(y, a, circle(ts))):
+            for t in _jump_locations(lambda t: y.grad(circle(t)), ts[i:j]):
+                off = np.abs((t - declared + math.pi) % (2 * math.pi) - math.pi)
+                assert np.min(off, initial=1.0) < 1e-8, (y.name, c, eps, t)
+
+
+@pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
+def test_break_count_is_constant_between_pass_kinks(y, a):
+    # the rays of a pass between two consecutive angular kinks cross the
+    # seams equally often
+    for c in _audit_centres(y, a):
+        kinks = np.unique(np.mod(np.append(pass_kinks(y.seams, c), 0.0), 2 * math.pi))
+        edges = np.append(kinks, kinks[0] + 2 * math.pi)
+        # kinks within rounding of each other (rays through a point where
+        # seams meet) are one panel edge of the pass
+        lo, hi = edges[:-1][np.diff(edges) > 1e-12], edges[1:][np.diff(edges) > 1e-12]
+        t = lo[:, None] + (hi - lo)[:, None] * np.linspace(0.01, 0.99, 7)
+        count = np.sum(np.isfinite(ray_breaks(y.seams, c, t.ravel())), axis=1)
+        count = count.reshape(t.shape)
+        assert np.all(count == count[:, :1]), (y.name, c)

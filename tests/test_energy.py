@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -6,10 +7,11 @@ import pytest
 
 import cavicore.cavity as cavity
 import cavicore.energy as energy
-from cavicore.cavity import cavity_perimeter, cavity_volume, trace_on_circle
+from cavicore.cavity import cavity_perimeter, cavity_volume, dyadic_ladder, trace_on_circle
 from cavicore.deformation import (
     Deformation,
     RadialProfile,
+    compose,
     example_change_of_reference,
     example_radial,
     example_spike,
@@ -32,6 +34,7 @@ from cavicore.energy import (
     _polar_integral,
 )
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
+from cavicore.seams import Arc
 
 
 def _random_matrices(rng, n, det_lo=0.2, det_hi=5.0):
@@ -150,11 +153,11 @@ def _disk_indicator(X):
 @pytest.mark.parametrize("split", ["breaks", "circles"])
 def test_polar_integral_splits_are_euclidean(q, r_in, split):
     # a jump at Euclidean radius 0.45 that the rays are split at is integrated
-    # exactly, whatever the norm of the outer ball
-    kw = ({"breaks": lambda c, t: [0.45]} if split == "breaks"
-          else {"circles": [((0.0, 0.0), 0.45)]})
+    # exactly, whatever the norm of the outer ball: declared as an arc whose
+    # break is f(t), or as a circle
+    f = (lambda t: np.full(np.shape(t), 0.45)) if split == "breaks" else 0.45
     val, ok = _polar_integral(_disk_indicator, (0.0, 0.0), q, r_in, 1.0,
-                              n=64, **kw)
+                              n=64, seams=(Arc((0.0, 0.0), f),))
     assert ok
     assert val == pytest.approx(math.pi * (0.45**2 - r_in**2), rel=1e-13)
 
@@ -165,7 +168,7 @@ def test_polar_integral_tangent_rays_are_panel_edges():
     # converges spectrally, without them it stalls near 1e-7
     phi = bump(2, radius=0.25, center=(0.55, 0.1))
     val, ok = _polar_integral(phi.eval, (0.0, 0.0), 2, 0.0, 1.0,
-                              circles=[((0.55, 0.1), 0.25)], n=1024)
+                              seams=(Arc((0.55, 0.1), 0.25),), n=1024)
     assert ok
     assert val == pytest.approx(math.pi * 0.25**2 / 3.0, rel=1e-12)
 
@@ -178,7 +181,7 @@ def test_polar_integral_blocking_is_bit_identical(monkeypatch):
 
     def one_pass():
         return _polar_integral(lambda X: dens.w(y.grad(X)), (0.0, 0.0), math.inf,
-                               0.0, 1.0, circles=[((0.2, 0.1), 0.3)],
+                               0.0, 1.0, seams=(Arc((0.2, 0.1), 0.3),),
                                singular=True, n=250)
 
     ref = one_pass()
@@ -197,7 +200,7 @@ def test_finest_pass_memory_is_blocked():
     tracemalloc.start()
     try:
         _polar_integral(lambda X: dens.w(y.grad(X)), (0.0, 0.0), 1, 0.0, 1.0,
-                        breaks=y.radial_breaks, singular=True, n=2944)
+                        seams=y.seams, singular=True, n=2944)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -209,8 +212,7 @@ def test_polar_integral_singular_grading_with_splits():
     # first split on every ray, also on rays that miss the circle
     val, ok = _polar_integral(lambda X: np.linalg.norm(X, axis=-1) ** -0.5,
                               (0.0, 0.0), 2, 0.0, 1.0, n=512, singular=True,
-                              breaks=lambda c, t: [0.5],
-                              circles=[((0.5, 0.0), 0.2)])
+                              seams=(Arc((0.0, 0.0), 0.5), Arc((0.5, 0.0), 0.2)))
     assert ok
     assert val == pytest.approx(4.0 * math.pi / 3.0, rel=1e-12)
 
@@ -270,6 +272,30 @@ def test_elastic_offcenter_flaw_partition_of_unity():
     expect = 3.0 * (math.pi - math.pi * 0.12**2)
     val, ok = elastic_energy(idm, dom, dens)
     assert ok and val == pytest.approx(expect, rel=1e-6)
+
+
+def test_elastic_off_centre_radial_map_converges():
+    # a radial map centred at (0.4, 0), flawed there and at (-0.4, 0): the
+    # background pass about the origin must split its rays where they cross
+    # the profile's node circle about (0.4, 0), or the refinement stalls at
+    # 2048 nodes (against a 4096-node pass split by a circle seam)
+    y = radial_deformation(RadialProfile([0.0, 0.2, 1.5], [0.1, 0.5, 1.6]),
+                           center=(0.4, 0.0))
+    dom = Domain(q=2, radius=1.0, flaws=FlawConfig(
+        points=TWO_FLAWS, eps=0.1, max_count=2, confinement=tight_confinement(TWO_FLAWS)))
+    val, ok = elastic_energy(y, dom, subquadratic_density(1.5))
+    assert ok and val == pytest.approx(7.7652795894, rel=2e-7)
+
+
+def test_elastic_change_of_reference_two_flaws_converges():
+    # the change-of-reference seams seen from the background pass and from a
+    # flaw off the map's own point
+    y = example_change_of_reference(0.5)
+    pts = [[0.0, 0.0], [0.3, 0.4]]
+    dom = Domain(q=math.inf, radius=1.0, flaws=FlawConfig(
+        points=pts, eps=0.05, max_count=2, confinement=tight_confinement(pts)))
+    val, ok = elastic_energy(y, dom, subquadratic_density(1.1))
+    assert ok and val == pytest.approx(10.167559, rel=1e-6)
 
 
 def test_elastic_two_flaws():
@@ -481,6 +507,29 @@ def test_limit_energy_offcenter_singular_patch_vs_quad():
         assert rep.breakdown.elastic == pytest.approx(ref, rel=1e-9)
 
 
+def test_limit_energy_two_cavities_match_single_flaws():
+    # a radial cavity at each of (+-0.4, 0), the identity outside B(a, 0.35):
+    # their union is their composition, and its seams are the concatenation
+    # of theirs. The two-cavity elastic term plus one W(I) |disk| is the sum
+    # of the single-flaw terms, and each flaw keeps its cavity
+    prof = RadialProfile([0.0, 0.2, 0.35, 2.0], [0.1, 0.3, 0.35, 2.0])
+    ya, yb = (radial_deformation(prof, center=a) for a in TWO_FLAWS)
+    dom = Domain(q=2, radius=1.0)
+    y = dataclasses.replace(compose(ya, yb), seams=ya.seams + yb.seams, domain=dom,
+                            singular_points=np.array(TWO_FLAWS))
+    dens = subquadratic_density(1.1)
+    radii = dyadic_ladder(0.1)[:6]
+    two = limit_energy(y, TWO_FLAWS, dom, dens, (1.0, 1.0), radii)
+    one = [limit_energy(yi, [a], dom, dens, (1.0, 1.0), radii)
+           for yi, a in zip((ya, yb), TWO_FLAWS)]
+    assert two.elastic_converged and all(r.elastic_converged for r in one)
+    assert two.breakdown.elastic == pytest.approx(
+        sum(r.breakdown.elastic for r in one) - 2.0 ** (1.1 / 2) * math.pi, rel=2e-6)
+    for f, r in zip(two.flaws, one):
+        assert f.volume == pytest.approx(r.flaws[0].volume, rel=1e-12)
+        assert f.perimeter == pytest.approx(r.flaws[0].perimeter, rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # determinant pairing
 
@@ -556,12 +605,12 @@ def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
         return det2(y.grad(X)) * phi.eval(X)
 
     monkeypatch.setattr(energy, "BLOCK", block)
-    supp = [(np.asarray(phi.center), phi.radius)]
+    supp = (Arc(phi.center, phi.radius),)
     vec, ok = energy._integrate_perforated(lambda X: np.stack([f_bulk(X), f_det(X)]),
-                                           dom, cfg, y, n=128, circles=supp)
+                                           dom, cfg, y, n=128, seams=supp)
     assert ok and vec.shape == (2,)
     for k, f in enumerate((f_bulk, f_det)):
-        val, ok = energy._integrate_perforated(f, dom, cfg, y, n=128, circles=supp)
+        val, ok = energy._integrate_perforated(f, dom, cfg, y, n=128, seams=supp)
         assert ok and vec[k] == val
 
 
@@ -617,7 +666,7 @@ def test_multi_phi_pairing_shares_each_pass(monkeypatch):
     real_int, real_trace = energy._integrate_perforated, energy.panel_trace
 
     def spy_int(*args, **kwargs):
-        calls.append((kwargs["n"], len(kwargs["circles"])))
+        calls.append((kwargs["n"], len(kwargs["seams"])))
         return real_int(*args, **kwargs)
 
     def spy_trace(y, a, eps, n):

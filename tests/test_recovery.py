@@ -28,6 +28,7 @@ from cavicore.recovery import (
     default_r_rule,
     recovery_energy_table,
 )
+from cavicore.seams import Arc
 
 DENS = subquadratic_density(1.1)
 LAMBDAS = (2.5, 2.5)
@@ -115,12 +116,15 @@ def test_breaks_through_push_leaves_scipy_unloaded():
     # back through the push profile
     code = (
         "import math, sys\n"
+        "import numpy as np\n"
+        "from cavicore.seams import ray_breaks\n"
         "from cavicore.deformation import example_spike\n"
         "from cavicore.recovery import build_phi, compose_push\n"
         "phi = build_phi(0.2, 0.2, 1)\n"
         "ytil = compose_push(example_spike(), phi, [[0.0, 0.0]])\n"
-        "b = ytil.radial_breaks((0.0, 0.0), math.pi / 2 - 0.1)\n"
-        "assert len(b) == len(phi.zone_radii()) + 1 and 0 < b[-1] < phi.bounds[-1]\n"
+        "b = ray_breaks(ytil.seams, (0.0, 0.0), np.array([math.pi / 2 - 0.1]))[0]\n"
+        "b = [v for v in b if np.isfinite(v) and v not in phi.zone_radii()]\n"
+        "assert len(b) == 1 and 0 < b[0] < phi.bounds[-1]\n"
         "assert 'scipy' not in sys.modules\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -133,6 +137,21 @@ def _push(eps=0.1, n=2):
     phi = build_phi(eps, default_r_rule(eps, n), n)
     disk = identity_deformation(Domain(q=2, radius=1.0))
     return phi, compose_push(disk, phi, [[0.0, 0.0]])
+
+
+def test_push_keeps_clear_seams_and_rejects_crossed_ones():
+    # a seam about a point other than the flaw is kept when it clears the
+    # push ball B(a, 2 eps); one that meets it would be distorted by the
+    # push, and compose_push names it instead of declaring it wrongly
+    from cavicore.deformation import RadialProfile, radial_deformation
+
+    phi = build_phi(0.1, default_r_rule(0.1, 1), 1)
+    y = radial_deformation(RadialProfile([0.0, 0.2, 1.5], [0.1, 0.5, 1.6]),
+                           center=(0.4, 0.0))
+    far = compose_push(y, phi, [[-0.4, 0.0]])
+    assert far.seams[-1] == y.seams[0]
+    with pytest.raises(ValueError, match="seam Arc"):
+        compose_push(y, phi, [[0.1, 0.0]])
 
 
 def test_push_identity_profile_is_identity(rng):
@@ -242,8 +261,8 @@ def test_recovery_inflation_vanishes(radial_table):
 
 def test_recovery_rows_meet_row_tol(radial_table):
     # reference: Richardson extrapolation of two fine passes whose rays are
-    # split at the push junctions through declared circles, independent of
-    # how radial breaks are converted
+    # split at the push junctions through circle seams passed to the
+    # quadrature, independent of the seams that compose_push declares
     y = example_radial(0.5)
     for n, row in enumerate(radial_table.rows, start=1):
         phi = build_phi(row.eps, row.r, n)
@@ -252,10 +271,10 @@ def test_recovery_rows_meet_row_tol(radial_table):
         cfg = FlawConfig(points=y.singular_points, eps=row.eps, max_count=1,
                          confinement=tight_confinement(y.singular_points))
         dom = Domain(q=y.domain.q, radius=y.domain.radius, flaws=cfg)
-        zones = [((0.0, 0.0), z) for z in phi.zone_radii()]
+        zones = tuple(Arc((0.0, 0.0), z) for z in phi.zone_radii())
         coarse, fine = (
             _integrate_perforated(lambda X: DENS.w(ytil.grad(X)), dom, cfg, ytil,
-                                  n=n, circles=zones)[0]
+                                  n=n, seams=zones)[0]
             for n in (1024, 2048))
         ref = fine + (fine - coarse) / 3.0
         assert row.elastic_converged
