@@ -279,13 +279,14 @@ def example_superposition() -> Deformation:
     ex, q = math.atan(0.5), math.pi / 4
     ends = [(k * q + ex, (k + 1) * q) if k % 2 == 0 else (k * q, (k + 1) * q - ex)
             for k in range(8)]
+    arcs = tuple(Arc((0.0, 0.0), squeeze_seam, lo, hi) for lo, hi in ends)
     return replace(
         compose(Deformation(*_superposition_g()), Deformation(*_supnorm_annulus_map())),
         domain=Domain(q=np.inf, radius=1.0),
         singular_points=np.array([[0.0, 0.0]]),
         name="superposition",
         seams=tuple(Spoke((0.0, 0.0), k * math.pi / 4, 0.0, math.sqrt(1.0 + k % 2))
-                    for k in range(8)) + (Arc((0.0, 0.0), squeeze_seam, *zip(*ends)),),
+                    for k in range(8)) + arcs,
         cavity_exact={"volume": 2.0, "perimeter": 8.0 / math.sqrt(2.0)},
     )
 

@@ -188,7 +188,7 @@ def compose_push(y: Deformation, phi: ProfilePhi, points) -> Deformation:
     def pulled(s):  # s pulled back through the push
         own = np.all(pts == s.point, axis=1)
         for a in pts[~own]:
-            start = s.at(np.atleast_1d(s.lo)[:1])  # inside the ball if no crossing
+            start = s.at(np.array([s.lo]))  # inside the ball if no crossing
             if circle_kinks((s,), a, two_eps) or norm2(start - a) < two_eps:
                 raise ValueError(f"seam {s} meets the push ball about ({a[0]:g}, {a[1]:g})")
         if not own.any():

@@ -2,18 +2,19 @@
 panel edges that the quadratures derive from them about any center c.
 
 A seam lies about its own point p: an `Arc` p + f(theta) (cos theta,
-sin theta) on theta in [lo, hi] (tuples: ranges sharing f; a number f: a
-circle), or a `Spoke` p + rho (cos angle, sin angle) on rho in [lo, hi]. A
-composite Gauss rule keeps its order only if every jump is a panel edge
-(Davis & Rabinowitz, *Methods of Numerical Integration*, 2nd ed., 1984,
-section 2.12). Circles and spokes have closed forms from any center, as has
-an arc from its own point (its ray break is f(t)). An arc seen from
-elsewhere is bracketed in SAMPLES cells per range, split where its direction
-from c is extreme, and bisected to adjacent floats, vectorized over rays.
+sin theta) on theta in [lo, hi] (a number f: a circle), or a `Spoke`
+p + rho (cos angle, sin angle) on rho in [lo, hi]. A composite Gauss rule
+keeps its order only if every jump is a panel edge (Davis & Rabinowitz,
+*Methods of Numerical Integration*, 2nd ed., 1984, section 2.12). Circles
+and spokes have closed forms from any center, as has an arc from its own
+point (its ray break is f(t)). Otherwise an arc is cut into cells of its own
+theta on which its direction (for rays) or distance (for circles) from c is
+monotone, and bisected to adjacent floats, vectorized over rays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,15 +22,15 @@ from typing import Callable
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-SAMPLES = 64  # bracketing cells per arc range seen from another point
+SAMPLES = 64  # cells of an arc's range before refinement and splitting
 
 
 @dataclass(frozen=True)
 class Arc:
     point: tuple[float, float]
     f: Callable[[np.ndarray], np.ndarray] | float
-    lo: float | tuple[float, ...] = 0.0
-    hi: float | tuple[float, ...] = TWO_PI
+    lo: float = 0.0
+    hi: float = TWO_PI
 
     def __post_init__(self):
         if not callable(self.f) and (self.lo, self.hi) != (0.0, TWO_PI):
@@ -58,6 +59,14 @@ def _angle(v):
     return np.arctan2(v[..., 1], v[..., 0])
 
 
+def _turns(P, Q):  # the direction from c turns counterclockwise from P to Q
+    return P[..., 0] * Q[..., 1] - P[..., 1] * Q[..., 0] > 0
+
+
+def _recedes(P, Q):  # the distance from c grows from P to Q
+    return np.sum(Q * Q, axis=-1) > np.sum(P * P, axis=-1)
+
+
 def _bisect(g, lo, hi):
     """Where g (vectorized over the brackets) changes sign in [lo, hi], by
     bisection down to adjacent floats."""
@@ -69,28 +78,38 @@ def _bisect(g, lo, hi):
     return mid
 
 
-def _cells(arc, c, own):
-    """Bracketing nodes of the arc's ranges: SAMPLES equal cells each, split
-    where the arc's direction from c is extreme (from its own point the
-    direction is theta). Returns (nodes, same, extreme directions); cell j
-    is [nodes[j], nodes[j + 1]] where same[j]."""
-    lo, hi = np.atleast_1d(arc.lo)[:, None], np.atleast_1d(arc.hi)[:, None]
-    th = lo + (hi - lo) * np.linspace(0.0, 1.0, SAMPLES + 1)
-    rows, ext = np.repeat(np.arange(len(th)), SAMPLES + 1), np.empty(0)
-    if not own:
-        psi = np.unwrap(_angle(arc.at(th) - c), axis=1)
-        d = np.diff(psi, axis=1)
-        i, k = np.nonzero(d[:, :-1] * d[:, 1:] < 0)
-        a, b, ref, sgn = th[i, k], th[i, k + 2], psi[i, k + 1], np.sign(d[i, k])
-        for _ in range(60):  # ternary search for the extreme, unwrapped about ref
-            m1, m2 = (2.0 * a + b) / 3.0, (a + 2.0 * b) / 3.0
-            v1, v2 = ((_angle(arc.at(m) - c) - ref + math.pi) % TWO_PI for m in (m1, m2))
-            up = sgn * v1 < sgn * v2
-            a, b = np.where(up, m1, a), np.where(up, b, m2)
-        ext = _angle(arc.at(0.5 * (a + b)) - c)
-        th, rows = np.append(th, 0.5 * (a + b)), np.append(rows, i)
-    o = np.lexsort((th.ravel(), rows))
-    return th.ravel()[o], rows[o][:-1] == rows[o][1:], ext
+@functools.lru_cache(maxsize=256)
+def _cells(arc, c, rises):
+    """(nodes, extremes) of the arc seen from the point c (a tuple; the cells
+    are cached): SAMPLES equal cells of its range, halved (seen from
+    elsewhere) until each chord is shorter than a third of the cell's
+    distance from c, so that the cell subtends less than half a radian, and
+    split at the extremes of a function g of the arc point, where rises(P, Q)
+    says whether g grows from c + P to c + Q. A cell holds an extreme when
+    the slopes of g at its ends, by differences 1e-7 of a cell wide
+    (one-sided at the ends of the range, so end cells count too), differ in
+    sign; bisecting the slope's sign finds it."""
+    c = np.array(c)
+    th = arc.lo + (arc.hi - arc.lo) * np.linspace(0.0, 1.0, SAMPLES + 1)
+    for _ in range(40 if np.any(np.subtract(arc.point, c)) else 0):
+        P = arc.at(th) - c
+        size = np.hypot(*np.diff(P, axis=0).T)
+        near = np.minimum(np.hypot(*P[:-1].T), np.hypot(*P[1:].T))
+        if not (long := 3.0 * size > near).any():
+            break
+        th = np.sort(np.append(th, 0.5 * (th[:-1] + th[1:])[long]))
+    h = 1e-7 * (arc.hi - arc.lo) / SAMPLES
+    a, b = th - h, th + h
+    a[0], b[-1] = th[0], th[-1]
+    up = rises(arc.at(a) - c, arc.at(b) - c)
+    k = np.flatnonzero(up[:-1] != up[1:])
+    lo, hi, grows = th[k], th[k + 1], up[k]
+    for _ in range(30 if len(k) else 0):
+        mid = 0.5 * (lo + hi)
+        P = arc.at(np.concatenate([mid - h, mid + h])) - c
+        right = rises(P[:len(k)], P[len(k):]) == grows
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return np.sort(np.append(th, 0.5 * (lo + hi))), 0.5 * (lo + hi)
 
 
 def ray_breaks(seams, c, t):
@@ -113,17 +132,16 @@ def ray_breaks(seams, c, t):
             chord = np.stack([proj - root, proj + root], -1)
             cols.append(np.where(disc[:, None] > 0, chord, np.inf))
         elif not w.any():  # the closed form f(t)
-            off = np.mod(t[:, None] - np.atleast_1d(s.lo), TWO_PI)
-            inside = off <= np.subtract(s.hi, s.lo)
-            cols.append(np.where(inside.any(axis=1), s.f(t), np.inf)[:, None])
-        else:  # cells whose ends lie on both sides of a ray, ahead of c (a cell
-            # of an arc that keeps clear of c subtends far less than pi / 2)
-            nodes, same, _ = _cells(s, c, False)
+            inside = np.mod(t - s.lo, TWO_PI) <= s.hi - s.lo
+            cols.append(np.where(inside, s.f(t), np.inf)[:, None])
+        else:  # cells whose ends lie on both sides of a ray; as a cell
+            # subtends less than pi, the ray meets it ahead of c when the cell
+            # turns toward the side of the ray that its far end lies on
+            nodes = _cells(s, tuple(c), _turns)[0]
             P = s.at(nodes) - c
-            neg = e0[:, None] * P[:, 1] - e1[:, None] * P[:, 0] < 0
-            mid = P[:-1] + P[1:]
-            ahead = e0[:, None] * mid[:, 0] + e1[:, None] * mid[:, 1]
-            i, j = np.nonzero((neg[:, :-1] != neg[:, 1:]) & same & (ahead > 0))
+            pos = e0[:, None] * P[:, 1] - e1[:, None] * P[:, 0] > 0
+            ahead = pos[:, 1:] == _turns(P[:-1], P[1:])
+            i, j = np.nonzero((pos[:, :-1] != pos[:, 1:]) & ahead)
 
             def side(th, s=s, i=i):  # which side of ray i the arc lies on at th
                 Q = s.at(th) - c
@@ -145,24 +163,24 @@ def pass_kinks(seams, c):
     out, ends = [], []
     for s in seams:
         w = np.subtract(s.point, c)
-        lo, hi = np.atleast_1d(s.lo), np.atleast_1d(s.hi)
-        tips = np.concatenate([lo, hi])[np.tile(hi - lo < TWO_PI, 2) | isinstance(s, Spoke)]
+        tips = [s.lo, s.hi] if isinstance(s, Spoke) or s.hi - s.lo < TWO_PI else []
         if isinstance(s, Arc) and not callable(s.f):
             dist = math.hypot(w[0], w[1])
             if dist >= s.f:
                 out += [math.atan2(w[1], w[0]) + k * math.asin(s.f / dist) for k in (-1, 1)]
         elif not w.any():
-            out += [s.angle] if isinstance(s, Spoke) else list(tips)
+            out += [s.angle] if isinstance(s, Spoke) else tips
         else:
-            out += list(_cells(s, c, False)[2]) if isinstance(s, Arc) else []
-            ends += list(s.at(tips) - c)
+            if isinstance(s, Arc):
+                out += list(_angle(s.at(_cells(s, tuple(c), _turns)[1]) - c))
+            ends += list(s.at(np.array(tips)) - c)
     return out + [math.atan2(v[1], v[0]) for v in ends if v.any()]
 
 
 def circle_kinks(seams, c, r):
     """Angles on the circle S(c, r) at which it crosses a seam."""
     c = np.asarray(c, dtype=float)
-    out = []
+    out, brackets = [], {}
     for s in seams:
         w = np.subtract(s.point, c)
         own = not w.any()
@@ -178,13 +196,21 @@ def circle_kinks(seams, c, r):
             if abs(s.f - r) < D < s.f + r:
                 half = math.acos((r * r + D * D - s.f * s.f) / (2.0 * r * D))
                 out += [math.atan2(w[1], w[0]) + k * half for k in (-1, 1)]
-        else:
-            def gap(th, s=s, own=own):  # distance from c minus r
-                return (s.f(th) if own else np.hypot(*(s.at(th) - c).T)) - r
-
-            nodes, same, _ = _cells(s, c, own)
-            neg = gap(nodes) < 0
-            j = np.flatnonzero((neg[:-1] != neg[1:]) & same)
-            x = _bisect(gap, nodes[j], nodes[j + 1])
-            out += list(x if own else _angle(s.at(x) - c))
+        else:  # cells where the gap changes sign; arcs sharing f and point
+            # are bisected together
+            nodes = _cells(s, tuple(c), _recedes)[0]
+            neg = _gap(s, c, r)(nodes) < 0
+            j = np.flatnonzero(neg[:-1] != neg[1:])
+            brackets.setdefault((s.f, s.point), []).append((nodes[j], nodes[j + 1]))
+    for (f, p), br in brackets.items():
+        s = Arc(p, f)
+        x = _bisect(_gap(s, c, r), *np.concatenate(br, axis=1))
+        out += list(_angle(s.at(x) - c) if np.subtract(p, c).any() else x)
     return out
+
+
+def _gap(s, c, r):
+    """theta -> the arc's distance from c at theta, less r."""
+    if np.subtract(s.point, c).any():
+        return lambda th: np.hypot(*(s.at(th) - c).T) - r
+    return lambda th: s.f(th) - r

@@ -549,18 +549,28 @@ def test_compose_outside_outer_domain_raises():
 # break audit: every jump of grad y along a ray or a circle is declared
 
 
-def _jump_locations(g, s):
-    """Parameters at which grad y = g(s) jumps on the sorted grid s.
+def _jump_locations(y, a, curve, n, s):
+    """(k, s) of each jump of grad y along the curves curve(k, s), k < n
+    (vectorized over k and s), sampled on the sorted grid s inside the
+    audit region.
 
     An interval whose change exceeds 20 times that of both neighbours is
     bisected, keeping the half with the larger change, down to a width of
     1e-13; it holds a jump when the change has not shrunk with the width.
     All such intervals are bisected together."""
     dist = lambda A, B: np.max(np.abs(A - B), axis=(-2, -1))
-    d = dist(g(s[1:]), g(s[:-1]))
-    i = np.flatnonzero(d[1:-1] > 20.0 * np.maximum(d[:-2], d[2:]) + 1e-12) + 1
+    k = np.repeat(np.arange(n)[:, None], len(s), axis=1)
+    X = curve(k, np.broadcast_to(s, k.shape))
+    ok = _in_region(y, a, X)
+    G = np.zeros(k.shape + (2, 2))
+    G[ok] = y.grad(X[ok])
+    d = np.where(ok[:, 1:] & ok[:, :-1], dist(G[:, 1:], G[:, :-1]), np.inf)
+    quiet = np.maximum(d[:, :-2], d[:, 2:])
+    k, i = np.nonzero(np.isfinite(d[:, 1:-1]) & (d[:, 1:-1] > 20.0 * quiet + 1e-12))
     if not len(i):
         return []
+    i += 1
+    g = lambda t: y.grad(curve(np.tile(k, len(t) // len(k)), t))
     lo, hi = s[i], s[i + 1]
     while np.any(hi - lo > 1e-13):
         mid = 0.5 * (lo + hi)
@@ -569,7 +579,8 @@ def _jump_locations(g, s):
         live = hi - lo > 1e-13
         lo, hi = np.where(live & ~left, mid, lo), np.where(live & left, mid, hi)
     G = g(np.concatenate([lo, hi])).reshape(2, len(i), 2, 2)
-    return list((0.5 * (lo + hi))[dist(G[1], G[0]) > 0.5 * d[i]])
+    jump = dist(G[1], G[0]) > 0.5 * d[k, i]
+    return zip(k[jump], (0.5 * (lo + hi))[jump])
 
 
 _PUSHES = ((0.2, 1), (0.025, 4))  # the recovery rows at the README's first and last eps
@@ -609,55 +620,111 @@ def _in_region(y, a, X):
     return ok
 
 
+# from these two points the ray tangent to the change-of-reference ellipse
+# seam touches it near theta = -0.027, next to the start of the arc's range
+_NEAR_SEAM = {"change-of-reference": [(0.502, 0.3), (0.498, 0.3)]}
+
+
 def _audit_centres(y, a):
-    """The flaw point and three random points of the sampled region, drawn
-    from a generator seeded by the map's name."""
+    """Three random points of the sampled region, drawn from a generator
+    seeded by the map's name, and the map's near-seam points."""
     rng = np.random.default_rng(sum(map(ord, y.name)))
     cand = a + rng.uniform(-0.9, 0.9, size=(400, 2))
-    return [a, *cand[_in_region(y, a, cand)][:3]]
-
-
-def _runs(mask):
-    """(start, stop) of the runs of True in mask."""
-    edges = np.flatnonzero(np.diff(np.concatenate([[0], mask.astype(int), [0]])))
-    return zip(edges[::2], edges[1::2])
+    near = _NEAR_SEAM.get(y.name.split("*")[0], [])
+    return [*cand[_in_region(y, a, cand)][:3], *map(np.array, near)]
 
 
 @pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 def test_break_audit_rays(y, a):
-    # grad y sampled along 16 rays from each audit centre; every jump must sit
-    # at a break derived from the seams
-    ts = 2 * math.pi * (np.arange(16) + 0.3) / 16
+    # grad y sampled along 64 rays from the flaw and 16 from each other audit
+    # centre; every jump must sit at a break derived from the seams
     s = np.linspace(1e-3, 2.0, 8001)
-    for c in _audit_centres(y, a):
-        for t, declared in zip(ts, ray_breaks(y.seams, c, ts)):
-            e = np.array([math.cos(t), math.sin(t)])
-            for i, j in _runs(_in_region(y, a, c + s[:, None] * e)):
-                for rho in _jump_locations(lambda r: y.grad(c + r[:, None] * e), s[i:j]):
-                    assert np.min(np.abs(rho - declared), initial=1.0) < 1e-8, \
-                        (y.name, c, t, rho, declared)
+    for c, n in [(a, 64), *((c, 16) for c in _audit_centres(y, a))]:
+        ts = 2 * math.pi * (np.arange(n) + 0.3) / n
+        E = np.stack([np.cos(ts), np.sin(ts)], -1)
+        declared = ray_breaks(y.seams, c, ts)
+        for k, rho in _jump_locations(y, a, lambda k, r: c + r[..., None] * E[k], n, s):
+            assert np.min(np.abs(rho - declared[k]), initial=1.0) < 1e-8, \
+                (y.name, c, ts[k], rho, declared[k])
+
+
+def _audit_circle(y, a, c, r):
+    """Every jump of grad y along S(c, r), in the sampled region, sits within
+    1e-8 of a derived kink; returns the number of jumps."""
+    declared = np.array(circle_kinks(y.seams, c, r))
+    ts = 2 * math.pi * (np.arange(8193) + 0.37) / 8192
+    circle = lambda k, t: c + r * np.stack([np.cos(t), np.sin(t)], -1)
+    jumps = 0
+    for _, t in _jump_locations(y, a, circle, 1, ts):
+        off = np.abs((t - declared + math.pi) % (2 * math.pi) - math.pi)
+        assert np.min(off, initial=1.0) < 1e-8, (y.name, c, r, t)
+        jumps += 1
+    return jumps
 
 
 @pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 @pytest.mark.parametrize("eps", [0.2, 0.025])
 def test_break_audit_circles(y, a, eps):
-    # grad y sampled along S(c, eps) about each audit centre; every jump must
-    # sit at a kink derived from the seams
-    for c in _audit_centres(y, a):
-        declared = np.array(circle_kinks(y.seams, c, eps))
-        ts = 2 * math.pi * (np.arange(8193) + 0.37) / 8192
-        circle = lambda t: c + eps * np.stack([np.cos(t), np.sin(t)], -1)
-        for i, j in _runs(_in_region(y, a, circle(ts))):
-            for t in _jump_locations(lambda t: y.grad(circle(t)), ts[i:j]):
-                off = np.abs((t - declared + math.pi) % (2 * math.pi) - math.pi)
-                assert np.min(off, initial=1.0) < 1e-8, (y.name, c, eps, t)
+    # grad y sampled along S(c, eps) about the flaw and each audit centre;
+    # every jump must sit at a kink derived from the seams
+    for c in [a, *_audit_centres(y, a)]:
+        _audit_circle(y, a, c, eps)
+
+
+def test_break_audit_near_tangent_circles():
+    # S(c, r) 1e-4 outside a nearest approach of a catalog seam arc to c
+    # crosses the arc twice close together: both crossings must be kinks
+    jumps = 0
+    for y, a in _audited_maps()[:len(CATALOG_KEYS)]:
+        for c in _audit_centres(y, a):
+            for s in y.seams:
+                if not callable(getattr(s, "f", None)):
+                    continue
+                d = np.hypot(*(s.at(np.linspace(s.lo, s.hi, 20001)) - c).T)
+                k = np.flatnonzero((d[1:-1] < d[:-2]) & (d[1:-1] < d[2:])) + 1
+                for r in d[k] + 1e-4:
+                    jumps += _audit_circle(y, a, c, r)
+    assert jumps >= 20
+
+
+def _stretch_seam_crossings(c, e):
+    """Distances s > 0 at which c + s e crosses the change-of-reference
+    seams, from their equations: x0 = 0 with |x1| <= 1, 4 x0^2 + x1^2 = 1
+    with x0 >= 0, and |x| = 1 with x0 < 0."""
+    out = [] if e[0] == 0 else [-c[0] / e[0]]
+    out = [s for s in out if abs(c[1] + s * e[1]) <= 1.0]
+    for k, keep in ((4.0, lambda x0: x0 >= 0), (1.0, lambda x0: x0 < 0)):
+        A = k * e[0] ** 2 + e[1] ** 2
+        B = k * c[0] * e[0] + c[1] * e[1]
+        C = k * c[0] ** 2 + c[1] ** 2 - 1.0
+        disc = B * B - A * C
+        if disc > 0:
+            out += [s for s in ((-B - math.sqrt(disc)) / A, (-B + math.sqrt(disc)) / A)
+                    if keep(c[0] + s * e[0])]
+    return sorted(s for s in out if s > 0)
+
+
+def test_ray_breaks_beside_a_seam_match_its_equations():
+    # centres 1e-4 to either side of the change-of-reference ellipse and
+    # circle seams, where a cell of 1/64 of the arc would subtend up to pi
+    y = example_change_of_reference(0.5)
+    rng = np.random.default_rng(3)
+    t = rng.uniform(0.0, 2 * math.pi, 256)
+    for th in rng.uniform(0.0, 2 * math.pi, 12):
+        p = y.seams[2].at(np.array([th]))[0]
+        for c in (p * (1 - 1e-4), p * (1 + 1e-4)):
+            B = ray_breaks(y.seams, c, t)
+            for ti, b in zip(t, B):
+                ref = _stretch_seam_crossings(c, np.array([math.cos(ti), math.sin(ti)]))
+                assert np.allclose(np.sort(b[np.isfinite(b)]), ref, rtol=0, atol=1e-9), \
+                    (c, ti, b, ref)
 
 
 @pytest.mark.parametrize("y, a", _audited_maps(), ids=_AUDIT_IDS)
 def test_break_count_is_constant_between_pass_kinks(y, a):
     # the rays of a pass between two consecutive angular kinks cross the
     # seams equally often
-    for c in _audit_centres(y, a):
+    for c in [a, *_audit_centres(y, a)]:
         kinks = np.unique(np.mod(np.append(pass_kinks(y.seams, c), 0.0), 2 * math.pi))
         edges = np.append(kinks, kinks[0] + 2 * math.pi)
         # kinks within rounding of each other (rays through a point where
