@@ -523,6 +523,10 @@ def test_limit_energy_two_cavities_match_single_flaws():
     one = [limit_energy(yi, [a], dom, dens, (1.0, 1.0), radii)
            for yi, a in zip((ya, yb), TWO_FLAWS)]
     assert two.elastic_converged and all(r.elastic_converged for r in one)
+    # refined to 1e-8, each single flaw gives 5.126856464; without its node
+    # circles split, a converged 5.1268360 was reported, 4e-6 off
+    for r in one:
+        assert r.breakdown.elastic == pytest.approx(5.126856464, rel=1e-6)
     assert two.breakdown.elastic == pytest.approx(
         sum(r.breakdown.elastic for r in one) - 2.0 ** (1.1 / 2) * math.pi, rel=2e-6)
     for f, r in zip(two.flaws, one):
