@@ -118,47 +118,62 @@ def degree_tolerance(curve: TraceCurve) -> float:
     return 1e-7 * curve.diameter
 
 
+def _ranges(lo, hi):
+    """The pairs (j, i) with lo[j] <= i < hi[j], ordered by j then i."""
+    n = hi - lo
+    j = np.repeat(np.arange(len(lo)), n)
+    return j, np.arange(len(j)) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
 def winding_numbers_grid(curve: TraceCurve, queries):
     """Degrees of the closed sample polyline around many query points.
 
     Returns (degrees, near_boundary_mask); degrees are meaningless where the
-    mask is set. Queries are grouped into rows of equal y. On each row the
-    signed crossings of the half-open segments y0 <= y < y1 are sorted by x
-    and suffix-summed, so a degree is the signed count of crossings to the
-    right of its query (Hormann & Agathos, Comput. Geom. 20, 2001). A query
-    is near the boundary when its squared distance to a segment is at most
-    tau^2, tau = degree_tolerance(curve); only segments whose y-range,
-    widened by tau, contains the row are tested.
+    mask is set. The crossings of the half-open segments ylo <= y < yhi with
+    the query rows (distinct y's) and the queries are sorted together by
+    (row, x), a crossing before a query at equal x; one cumulative sum of the
+    crossing senses then gives each degree as the signed count of its row's
+    crossings to the right of the query (Hormann & Agathos, Comput. Geom. 20,
+    2001). A query is near the boundary when its squared distance to a segment
+    is at most tau^2, tau = degree_tolerance(curve); only segments whose
+    y-range widened by tau contains the row, and whose x-range widened by
+    2 tau contains the query, are tested: band events in the same sort.
     """
     p = curve.points
     q = np.roll(p, -1, axis=0)
     d = q - p
     dd = np.maximum(np.einsum("kj,kj->k", d, d), 1e-300)
-    ylo = np.minimum(p[:, 1], q[:, 1])
-    yhi = np.maximum(p[:, 1], q[:, 1])
-    sense = np.sign(d[:, 1]).astype(int)
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
     tau = degree_tolerance(curve)
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    degrees = np.zeros(len(queries), dtype=int)
-    near = np.zeros(len(queries), dtype=bool)
     rows, row_of = np.unique(queries[:, 1], return_inverse=True)
-    order = np.argsort(row_of, kind="stable")
-    cuts = np.searchsorted(row_of[order], np.arange(len(rows) + 1))
-    for r, yv in enumerate(rows):
-        idx = order[cuts[r]:cuts[r + 1]]
-        x = queries[idx, 0]
-        k = np.flatnonzero((ylo <= yv) & (yv < yhi))
-        xc = p[k, 0] + (yv - p[k, 1]) * d[k, 0] / d[k, 1]
-        o = np.argsort(xc)
-        right = np.append(np.cumsum(sense[k][o][::-1])[::-1], 0)
-        degrees[idx] = right[np.searchsorted(xc[o], x, side="right")]
-        k = np.flatnonzero((ylo - tau <= yv) & (yv <= yhi + tau))
-        rx = x[:, None] - p[k, 0]
-        ry = yv - p[k, 1]
-        t = np.clip((rx * d[k, 0] + ry * d[k, 1]) / dd[k], 0.0, 1.0)
-        fx = rx - t * d[k, 0]
-        fy = ry - t * d[k, 1]
-        near[idx] = np.any(fx * fx + fy * fy <= tau * tau, axis=1)
+    ck, cr = _ranges(np.searchsorted(rows, lo[:, 1]), np.searchsorted(rows, hi[:, 1]))
+    bk, br = _ranges(np.searchsorted(rows, lo[:, 1] - tau),
+                     np.searchsorted(rows, hi[:, 1] + tau, side="right"))
+    # events by (row, x, kind): band starts, crossings, queries, band ends
+    nb, nc, m = len(bk), len(ck), len(queries)
+    row = np.concatenate([br, cr, row_of, br])
+    xc = p[ck, 0] + (rows[cr] - p[ck, 1]) * d[ck, 0] / d[ck, 1]
+    x = np.concatenate([lo[bk, 0] - 2 * tau, xc, queries[:, 0], hi[bk, 0] + 2 * tau])
+    kind = np.repeat(np.arange(4, dtype=np.int8), [nb, nc, m, nb])
+    order = np.lexsort((kind, x, row))
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    sense = np.zeros(len(order), dtype=int)
+    sense[nb:nb + nc] = np.sign(d[ck, 1])
+    senses = np.append(0, np.cumsum(sense[order]))  # sum of senses before each position
+    row_end = senses[np.searchsorted(row[order], np.arange(len(rows)), side="right")]
+    degrees = row_end[row_of] - senses[pos[nb + nc:nb + nc + m] + 1]
+    # a band's candidate queries are those sorted between its start and end
+    is_query = kind[order] == 2
+    ranks = np.append(0, np.cumsum(is_query))  # queries before each position
+    j, rank = _ranges(ranks[pos[:nb]], ranks[pos[nb + nc + m:]])
+    k, i = bk[j], order[is_query][rank] - nb - nc
+    rx, ry = queries[i, 0] - p[k, 0], queries[i, 1] - p[k, 1]
+    t = np.clip((rx * d[k, 0] + ry * d[k, 1]) / dd[k], 0.0, 1.0)
+    fx, fy = rx - t * d[k, 0], ry - t * d[k, 1]
+    near = np.zeros(m, dtype=bool)
+    near[i[fx * fx + fy * fy <= tau * tau]] = True
     return degrees, near
 
 

@@ -396,12 +396,12 @@ class RadialProfile:
         return np.interp(r, self.nodes, self.values)
 
     def slope(self, r):
-        """Piecewise-constant derivative; node points take the right segment."""
+        """Derivative of __call__: 0 outside the nodes; nodes take the right segment."""
         r = np.asarray(r, dtype=float)
         seg = np.clip(np.searchsorted(self.nodes, r, side="right") - 1, 0,
                       len(self.nodes) - 2)
         s = np.diff(self.values) / np.diff(self.nodes)
-        return s[seg]
+        return np.where((r < self.nodes[0]) | (r > self.nodes[-1]), 0.0, s[seg])
 
     @property
     def inner_radius(self):

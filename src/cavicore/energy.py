@@ -672,11 +672,11 @@ def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, ra
             inj_ok = False
             inj_detail.append(str(e))
             continue
-        pts, idx = curve.points, np.arange(len(curve))
-        gap = np.abs(idx[:, None] - idx)
-        dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
-        # the closest pair more than 4 nodes apart around the circle
-        mind = float(np.min(dist[np.minimum(gap, len(idx) - gap) > 4]))
+        # closest pair more than 4 nodes apart around the circle: (i, i + s), 5 <= s <= n/2
+        pts, n = curve.points, len(curve)
+        j = (np.arange(n)[:, None] + np.arange(5, n // 2 + 1)) % n
+        dx, dy = pts[j, 0] - pts[:, None, 0], pts[j, 1] - pts[:, None, 1]
+        mind = float(np.sqrt(np.min(dx * dx + dy * dy)))
         if mind <= 1e-6 * curve.diameter:
             inj_ok = False
             inj_detail.append(f"closest distinct-parameter pair {mind:.3g} at "

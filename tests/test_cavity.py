@@ -258,6 +258,100 @@ def test_degrees_of_looped_curves():
             assert w == _crossing_winding(c.points, xi) == _angle_winding(c.points, xi)
 
 
+def _row_loop_degrees(curve, queries):
+    """The crossing count one row (distinct query y) at a time: per row, the
+    signed crossings of the half-open segments are sorted by x and
+    suffix-summed, and every segment whose y-range widened by tau contains the
+    row is distance-tested (loop oracle for the batched kernel)."""
+    p = curve.points
+    q = np.roll(p, -1, axis=0)
+    d = q - p
+    dd = np.maximum(np.einsum("kj,kj->k", d, d), 1e-300)
+    ylo = np.minimum(p[:, 1], q[:, 1])
+    yhi = np.maximum(p[:, 1], q[:, 1])
+    sense = np.sign(d[:, 1]).astype(int)
+    tau = degree_tolerance(curve)
+    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    degrees = np.zeros(len(queries), dtype=int)
+    near = np.zeros(len(queries), dtype=bool)
+    rows, row_of = np.unique(queries[:, 1], return_inverse=True)
+    order = np.argsort(row_of, kind="stable")
+    cuts = np.searchsorted(row_of[order], np.arange(len(rows) + 1))
+    for r, yv in enumerate(rows):
+        idx = order[cuts[r]:cuts[r + 1]]
+        x = queries[idx, 0]
+        k = np.flatnonzero((ylo <= yv) & (yv < yhi))
+        xc = p[k, 0] + (yv - p[k, 1]) * d[k, 0] / d[k, 1]
+        o = np.argsort(xc)
+        right = np.append(np.cumsum(sense[k][o][::-1])[::-1], 0)
+        degrees[idx] = right[np.searchsorted(xc[o], x, side="right")]
+        k = np.flatnonzero((ylo - tau <= yv) & (yv <= yhi + tau))
+        rx = x[:, None] - p[k, 0]
+        ry = yv - p[k, 1]
+        t = np.clip((rx * d[k, 0] + ry * d[k, 1]) / dd[k], 0.0, 1.0)
+        fx = rx - t * d[k, 0]
+        fy = ry - t * d[k, 1]
+        near[idx] = np.any(fx * fx + fy * fy <= tau * tau, axis=1)
+    return degrees, near
+
+
+def _crossing_xs(curve, yv):
+    p = curve.points
+    d = np.roll(p, -1, axis=0) - p
+    k = np.flatnonzero((np.minimum(p[:, 1], p[:, 1] + d[:, 1]) <= yv)
+                       & (yv < np.maximum(p[:, 1], p[:, 1] + d[:, 1])))
+    return p[k, 0] + (yv - p[k, 1]) * d[k, 0] / d[k, 1]
+
+
+def test_batched_degrees_match_row_loop_oracle(rng):
+    # every degree, near points included, and every near bit equal the
+    # row-by-row loop's
+    poly = _polygon_curve([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (3, 2), (3, 3),
+                           (1.5, 4), (0, 3)])  # horizontal edges, rows through vertices
+    fn, dfn = _trig_curve(rng)
+    curves = [poly, _manual_curve(fn, n=512, derivs_fn=dfn),
+              trace_on_circle(example_radial(0.5), (0, 0), 0.25, 512),
+              trace_on_circle(example_spike(), (0, 0), 0.25, 512)]
+    for c in curves:
+        p, tau = c.points, degree_tolerance(c)
+        lo, hi = p.min(axis=0), p.max(axis=0)
+        xs = np.linspace(lo[0] - 0.5, hi[0] + 0.5, 37)
+        vertex_rows = np.stack(np.meshgrid(xs, p[rng.integers(0, len(p), 12), 1]),
+                               -1).reshape(-1, 2)
+        yv = p[len(p) // 3, 1]
+        xc = _crossing_xs(c, yv)
+        ties = np.stack([xc, np.full_like(xc, yv)], -1)
+        scattered = rng.uniform(lo - 0.3, hi + 0.3, size=(300, 2))
+        perturbed = p[rng.integers(0, len(p), 300)] + rng.uniform(-3 * tau, 3 * tau,
+                                                                   size=(300, 2))
+        outside = np.array([[hi[0] + 2, hi[1] + 1], [lo[0] - 3, yv], [lo[0], hi[1] + 5]])
+        duplicates = np.repeat(np.vstack([scattered[:20], ties[:2], p[:3]]), 3, axis=0)
+        sets = [vertex_rows, ties, p, perturbed, outside, duplicates, scattered[:1],
+                np.vstack([vertex_rows, ties, p, perturbed, outside, duplicates, scattered])]
+        for queries in sets:
+            degs, near = winding_numbers_grid(c, queries)
+            want_degs, want_near = _row_loop_degrees(c, queries)
+            assert degs.dtype == want_degs.dtype
+            assert np.array_equal(degs, want_degs) and np.array_equal(near, want_near)
+        assert np.all(near[len(vertex_rows) + len(ties):][:len(p)])  # the trace nodes
+    # a query exactly tau above the top vertex (below the bottom one) is near
+    for s in (1.0, -1.0):
+        c = _polygon_curve([(0, 0), (1, -3 * s), (-1, -3 * s)])
+        queries = np.array([[0.0, s * degree_tolerance(c)], [0.0, 2 * s * degree_tolerance(c)]])
+        degs, near = winding_numbers_grid(c, queries)
+        assert near.tolist() == [True, False]
+        assert np.array_equal(near, _row_loop_degrees(c, queries)[1])
+    # 10^4 scattered points, each on its own row
+    c = curves[2]
+    queries = rng.uniform(c.points.min(axis=0) - 0.1, c.points.max(axis=0) + 0.1,
+                          size=(10_000, 2))
+    assert len(np.unique(queries[:, 1])) == len(queries)
+    degs, near = winding_numbers_grid(c, queries)
+    want_degs, want_near = _row_loop_degrees(c, queries)
+    assert np.array_equal(degs, want_degs) and np.array_equal(near, want_near)
+    assert set(np.unique(degs).tolist()) == {0, 1}
+
+
 def test_topological_image_contains_radial():
     y = example_radial(0.5)
     c = trace_on_circle(y, (0, 0), 0.2, 512)

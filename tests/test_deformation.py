@@ -207,6 +207,25 @@ def test_radial_deformation_affine_profile():
     assert np.allclose(y.grad(np.array([0.45, 0.17])), F, atol=1e-6)
 
 
+def test_radial_deformation_grad_beyond_the_profile():
+    # eval clamps rho outside [nodes[0], nodes[-1]], so the radial derivative
+    # is 0 there; node points keep the segment to their right
+    prof = RadialProfile(nodes=np.linspace(0.1, 0.9, 6),
+                         values=np.array([0.2, 0.35, 0.45, 0.7, 0.8, 1.0]))
+    a = np.array([0.1, -0.2])
+    y = radial_deformation(prof, center=a)
+    t = np.linspace(0.0, 2 * math.pi, 7)[:-1] + 0.3
+    e = np.stack([np.cos(t), np.sin(t)], -1)
+    for r in (0.05, 0.09, 0.95, 1.2):
+        x = a + r * e
+        G = y.grad(x)
+        assert np.allclose(G, finite_difference_grad(y.eval, x), atol=1e-8)
+        assert np.allclose(np.einsum("ki,kij,kj->k", e, G, e), 0.0, atol=1e-15)
+    s = np.diff(prof.values) / np.diff(prof.nodes)
+    assert np.array_equal(prof.slope(prof.nodes), np.append(s, s[-1]))
+    assert np.array_equal(prof.slope([0.0999, 0.9001]), [0.0, 0.0])
+
+
 def test_radial_deformation_cavity_radius():
     prof = RadialProfile(nodes=[0.1, 0.5, 1.0], values=[0.5, 0.7, 1.0])
     assert prof.cavity_radius == 0.5

@@ -766,9 +766,19 @@ def test_admissibility_detects_folding():
     cfg = FlawConfig(points=[[0, 0]], eps=0.1, max_count=1,
                      confinement=tight_confinement([[0, 0]]))
     rep = check_admissibility_sampled(fold, cfg, fold.domain, [0.3], seed=1)
-    orientation = next(r for r in rep.rows if r.name == "orientation")
-    assert not orientation.passed
+    rows = {r.name: r for r in rep.rows}
+    assert not rows["orientation"].passed
     assert not rep.ok
+    # the fold maps S(0, eps) twice onto one half-circle, so two parameters
+    # meet exactly, and points inside S(0, 0.3) map onto degree 0
+    assert not rows["trace-injectivity"].passed
+    assert rows["trace-injectivity"].detail == "closest distinct-parameter pair 0 at (0, 0)"
+    assert not rows["interior-exterior"].passed
+    assert rows["interior-exterior"].detail == (
+        "point (-0.0127102, 0.198517) maps outside, expected inside (circle (0, 0), r=0.3); "
+        "point (0.164425, 0.101358) maps outside, expected inside (circle (0, 0), r=0.3); "
+        "point (-0.0793919, 0.240917) maps outside, expected inside (circle (0, 0), r=0.3); "
+        "point (-0.0995239, 0.0611125) maps outside, expected inside (circle (0, 0), r=0.3)")
     # points are written as plain numbers, not numpy reprs
     assert "at (0, 0)" in str(rep) and "np." not in str(rep)
 
