@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,7 @@ class TraceCurve:
     def __len__(self):
         return len(self.ts)
 
-    @property
+    @cached_property
     def diameter(self) -> float:
         lo = np.min(self.points, axis=0)
         hi = np.max(self.points, axis=0)

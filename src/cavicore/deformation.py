@@ -65,33 +65,12 @@ class Deformation:
         return self.eval(x)
 
 
-def finite_difference_grad(f, x, h: float = 1e-5):
-    """Central finite differences of a vectorized planar map."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (2,))
-    for j in range(2):
-        e = np.zeros(2)
-        e[j] = h
-        out[..., :, j] = (f(x + e) - f(x - e)) / (2.0 * h)
-    return out
-
-
 def identity_deformation(domain=None) -> Deformation:
     return Deformation(
         eval=lambda x: np.asarray(x, dtype=float).copy(),
         grad=lambda x: np.broadcast_to(_I2, np.shape(x)[:-1] + (2, 2)).copy(),
         domain=domain,
         name="identity",
-    )
-
-
-def affine_deformation(F, domain=None) -> Deformation:
-    F = np.asarray(F, dtype=float)
-    return Deformation(
-        eval=lambda x: np.asarray(x, dtype=float) @ F.T,
-        grad=lambda x: np.broadcast_to(F, np.shape(x)[:-1] + (2, 2)).copy(),
-        domain=domain,
-        name="affine",
     )
 
 
@@ -402,10 +381,6 @@ class RadialProfile:
                       len(self.nodes) - 2)
         s = np.diff(self.values) / np.diff(self.nodes)
         return np.where((r < self.nodes[0]) | (r > self.nodes[-1]), 0.0, s[seg])
-
-    @property
-    def inner_radius(self):
-        return float(self.nodes[0])
 
     @property
     def cavity_radius(self):

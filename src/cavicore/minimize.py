@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ DELTA_MIN = 1e-8  # monotonicity gap keeping det > 0 strictly
 EPS_ACTIVE = 1e-3  # cap on the distance at which a bound counts as active
 
 _GX, _GW = gauss_legendre(8)
+_SHIFTS = (0.0, *(10.0 ** np.arange(-10, 2)).tolist())
 
 
 @dataclass(frozen=True)
@@ -40,37 +42,50 @@ class RadialProblem:
         if self.K < 8:
             raise ValueError("need at least 8 profile segments")
 
-    @property
+    @cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(self.eps, self.outer_radius, self.K + 1)
+        nodes = np.linspace(self.eps, self.outer_radius, self.K + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def _w_all_diag(a, d, density: Density):
     """W = |F|^p + g(det F) and its first and second partials at F = diag(a, d)."""
-    det = a * d
-    fro = np.sqrt(a * a + d * d)
+    aa, dd, det = a * a, d * d, a * d
+    fro = np.sqrt(aa + dd)
     p = density.p
     A = p * fro ** (p - 2.0)
-    B = p * (p - 2.0) * fro ** (p - 4.0)
+    B = (p - 2.0) * A / (aa + dd)  # p (p - 2) |F|^(p - 4)
     W = fro**p + density.g(det)
     fp = density.dg(det)
     fpp = density.ddg(det)
     Wa = A * a + fp * d
     Wd = A * d + fp * a
-    Waa = B * a * a + A + fpp * d * d
-    Wdd = B * d * d + A + fpp * a * a
-    Wad = B * a * d + fpp * a * d + fp
+    Waa = B * aa + A + fpp * dd
+    Wdd = B * dd + A + fpp * aa
+    Wad = (B + fpp) * det + fp
     return W, Wa, Wd, Waa, Wad, Wdd
 
 
-def _segment_frame(nodes, vals):
-    h = np.diff(nodes)
-    slope = np.diff(vals) / h
-    R = nodes[:-1, None] + (0.5 * (_GX + 1.0))[None, :] * h[:, None]
-    theta = (R - nodes[:-1, None]) / h[:, None]
-    rho = vals[:-1, None] * (1.0 - theta) + vals[1:, None] * theta
-    wq = 2.0 * math.pi * R * (0.5 * h[:, None] * _GW[None, :])
-    return h, slope, R, theta, rho, wq
+# Which of _w_all_diag's (W, Wa, Wd, Waa, Wad, Wdd) meets each factor of _node_geometry,
+# and where each per-segment sum starts: E; g left, right; H left, right, coupling.
+_ROWS = (0, 1, 2, 1, 2, 3, 4, 5, 3, 4, 5, 3, 4, 5)
+_SUMS = (0, 1, 3, 5, 8, 11)
+
+
+def _node_geometry(nodes):
+    """What the quadrature needs of the nodes alone: 1/h, the partials
+    (dl, dr) = ((1 - theta)/R, theta/R) of d = rho/R in a segment's left and
+    right value at its Gauss points R = nodes[j] + theta h (those of a = rho'
+    are -+1/h), and the weights 2 pi R h/2 w times each chain-rule factor."""
+    h = np.diff(nodes)[:, None]
+    R = nodes[:-1, None] + 0.5 * (_GX + 1.0) * h
+    theta = (R - nodes[:-1, None]) / h
+    al, ar, dl, dr = -1.0 / h, 1.0 / h, (1.0 - theta) / R, theta / R
+    wq = 2.0 * math.pi * R * (0.5 * h * _GW)
+    return ar[:, 0], dl, dr, np.stack([f * wq for f in (
+        1.0, al, dl, ar, dr, al * al, 2.0 * al * dl, dl * dl, ar * ar, 2.0 * ar * dr,
+        dr * dr, al * ar, al * dr + ar * dl, dl * dr)])
 
 
 def radial_reduced_energy(profile: RadialProfile, prob: RadialProblem) -> EnergyBreakdown:
@@ -81,55 +96,50 @@ def radial_reduced_energy(profile: RadialProfile, prob: RadialProblem) -> Energy
     vals = np.asarray(profile.values, dtype=float)
     if abs(nodes[0] - prob.eps) > 1e-12 or abs(nodes[-1] - prob.outer_radius) > 1e-12:
         raise ValueError("profile nodes must span [eps, outer_radius]")
-    h, slope, R, theta, rho, wq = _segment_frame(nodes, vals)
-    W = _w_all_diag(slope[:, None] + 0.0 * R, rho / R, prob.density)[0]
-    el = float(np.sum(W * wq))
+    elastic = replace(prob, lambdas=(0.0, 0.0))  # the total with no cavity terms
+    el = _energy_and_grad(_node_geometry(nodes), vals, elastic)[0]
     r0 = vals[0]
     return EnergyBreakdown.assemble(el, math.pi * r0**2, 2.0 * math.pi * r0,
                                     prob.lambdas)
 
 
-def _energy_and_grad(nodes, vals, prob: RadialProblem):
-    """Energy of the nodal profile `vals` (boundary node included), with its
-    gradient and its tridiagonal Hessian in the K free nodal values."""
-    h, slope, R, theta, rho, wq = _segment_frame(nodes, vals)
-    a = slope[:, None] + 0.0 * R
-    d = rho / R
-    W, Wa, Wd, Waa, Wad, Wdd = _w_all_diag(a, d, prob.density)
+def _energy_and_grad(geom, vals, prob: RadialProblem):
+    """Energy of the nodal profile `vals` (boundary node included) on the
+    node geometry `geom`, with its gradient and its tridiagonal Hessian, as
+    (diagonal, off-diagonal), in the K free nodal values: one weighted
+    reduction over the Gauss points gives every per-segment entry."""
+    inv_h, dl, dr, weights = geom
+    fields = _w_all_diag(((vals[1:] - vals[:-1]) * inv_h)[:, None],
+                         vals[:-1, None] * dl + vals[1:, None] * dr, prob.density)
+    rows = np.concatenate([fields[i] for i in _ROWS]).reshape(weights.shape)
+    el, g, gr, diag, hr, off = np.add.reduceat(
+        np.einsum("rkq,rkq->rk", rows, weights), _SUMS)
     lv, lp = prob.lambdas
-    E = float(np.sum(W * wq)) + lv * math.pi * vals[0] ** 2 + lp * 2.0 * math.pi * vals[0]
-    K = len(nodes) - 1
-    # a = (v[j+1] - v[j]) / h and d = (v[j] (1 - theta) + v[j+1] theta) / R on
-    # segment j: partials with respect to its left (l) and right (r) node
-    dal, dar = -1.0 / h[:, None], 1.0 / h[:, None]
-    ddl, ddr = (1.0 - theta) / R, theta / R
-    g = np.zeros(K + 1)
-    g[:-1] += np.sum((Wa * dal + Wd * ddl) * wq, axis=1)
-    g[1:] += np.sum((Wa * dar + Wd * ddr) * wq, axis=1)
-    g[0] += lv * 2.0 * math.pi * vals[0] + lp * 2.0 * math.pi
-    diag = np.zeros(K + 1)
-    diag[:-1] += np.sum((Waa * dal**2 + 2 * Wad * dal * ddl + Wdd * ddl**2) * wq, axis=1)
-    diag[1:] += np.sum((Waa * dar**2 + 2 * Wad * dar * ddr + Wdd * ddr**2) * wq, axis=1)
+    v0 = float(vals[0])
+    E = float(el.sum()) + lv * math.pi * v0 ** 2 + lp * 2.0 * math.pi * v0
+    # segment j adds its left entries to node j and its right ones to node
+    # j + 1; node K is the boundary node
+    g[1:] += gr[:-1]
+    diag[1:] += hr[:-1]
+    g[0] += lv * 2.0 * math.pi * v0 + lp * 2.0 * math.pi
     diag[0] += lv * 2.0 * math.pi
-    off = np.sum((Waa * dal * dar + Wad * (dal * ddr + dar * ddl) + Wdd * ddl * ddr) * wq,
-                 axis=1)[:-1]
-    H = np.diag(diag[:-1]) + np.diag(off, 1) + np.diag(off, -1)
-    return E, g[:-1], H
+    return E, g, (diag, off[:-1])
 
 
 def _pava(u):
     """Pool-adjacent-violators: the nondecreasing least-squares fit to u."""
-    v: list[float] = []
-    cnt: list[int] = []
-    for ui in u:
-        v.append(float(ui))
-        cnt.append(1)
-        while len(v) > 1 and v[-2] > v[-1]:
-            v2, c2 = v.pop(), cnt.pop()
-            v1, c1 = v.pop(), cnt.pop()
-            v.append((v1 * c1 + v2 * c2) / (c1 + c2))
-            cnt.append(c1 + c2)
-    return np.repeat(v, cnt)
+    if not (u[:-1] > u[1:]).any():  # no adjacent pair to pool
+        return u
+    v, cnt = [], []
+    for ui in u.tolist():
+        c = 1
+        while v and v[-1] > ui:
+            c1 = cnt.pop()
+            ui = (v.pop() * c1 + ui * c) / (c1 + c)
+            c += c1
+        v.append(ui)
+        cnt.append(c)
+    return np.array([vi for vi, c in zip(v, cnt) for _ in range(c)])
 
 
 def _project_free(free, bv):
@@ -137,10 +147,9 @@ def _project_free(free, bv):
     monotone cone with DELTA_MIN gaps, floored at DELTA_MIN and capped below
     the boundary value. Exact Euclidean projection via PAVA + clip."""
     K = len(free)
-    k = np.arange(K, dtype=float)
-    u = _pava(free - k * DELTA_MIN)
-    u = np.clip(u, DELTA_MIN, bv - (K) * DELTA_MIN)
-    return u + k * DELTA_MIN
+    gaps = np.arange(K) * DELTA_MIN
+    u = _pava(free - gaps)
+    return np.minimum(np.maximum(u, DELTA_MIN), bv - K * DELTA_MIN) + gaps
 
 
 @dataclass(frozen=True)
@@ -154,19 +163,41 @@ class MinimizeResult:
     energy_trace: np.ndarray = field(repr=False)
 
 
-def _newton_step(H, g):
-    """Solve (H + mu I) s = g by Cholesky. The Levenberg shift mu is 0 if H is
-    positive definite, else the first of 1e-10, 1e-9, ..., 10 times max |H_ij|
-    that makes it so; the last makes the tridiagonal H + mu I diagonally
-    dominant. A non-finite H gives a NaN step, which the line search rejects."""
-    scale = np.max(np.abs(H))
-    for mu in (0.0, *scale * 10.0 ** np.arange(-10, 2)):
-        try:
-            L = np.linalg.cholesky(H + mu * np.eye(len(g)))
-        except np.linalg.LinAlgError:
-            continue
-        return np.linalg.solve(L.T, np.linalg.solve(L, g))
-    return np.full_like(g, np.nan)
+def _ldl_solve(d, e, g, mu):
+    """s with (T + mu I) s = g, T tridiagonal with diagonal d and off-diagonal
+    e (lists), by L D L^T; None unless every pivot of D is positive."""
+    piv, mul, z = [d[0] + mu], [], [g[0]]
+    for di, ei, gi in zip(d[1:], e, g[1:]):
+        if not piv[-1] > 0.0:
+            return None
+        mul.append(ei / piv[-1])  # L below its unit diagonal
+        piv.append(di + mu - mul[-1] * ei)
+        z.append(gi - mul[-1] * z[-1])
+    if not piv[-1] > 0.0:
+        return None
+    s = [z[-1] / piv[-1]]
+    for zi, pi, m in zip(z[-2::-1], piv[-2::-1], mul[::-1]):
+        s.append(zi / pi - m * s[-1])
+    return s[::-1]
+
+
+def _newton_step(diag, off, g, active):
+    """Solve (H + mu I) s = g by L D L^T in O(K) (Golub & Van Loan, Matrix
+    Computations, 4.3) for the tridiagonal H = (diag, off) with its `active`
+    rows decoupled: couplings zeroed, H_ii replaced by |H_ii|. The Levenberg
+    shift mu is the first of 0, then 1e-10, 1e-9, ..., 10 times max |H_ij|,
+    that makes every pivot positive; the last makes H + mu I diagonally
+    dominant. Returns (s, mu); a non-finite H gives a NaN step."""
+    d = np.where(active, np.abs(diag), diag)
+    e = np.where(active[:-1] | active[1:], 0.0, off)
+    scale = float(np.abs(np.concatenate((d, e))).max())
+    if math.isfinite(scale):
+        d, e, g = d.tolist(), e.tolist(), g.tolist()
+        for mu in (scale * shift for shift in _SHIFTS):
+            s = _ldl_solve(d, e, g, mu)
+            if s is not None:
+                return np.array(s), mu
+    return np.full(len(g), np.nan), math.nan
 
 
 def _descend(prob: RadialProblem, init_free, tol, max_iter):
@@ -175,36 +206,32 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
     DELTA_MIN; rows within eps of a bound that the gradient pushes into get
     a diagonal Hessian, and the step is an Armijo search along the projected
     arc P(x - alpha s)."""
-    nodes, bv, K = prob.nodes, prob.boundary_value, prob.K
+    bv, K = prob.boundary_value, prob.K
+    geom = _node_geometry(prob.nodes)
     k = np.arange(K)
     lo = (k + 1) * DELTA_MIN
     hi = bv - (K - k) * DELTA_MIN
 
     def evaluate(free):
-        return _energy_and_grad(nodes, np.append(free, bv), prob)
+        return _energy_and_grad(geom, np.concatenate((free, (bv,))), prob)
 
     def pg_norm(free, g):
-        return float(np.linalg.norm(free - _project_free(free - g, bv)))
+        r = free - _project_free(free - g, bv)
+        return math.sqrt(r.dot(r))
 
     free = _project_free(np.asarray(init_free, dtype=float), bv)
     E, g, H = evaluate(free)
     pgn = pg_norm(free, g)
     trace = [E]
-    it = 0
-    status = "max-iterations"
+    it, status = 0, "max-iterations"
     while it < max_iter:
         it += 1
         if pgn < tol:
             status = "converged"
             break
         eps = min(EPS_ACTIVE, pgn)
-        act = np.flatnonzero(((free <= lo + eps) & (g > 0))
-                             | ((free >= hi - eps) & (g < 0)))
-        Hr = H.copy()
-        Hr[act, :] = 0.0
-        Hr[:, act] = 0.0
-        Hr[act, act] = np.abs(H[act, act])
-        step = _newton_step(Hr, g)
+        active = ((free <= lo + eps) & (g > 0)) | ((free >= hi - eps) & (g < 0))
+        step = _newton_step(*H, g, active)[0]
         alpha = 1.0
         for _ in range(60):
             cand = _project_free(free - alpha * step, bv)
@@ -229,9 +256,7 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
 
 
 def _default_inits(prob: RadialProblem):
-    nodes = prob.nodes
-    bv = prob.boundary_value
-    K = prob.K
+    nodes, bv, K = prob.nodes, prob.boundary_value, prob.K
     # affine between a trial cavity radius and the boundary value
     yield np.linspace(0.5 * bv, bv, K + 1)[:-1]
     # cavity-free affine continuation of the boundary stretch
@@ -243,9 +268,10 @@ def _default_inits(prob: RadialProblem):
 
 def minimize_radial(prob: RadialProblem, *, tol: float = 1e-7,
                     max_iter: int = 100_000) -> MinimizeResult:
-    """Projected Newton on the exact tridiagonal Hessian over monotone radial
-    profiles, with a Levenberg shift where the Hessian is indefinite and an
-    Armijo search along the projected arc.
+    """Projected Newton on the exact tridiagonal Hessian, solved by a banded
+    L D L^T factorisation in O(K), over monotone radial profiles, with a
+    Levenberg shift where the Hessian is indefinite and an Armijo search
+    along the projected arc.
 
     The projection is exact (isotonic regression with a DELTA_MIN gap). The
     run stops when the projected gradient x - P(x - grad E) has norm below
@@ -303,12 +329,12 @@ def flaw_search(candidates, outer: Domain, confinement: Confinement,
     area = outer.area()
     rows: list[FlawCandidate] = []
     for a in candidates:
+        center = (float(a[0]), float(a[1]))
         cfg = FlawConfig(points=a[None, :], eps=eps, max_count=1,
                          confinement=confinement)
         rep = validate_flaw_config(cfg, outer)
         if not rep.ok:
-            rows.append(FlawCandidate(center=(float(a[0]), float(a[1])),
-                                      valid=False, reason=str(rep),
+            rows.append(FlawCandidate(center=center, valid=False, reason=str(rep),
                                       energy_total=None, result=None))
             continue
         Ra = float(outer.dist_to_boundary(a))
@@ -317,8 +343,8 @@ def flaw_search(candidates, outer: Domain, confinement: Confinement,
                              lambdas=lambdas, K=K)
         res = minimize_radial(prob)
         total = res.energy.total + w_ambient * (area - math.pi * Ra**2)
-        rows.append(FlawCandidate(center=(float(a[0]), float(a[1])), valid=True,
-                                  reason="", energy_total=total, result=res))
+        rows.append(FlawCandidate(center=center, valid=True, reason="",
+                                  energy_total=total, result=res))
     valid = [r for r in rows if r.valid]
     if not valid:
         raise ValueError("no valid candidate centers")

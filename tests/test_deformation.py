@@ -9,14 +9,12 @@ from cavicore.deformation import (
     EvaluationDomainError,
     RadialProfile,
     NonmonotoneProfileError,
-    affine_deformation,
     change_of_reference_parts,
     compose,
     example_change_of_reference,
     example_radial,
     example_spike,
     example_superposition,
-    finite_difference_grad,
     identity_deformation,
     make_example,
     radial_deformation,
@@ -24,6 +22,8 @@ from cavicore.deformation import (
 from cavicore.geometry import det2, qnorm
 from cavicore.recovery import build_phi, compose_push, default_r_rule
 from cavicore.seams import circle_kinks, pass_kinks, ray_breaks
+
+from helpers import affine_deformation, finite_difference_grad
 
 SQRT3 = math.sqrt(3.0)
 
@@ -229,7 +229,6 @@ def test_radial_deformation_grad_beyond_the_profile():
 def test_radial_deformation_cavity_radius():
     prof = RadialProfile(nodes=[0.1, 0.5, 1.0], values=[0.5, 0.7, 1.0])
     assert prof.cavity_radius == 0.5
-    assert prof.inner_radius == 0.1
 
 
 # --------------------------------------------------------------------------

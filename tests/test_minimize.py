@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cavicore.minimize import (
     _default_inits,
     _descend,
     _energy_and_grad,
+    _newton_step,
+    _node_geometry,
     _project_free,
     flaw_search,
     gamma_sweep,
@@ -73,16 +76,21 @@ def test_reduced_energy_cavity_terms():
 def test_reduced_energy_gradient_consistency(rng):
     # analytic gradient used by the solver against finite differences
     prob = _problem(eps=0.2, bv=1.5, lam=(0.7, 1.3))
+    geom = _node_geometry(prob.nodes)
     vals = np.sort(rng.uniform(0.3, 1.4, prob.K + 1))
     vals[-1] = prob.boundary_value
-    E, g, D = _energy_and_grad(prob.nodes, vals, prob)
+    E, g, D = _energy_and_grad(geom, vals, prob)
     h = 1e-6
     for i in (0, 3, prob.K - 1):
         e = np.zeros_like(vals)
         e[i] = h
-        fd = (_energy_and_grad(prob.nodes, vals + e, prob)[0]
-              - _energy_and_grad(prob.nodes, vals - e, prob)[0]) / (2 * h)
+        fd = (_energy_and_grad(geom, vals + e, prob)[0]
+              - _energy_and_grad(geom, vals - e, prob)[0]) / (2 * h)
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+def _dense(diag, off):
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 @pytest.mark.parametrize("dens", [default_density(2.0), subquadratic_density(1.5)])
@@ -90,20 +98,85 @@ def test_reduced_energy_hessian_vs_fd(dens, rng):
     # exact tridiagonal Hessian against central differences of the gradient
     prob = RadialProblem(eps=0.2, outer_radius=1.0, boundary_value=1.5,
                          density=dens, lambdas=(0.7, 1.3), K=16)
+    geom = _node_geometry(prob.nodes)
     vals = np.sort(rng.uniform(0.3, 1.4, prob.K + 1))
     vals[-1] = prob.boundary_value
-    H = _energy_and_grad(prob.nodes, vals, prob)[2]
-    assert H.shape == (prob.K, prob.K)
-    assert np.array_equal(H, H.T)
-    assert np.all(np.triu(H, 2) == 0.0)
+    diag, off = _energy_and_grad(geom, vals, prob)[2]
+    assert diag.shape == (prob.K,) and off.shape == (prob.K - 1,)
+    H = _dense(diag, off)
     h = 1e-6
     fd = np.empty_like(H)
     for j in range(prob.K):
         e = np.zeros_like(vals)
         e[j] = h
-        fd[:, j] = (_energy_and_grad(prob.nodes, vals + e, prob)[1]
-                    - _energy_and_grad(prob.nodes, vals - e, prob)[1]) / (2 * h)
+        fd[:, j] = (_energy_and_grad(geom, vals + e, prob)[1]
+                    - _energy_and_grad(geom, vals - e, prob)[1]) / (2 * h)
     assert np.max(np.abs(H - fd)) <= 1e-6 * np.max(np.abs(H))
+
+
+def _dense_newton_step(H, g, active):
+    """Oracle: decouple the active rows of the full matrix, then Cholesky of
+    H + mu I over the Levenberg ladder 0, 1e-10 ... 10 times max |H_ij|."""
+    act = np.flatnonzero(active)
+    Hr = H.copy()
+    Hr[act, :] = 0.0
+    Hr[:, act] = 0.0
+    Hr[act, act] = np.abs(H[act, act])
+    scale = np.max(np.abs(Hr))
+    for mu in (0.0, *scale * 10.0 ** np.arange(-10, 2)):
+        try:
+            L = np.linalg.cholesky(Hr + mu * np.eye(len(g)))
+        except np.linalg.LinAlgError:
+            continue
+        return np.linalg.solve(L.T, np.linalg.solve(L, g)), mu
+    raise AssertionError("no shift of the ladder factors")
+
+
+@pytest.mark.parametrize("case", ["definite", "indefinite", "active"])
+def test_banded_step_matches_dense_cholesky(case, rng):
+    K = 24
+    diag = rng.uniform(2.5, 3.5, K)
+    off = rng.uniform(-1.0, 1.0, K - 1)
+    g = rng.uniform(-1.0, 1.0, K)
+    active = np.zeros(K, dtype=bool)
+    if case != "definite":
+        diag[[2, 9, 17]] = [-2.0, -0.5, -3.0]
+    if case == "active":
+        active[[0, 2, 11, K - 1]] = True
+        diag[[0, K - 1]] = [-1.5, -0.2]
+    step, mu = _newton_step(diag, off, g, active)
+    ref, ref_mu = _dense_newton_step(_dense(diag, off), g, active)
+    assert mu == ref_mu
+    assert (mu == 0.0) == (case == "definite")
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_newton_step_nonfinite_hessian_gives_nan():
+    diag, off, g = np.full(8, 2.0), np.full(7, 0.5), np.ones(8)
+    diag[3] = np.nan
+    assert np.all(np.isnan(_newton_step(diag, off, g, np.zeros(8, dtype=bool))[0]))
+
+
+def test_readme_k512_solve():
+    # the README minimize-radial case at K = 512
+    res = minimize_radial(_problem(eps=0.1, bv=2.0, lam=(1.0, 1.0), K=512))
+    assert res.converged and res.iterations == 7
+    assert res.energy.total == pytest.approx(51.80710802069416, rel=1e-12)
+
+
+def test_k2048_solve_allocates_no_dense_matrix():
+    # one K x K float64 matrix at K = 2048 takes 32 MiB; the banded solve
+    # allocates a few per-segment arrays of 8 Gauss points
+    K = 2048
+    prob = _problem(eps=0.1, bv=2.0, lam=(1.0, 1.0), K=K)
+    tracemalloc.start()
+    try:
+        res = minimize_radial(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    assert peak < K * K * 8
 
 
 def test_one_two_dimensional_consistency(rng):

@@ -14,7 +14,6 @@ from cavicore.deformation import (
     compose,
     example_radial,
     example_spike,
-    finite_difference_grad,
     identity_deformation,
     make_example,
 )
@@ -29,6 +28,8 @@ from cavicore.recovery import (
     recovery_energy_table,
 )
 from cavicore.seams import Arc
+
+from helpers import finite_difference_grad
 
 DENS = subquadratic_density(1.1)
 LAMBDAS = (2.5, 2.5)
