@@ -383,6 +383,10 @@ class RadialProfile:
         return np.where((r < self.nodes[0]) | (r > self.nodes[-1]), 0.0, s[seg])
 
     @property
+    def inner_radius(self):
+        return float(self.nodes[0])
+
+    @property
     def cavity_radius(self):
         return float(self.values[0])
 

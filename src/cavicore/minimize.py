@@ -128,18 +128,17 @@ def _energy_and_grad(geom, vals, prob: RadialProblem):
 
 def _pava(u):
     """Pool-adjacent-violators: the nondecreasing least-squares fit to u."""
-    if not (u[:-1] > u[1:]).any():  # no adjacent pair to pool
-        return u
-    v, cnt = [], []
+    v: list[float] = []
+    cnt: list[int] = []
     for ui in u.tolist():
-        c = 1
-        while v and v[-1] > ui:
-            c1 = cnt.pop()
-            ui = (v.pop() * c1 + ui * c) / (c1 + c)
-            c += c1
         v.append(ui)
-        cnt.append(c)
-    return np.array([vi for vi, c in zip(v, cnt) for _ in range(c)])
+        cnt.append(1)
+        while len(v) > 1 and v[-2] > v[-1]:
+            v2, c2 = v.pop(), cnt.pop()
+            v1, c1 = v.pop(), cnt.pop()
+            v.append((v1 * c1 + v2 * c2) / (c1 + c2))
+            cnt.append(c1 + c2)
+    return np.repeat(v, cnt)
 
 
 def _project_free(free, bv):
@@ -223,7 +222,8 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
     E, g, H = evaluate(free)
     pgn = pg_norm(free, g)
     trace = [E]
-    it, status = 0, "max-iterations"
+    it = 0
+    status = "max-iterations"
     while it < max_iter:
         it += 1
         if pgn < tol:
@@ -256,7 +256,9 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
 
 
 def _default_inits(prob: RadialProblem):
-    nodes, bv, K = prob.nodes, prob.boundary_value, prob.K
+    nodes = prob.nodes
+    bv = prob.boundary_value
+    K = prob.K
     # affine between a trial cavity radius and the boundary value
     yield np.linspace(0.5 * bv, bv, K + 1)[:-1]
     # cavity-free affine continuation of the boundary stretch
@@ -289,7 +291,8 @@ def minimize_radial(prob: RadialProblem, *, tol: float = 1e-7,
         if better:
             best = (free, E, it, pgn, status, trace)
     free, E, it, pgn, status, trace = best
-    profile = RadialProfile(nodes=prob.nodes, values=np.append(free, prob.boundary_value))
+    profile = RadialProfile(nodes=prob.nodes.copy(),
+                            values=np.append(free, prob.boundary_value))
     bd = radial_reduced_energy(profile, prob)
     return MinimizeResult(profile=profile, energy=bd, iterations=it,
                           converged=status == "converged", pg_norm=pgn,
@@ -329,12 +332,12 @@ def flaw_search(candidates, outer: Domain, confinement: Confinement,
     area = outer.area()
     rows: list[FlawCandidate] = []
     for a in candidates:
-        center = (float(a[0]), float(a[1]))
         cfg = FlawConfig(points=a[None, :], eps=eps, max_count=1,
                          confinement=confinement)
         rep = validate_flaw_config(cfg, outer)
         if not rep.ok:
-            rows.append(FlawCandidate(center=center, valid=False, reason=str(rep),
+            rows.append(FlawCandidate(center=(float(a[0]), float(a[1])),
+                                      valid=False, reason=str(rep),
                                       energy_total=None, result=None))
             continue
         Ra = float(outer.dist_to_boundary(a))
@@ -343,8 +346,8 @@ def flaw_search(candidates, outer: Domain, confinement: Confinement,
                              lambdas=lambdas, K=K)
         res = minimize_radial(prob)
         total = res.energy.total + w_ambient * (area - math.pi * Ra**2)
-        rows.append(FlawCandidate(center=center, valid=True, reason="",
-                                  energy_total=total, result=res))
+        rows.append(FlawCandidate(center=(float(a[0]), float(a[1])), valid=True,
+                                  reason="", energy_total=total, result=res))
     valid = [r for r in rows if r.valid]
     if not valid:
         raise ValueError("no valid candidate centers")

@@ -229,6 +229,7 @@ def test_radial_deformation_grad_beyond_the_profile():
 def test_radial_deformation_cavity_radius():
     prof = RadialProfile(nodes=[0.1, 0.5, 1.0], values=[0.5, 0.7, 1.0])
     assert prof.cavity_radius == 0.5
+    assert prof.inner_radius == 0.1
 
 
 # --------------------------------------------------------------------------
