@@ -11,9 +11,7 @@ import numpy as np
 
 from .deformation import Deformation
 from .geometry import angular_rule, pseudoinverse, refine
-from .seams import circle_kinks
-
-TWO_PI = 2.0 * math.pi
+from .seams import TWO_PI, Arc, circle_kinks
 
 
 class BoundaryProximityError(ValueError):
@@ -45,10 +43,20 @@ class TraceCurve:
         return len(self.ts)
 
     @cached_property
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        """The corners (lo, hi) of the points' bounding box."""
+        return np.min(self.points, axis=0), np.max(self.points, axis=0)
+
+    @cached_property
     def diameter(self) -> float:
-        lo = np.min(self.points, axis=0)
-        hi = np.max(self.points, axis=0)
+        lo, hi = self.bbox
         return float(np.linalg.norm(hi - lo))
+
+    @cached_property
+    def area_density(self) -> np.ndarray:
+        """The signed-area density (1/2) w x w' at the nodes."""
+        w, dw = self.points, self.derivs
+        return 0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0])
 
     def integrate(self, f: np.ndarray) -> float:
         """Quadrature of nodal values f over the parameter."""
@@ -64,18 +72,12 @@ class CavityMetrics:
     converged: bool  # False when the node cap stopped the refinement
 
 
-def _circle_points(a, eps, ts):
-    return np.asarray(a, dtype=float) + eps * np.stack(
-        [np.cos(ts), np.sin(ts)], axis=-1
-    )
-
-
 def _trace(y: Deformation, a, eps: float, ts, weights) -> TraceCurve:
     """The image of S(a, eps) at the parameters ts, with chain-rule
     derivatives."""
     if eps <= 0:
         raise TraceError("trace radius must be positive")
-    pts = _circle_points(a, eps, ts)
+    pts = Arc(a, eps).at(ts)
     if y.domain is not None:
         ok = y.domain.contains(pts, closed=True)
         if not np.all(ok):
@@ -103,12 +105,13 @@ def trace_on_circle(y: Deformation, a, eps: float, n: int = 256) -> TraceCurve:
                   np.full(n, TWO_PI / n))
 
 
-def panel_trace(y: Deformation, a, eps: float, n: int) -> TraceCurve:
-    """The image of S(a, eps) at the nodes of `angular_rule(n, kinks)`, with
-    the angles where the circle crosses the map's seams as the extra kinks:
-    for boundary integrals."""
+def panel_tracer(y: Deformation, a, eps: float):
+    """The panel traces of S(a, eps) for boundary integrals: n -> the image of
+    the circle at the nodes of `angular_rule(n, kinks)`, with the angles where
+    it crosses the map's seams as the extra kinks, derived once."""
     a = np.asarray(a, dtype=float)
-    return _trace(y, a, eps, *angular_rule(n, circle_kinks(y.seams, a, eps)))
+    kinks = circle_kinks(y.seams, a, eps)
+    return lambda n: _trace(y, a, eps, *angular_rule(n, kinks))
 
 
 # --------------------------------------------------------------------------
@@ -205,8 +208,7 @@ def degree_range_on_grid(curve: TraceCurve, nx: int = 200, ny: int = 200) -> fro
     """Set of degrees observed on an nx x ny query grid over the trace's
     bounding box, widened by a tenth of its span on each side (near-boundary
     points skipped)."""
-    lo = np.min(curve.points, axis=0)
-    hi = np.max(curve.points, axis=0)
+    lo, hi = curve.bbox
     span = hi - lo
     lo = lo - 0.1 * span
     hi = hi + 0.1 * span
@@ -222,9 +224,7 @@ def degree_range_on_grid(curve: TraceCurve, nx: int = 200, ny: int = 200) -> fro
 def cavity_volume_signed(curve: TraceCurve) -> float:
     """Signed enclosed area (1/2) oint (w x w') dt; positive for curves
     winding counterclockwise."""
-    w, dw = curve.points, curve.derivs
-    integrand = 0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0])
-    return curve.integrate(integrand)
+    return curve.integrate(curve.area_density)
 
 
 def cavity_volume(curve: TraceCurve) -> float:
@@ -244,12 +244,11 @@ def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
     (relative). `n_samples` is the node count of the last pass; `converged` is
     False when n_max nodes were reached first."""
     n_samples = 0
-    a = np.asarray(a, dtype=float)
-    kinks = circle_kinks(y.seams, a, eps)  # those of panel_trace, derived once
+    trace = panel_tracer(y, a, eps)
 
     def one_pass(n):
         nonlocal n_samples
-        curve = _trace(y, a, eps, *angular_rule(n, kinks))
+        curve = trace(n)
         n_samples = len(curve)
         return np.array([cavity_volume_signed(curve), cavity_perimeter(curve)]), True
 

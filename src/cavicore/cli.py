@@ -130,12 +130,16 @@ def cmd_limit_energy(args, cfg) -> int:
     return EXIT_FLAGGED if rep.flags else EXIT_OK
 
 
-def cmd_minimize_radial(args, cfg) -> int:
-    density = density_by_name(args.density, args.p)
-    prob = RadialProblem(eps=args.eps, outer_radius=args.outer_radius,
-                         boundary_value=args.boundary_value, density=density,
+def _radial_problem(args, eps) -> RadialProblem:
+    return RadialProblem(eps=eps, outer_radius=args.outer_radius,
+                         boundary_value=args.boundary_value,
+                         density=density_by_name(args.density, args.p),
                          lambdas=(args.lambda_v, args.lambda_p), K=args.K)
-    res = minimize_radial(prob, tol=args.tol, max_iter=args.max_iter)
+
+
+def cmd_minimize_radial(args, cfg) -> int:
+    res = minimize_radial(_radial_problem(args, args.eps), tol=args.tol,
+                          max_iter=args.max_iter)
     rows = list(zip(res.profile.nodes, res.profile.values))
     write_csv(Path(args.output), ["node", "value"], rows, cfg)
     print(f"energy {res.energy.total:.10f} (elastic {res.energy.elastic:.10f}); "
@@ -146,12 +150,9 @@ def cmd_minimize_radial(args, cfg) -> int:
 
 
 def cmd_gamma_sweep(args, cfg) -> int:
-    density = density_by_name(args.density, args.p)
     eps_list = _floats(args.eps_list)
-    template = RadialProblem(eps=eps_list[0], outer_radius=args.outer_radius,
-                             boundary_value=args.boundary_value, density=density,
-                             lambdas=(args.lambda_v, args.lambda_p), K=args.K)
-    sweep = gamma_sweep(eps_list, template, max_iter=args.max_iter)
+    sweep = gamma_sweep(eps_list, _radial_problem(args, eps_list[0]),
+                        max_iter=args.max_iter)
     rows = [
         [r.eps, r.min_energy.elastic, r.min_energy.volume_term,
          r.min_energy.perimeter_term, r.min_energy.total, r.cavity_radius,

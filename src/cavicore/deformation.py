@@ -192,24 +192,23 @@ def change_of_reference_parts(b: float) -> tuple[Deformation, Deformation]:
 
 
 def _superposition_g():
-    def ev(z):
+    def branches(z):
+        """z, its components and their moduli, and the two squeezed branches."""
         z = np.asarray(z, dtype=float)
         z1, z2 = z[..., 0], z[..., 1]
         a1, a2 = np.abs(z1), np.abs(z2)
-        b1 = (a1 > a2) & (a2 < 0.5)
-        b2 = (a2 > a1) & (a1 < 0.5)
+        return z, z1, z2, a1, a2, (a1 > a2) & (a2 < 0.5), (a2 > a1) & (a1 < 0.5)
+
+    def ev(z):
+        z, z1, z2, a1, a2, b1, b2 = branches(z)
         out = z.copy()
         out[..., 0] = np.where(b1, _sign(z1) * (1.0 - 2.0 * a2) + 2.0 * z1 * a2, z1)
         out[..., 1] = np.where(b2, _sign(z2) * (1.0 - 2.0 * a1) + 2.0 * a1 * z2, z2)
         return out
 
     def gr(z):
-        z = np.asarray(z, dtype=float)
-        z1, z2 = z[..., 0], z[..., 1]
-        a1, a2 = np.abs(z1), np.abs(z2)
+        z, z1, z2, a1, a2, b1, b2 = branches(z)
         s1, s2 = _sign(z1), _sign(z2)
-        b1 = (a1 > a2) & (a2 < 0.5)
-        b2 = (a2 > a1) & (a1 < 0.5)
         return mat2(np.where(b1, 2.0 * a2, 1.0), np.where(b1, 2.0 * s2 * (z1 - s1), 0.0),
                     np.where(b2, 2.0 * s1 * (z2 - s2), 0.0), np.where(b2, 2.0 * a1, 1.0))
 
@@ -278,51 +277,42 @@ _SPIKE_ALPHA = 4.0 * (5.0 - 2.0 * SQRT3)
 
 
 def _spike_coef(R):
-    """Slope of the segment the circle |z| = R is flattened onto inside the
-    wedge region, written to avoid cancellation near R = 1/2."""
+    """(c, dc/dR): the slope c of the segment the circle |z| = R is flattened
+    onto inside the wedge region, written to avoid cancellation near R = 1/2,
+    for R > 1/2 (the wedge lies outside |z| = 1/2)."""
     R = np.asarray(R, dtype=float)
-    q = np.sqrt(np.maximum(_SPIKE_ALPHA * R * R - 1.0, 0.0))
-    denom = _SPIKE_ALPHA * (R * R - 0.25) / (q + SQRT3 - 1.0)
-    return (-9.0 + 4.0 * SQRT3 + (SQRT3 - 1.0) * q) / denom
-
-
-def _spike_coef_deriv(R):
-    R = np.asarray(R, dtype=float)
-    q = np.sqrt(np.maximum(_SPIKE_ALPHA * R * R - 1.0, 1e-300))
+    q = np.sqrt(_SPIKE_ALPHA * R * R - 1.0)
     denom = _SPIKE_ALPHA * (R * R - 0.25) / (q + SQRT3 - 1.0)
     dc_dq = (5.0 - 2.0 * SQRT3) / denom**2
-    return dc_dq * _SPIKE_ALPHA * R / q
+    return (-9.0 + 4.0 * SQRT3 + (SQRT3 - 1.0) * q) / denom, dc_dq * _SPIKE_ALPHA * R / q
 
 
 def example_spike() -> Deformation:
     """Round cavity whose boundary develops an exterior spike: the wedge above
     the chord is squeezed onto segments ending at (0, 1)."""
 
-    def in_wedge(z1, z2):
-        return z2 > (SQRT3 - 1.0) * np.abs(z1) + 0.5
-
-    def ev(x):
+    def image(x):
+        """x, |x|, the annulus image z = (|x| + 1)/2 x/|x| (one rounding for
+        eval and grad, so both take the same branch), the wedge mask, |z|, and
+        (c, c') at |z| in the wedge."""
         x = np.asarray(x, dtype=float)
         n = norm2(x)[..., None]
         z = 0.5 * (n + 1.0) * x / n
-        w = in_wedge(z[..., 0], z[..., 1])
+        w = z[..., 1] > (SQRT3 - 1.0) * np.abs(z[..., 0]) + 0.5
         R = norm2(z)
-        c = np.where(w, _spike_coef(np.where(w, R, 1.0)), 0.0)
+        return x, n[..., 0], z, w, R, *_spike_coef(np.where(w, R, 1.0))
+
+    def ev(x):
+        x, n, z, w, R, c, cp = image(x)
         out = z.copy()
         out[..., 1] = np.where(w, c * np.abs(z[..., 0]) + 1.0, z[..., 1])
         return out
 
     def gr(x):
-        x = np.asarray(x, dtype=float)
-        n = norm2(x)
+        x, n, z, w, R, c, cp = image(x)
         e0, e1 = x[..., 0] / n, x[..., 1] / n
         Du = mat2(*_radial_entries(0.5 * (n + 1.0) / n, 0.5, e0, e1))
-        z1, z2 = 0.5 * (n + 1.0) * e0, 0.5 * (n + 1.0) * e1
-        w = in_wedge(z1, z2)
-        R = np.sqrt(z1 * z1 + z2 * z2)
-        Rsafe = np.where(w, R, 1.0)
-        c = _spike_coef(Rsafe)
-        cp = _spike_coef_deriv(Rsafe)
+        z1, z2 = z[..., 0], z[..., 1]
         return mul2(mat2(1.0, 0.0,
                          np.where(w, cp * z1 / R * np.abs(z1) + c * _sign(z1), 0.0),
                          np.where(w, cp * z2 / R * np.abs(z1), 1.0)), Du)
@@ -447,17 +437,15 @@ def compose(outer: Deformation, inner: Deformation) -> Deformation:
 # --------------------------------------------------------------------------
 # catalog access
 
-CATALOG_KEYS = ("radial", "change-of-reference", "superposition", "spike")
+_CATALOG = {"radial": example_radial,
+            "change-of-reference": example_change_of_reference,
+            "superposition": lambda b: example_superposition(),
+            "spike": lambda b: example_spike()}
+CATALOG_KEYS = tuple(_CATALOG)
 
 
 def make_example(key: str, b: float = 0.5) -> Deformation:
     """Catalog lookup by CLI key."""
-    if key == "radial":
-        return example_radial(b)
-    if key == "change-of-reference":
-        return example_change_of_reference(b)
-    if key == "superposition":
-        return example_superposition()
-    if key == "spike":
-        return example_spike()
-    raise KeyError(f"unknown example {key!r}; choose from {CATALOG_KEYS}")
+    if key not in _CATALOG:
+        raise KeyError(f"unknown example {key!r}; choose from {CATALOG_KEYS}")
+    return _CATALOG[key](b)

@@ -10,10 +10,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cavity import (INSIDE, OUTSIDE, CavityMetrics, _circle_points,
-                     converged_trace_metrics, degree_range_on_grid,
-                     extrapolate_limit, panel_trace, trace_on_circle,
-                     winding_numbers_grid)
+from .cavity import (INSIDE, OUTSIDE, CavityMetrics, converged_trace_metrics,
+                     degree_range_on_grid, extrapolate_limit, panel_tracer,
+                     trace_on_circle, winding_numbers_grid)
 from .cavity import topological_image_contains  # noqa: F401 (perfbench patches it here)
 from .deformation import Deformation
 from .geometry import (Domain, FlawConfig, adj2, angular_rule, cof2, det2,
@@ -161,17 +160,13 @@ BULK_TOL = 1e-6  # relative agreement of successive bulk passes
 
 def _eval_blocked(f, X):
     """f at the points X (..., 2), called on at most BLOCK points at a time.
-    f returns one value per point, shape (points,), or k, shape (k, points);
-    zeros of shape (points,), which `background` returns for a block with no
-    live point, stand for k zeros per point."""
+    f returns one value per point, shape (points,), or k, shape (k, points)."""
     pts = X.reshape(-1, 2)
     vals = None
     for i in range(0, len(pts), BLOCK):
         v = f(pts[i:i + BLOCK])
         if vals is None:
             vals = np.empty(v.shape[:-1] + (len(pts),))
-        elif v.ndim > vals.ndim:  # the blocks so far were zeros
-            vals = np.zeros(v.shape[:-1] + (len(pts),))
         vals[..., i:i + BLOCK] = v
     return vals.reshape(vals.shape[:-1] + X.shape[:-1])
 
@@ -271,12 +266,21 @@ def _smooth_blend(r, r_in, r_out):
 
 
 def _patch_radius(a, domain: Domain, others, eps):
-    cap = float(domain.dist_to_boundary(a)) * 0.9
+    """The radius of a flaw's partition-of-unity patch: 0.9 of its room (the
+    distance to the boundary and half the separation from the other flaws),
+    raised to 1.5 eps (1.2 eps in a tight room) unless that reaches the
+    room; then 0.9 of the way from eps to the room."""
+    room = float(domain.dist_to_boundary(a))
     for b in others:
         d = float(np.linalg.norm(np.asarray(a) - np.asarray(b)))
         if d > 0:
-            cap = min(cap, 0.45 * d)
-    return max(cap, 1.5 * eps) if cap > 1.2 * eps else 1.2 * eps
+            room = min(room, 0.5 * d)
+    if room <= eps:
+        raise ValueError(f"a flaw patch about ({a[0]:g}, {a[1]:g}) has no room "
+                         f"beyond eps = {eps:g}")
+    cap = 0.9 * room
+    r = max(cap, 1.5 * eps) if cap > 1.2 * eps else 1.2 * eps
+    return r if r < room else eps + 0.9 * (room - eps)
 
 
 def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
@@ -302,7 +306,7 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
     radii = {i: _patch_radius(pts[i], domain, np.delete(pts, i, axis=0), cfg.eps)
              for i in range(len(pts))}
 
-    def background(X):  # zeros of shape (points,) where no point is live
+    def background(X):
         w = np.ones(X.shape[:-1])
         hole = np.zeros(X.shape[:-1], dtype=bool)
         for i, a in enumerate(pts):
@@ -310,8 +314,6 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
             w = w * (1.0 - _smooth_blend(r, cfg.eps, radii[i]))
             hole |= r <= eps
         live = (w > 1e-14) & ~hole
-        if not np.any(live):
-            return np.zeros(X.shape[:-1])
         v = f(X[live]) * w[live]
         out = np.zeros(v.shape[:-1] + X.shape[:-1])
         out[..., live] = v
@@ -482,16 +484,17 @@ class TestFunction:
     radius: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
 
+    def _offset(self, x):
+        """x - c and u = 1 - |x - c|^2 / R^2."""
+        d = np.asarray(x, dtype=float) - np.asarray(self.center)
+        return d, 1.0 - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / self.radius**2
+
     def eval(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - np.asarray(self.center)
-        u = 1.0 - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / self.radius**2
+        u = self._offset(x)[1]
         return np.where(u > 0, u, 0.0) ** self.k
 
     def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        d = x - np.asarray(self.center)
-        u = 1.0 - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / self.radius**2
+        d, u = self._offset(x)
         coef = np.where(u > 0, self.k * np.where(u > 0, u, 0.0) ** (self.k - 1), 0.0)
         return (-2.0 / self.radius**2) * coef[..., None] * d
 
@@ -523,7 +526,8 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
     The test functions share each pass of size n: one bulk quadrature per
     distinct support disk, split along its circle, integrates the bulk and
     determinant terms of all its test functions from one evaluation of y and
-    grad y per node, and one panel trace per flaw gives every sphere term.
+    grad y per node, and one panel trace per flaw gives every sphere term
+    (`panel_tracer`, whose circle kinks are derived once per call).
     Each test function's [bulk, det, sphere] is refined until it meets `tol`
     (`converged` says whether it did), so its result is, bit for bit, that of
     a one-element call."""
@@ -531,6 +535,7 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
     supports = {}
     for j, phi in enumerate(phis):
         supports.setdefault((tuple(phi.center), phi.radius), []).append(j)
+    sphere = [(Arc(a, cfg.eps), panel_tracer(y, a, cfg.eps)) for a in cfg.points]
 
     @functools.cache
     def one_pass(n):  # ([bulk, det, sphere] per phi, ok per phi)
@@ -546,12 +551,10 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
 
             v, ok[js] = _integrate_perforated(f, dom, cfg, y, n=n, seams=(Arc(c, R),))
             vals[js, :2] = np.reshape(v, (-1, 2))
-        for a in cfg.points:
-            curve = panel_trace(y, a, cfg.eps, n)
-            w, dw = curve.points, curve.derivs
-            area = 0.5 * (w[:, 0] * dw[:, 1] - w[:, 1] * dw[:, 0])
-            x = _circle_points(a, cfg.eps, curve.ts)
-            vals[:, 2] -= [curve.integrate(area * phi.eval(x)) for phi in phis]
+        for circle, trace in sphere:
+            curve = trace(n)
+            x = circle.at(curve.ts)
+            vals[:, 2] -= [curve.integrate(curve.area_density * phi.eval(x)) for phi in phis]
         return vals, ok
 
     def result(j):

@@ -261,45 +261,42 @@ class Domain:
         n = qnorm(pts, self.q)
         return n <= self.radius if closed else n < self.radius
 
+    def _holes(self, pts):
+        """(distance from each point to the nearest flaw point, flaw radius):
+        (inf, 0) without flaws."""
+        d = np.full(np.shape(pts)[:-1], np.inf)
+        if self.flaws is None:
+            return d, 0.0
+        for a in self.flaws.points:
+            d = np.minimum(d, qnorm(np.asarray(pts, dtype=float) - a, 2))
+        return d, self.flaws.eps
+
     def contains_perforated(self, pts) -> np.ndarray:
         """Membership in the perforated domain: inside, strictly outside every
         closed flaw disk. Sphere points are excluded robustly (a 1e-12
         relative band absorbs roundoff in the radius comparison)."""
-        inside = self.contains(pts)
-        if self.flaws is not None:
-            pts = np.asarray(pts, dtype=float)
-            eps = self.flaws.eps
-            for a in self.flaws.points:
-                inside = inside & (qnorm(pts - a, 2) > eps * (1.0 + 1e-12))
-        return inside
+        d, eps = self._holes(pts)
+        return self.contains(pts) & (d > eps * (1.0 + 1e-12))
 
     def contains_perforated_closure_holes(self, pts) -> np.ndarray:
         """Membership in the domain minus the *open* flaw disks: sphere points
         are included (same roundoff band as contains_perforated)."""
-        inside = self.contains(pts)
-        if self.flaws is not None:
-            pts = np.asarray(pts, dtype=float)
-            eps = self.flaws.eps
-            for a in self.flaws.points:
-                inside = inside & (qnorm(pts - a, 2) >= eps * (1.0 - 1e-12))
-        return inside
+        d, eps = self._holes(pts)
+        return self.contains(pts) & (d >= eps * (1.0 - 1e-12))
+
+    def _boundary_gap(self, qn):
+        """Euclidean distance to the outer boundary from points of q-norm qn."""
+        gap = self.radius - qn
+        return gap / math.sqrt(2.0) if self.q == 1 else gap
 
     def dist_to_boundary(self, pts) -> np.ndarray:
         """Euclidean distance from interior points to the outer boundary."""
-        pts = np.asarray(pts, dtype=float)
-        n = qnorm(pts, self.q)
-        if self.q == 1:
-            return (self.radius - n) / math.sqrt(2.0)
-        return self.radius - n
+        return self._boundary_gap(qnorm(pts, self.q))
 
 
 def boundary_margin(confinement: Confinement, outer: Domain) -> float:
     """Euclidean distance between the confinement region and the outer boundary."""
-    m = confinement.max_qnorm(outer.q)
-    gap = outer.radius - m
-    if outer.q == 1:
-        return gap / math.sqrt(2.0)
-    return gap
+    return outer._boundary_gap(confinement.max_qnorm(outer.q))
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ tracking convergence of the composed deformations."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,13 +50,18 @@ class ProfilePhi:
     slopes: np.ndarray   # (s_left, s_right) per zone; equal entries = constant
     starts: np.ndarray   # phi at zone boundaries
 
+    @cached_property
+    def _widths(self):
+        """Zone widths, 0 for the unbounded tail."""
+        return np.append(np.diff(self.bounds), 0.0)
+
     def values(self, t):
         """(phi(t), phi'(t)) from one zone lookup."""
         t = np.asarray(t, dtype=float)
         zone = np.clip(np.searchsorted(self.bounds, t, side="right") - 1, 0,
                        len(self.bounds) - 1)
         sa, sb = self.slopes[zone, 0], self.slopes[zone, 1]
-        width = np.append(np.diff(self.bounds), 0.0)[zone]  # 0 = unbounded tail
+        width = self._widths[zone]
         dt = t - self.bounds[zone]
         u = np.divide(dt, width, out=np.zeros_like(dt + 0.0), where=width > 0)
         return (self.starts[zone] + sa * dt + (sb - sa) * width * _smoothstep_int(u),

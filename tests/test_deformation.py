@@ -360,18 +360,17 @@ def _oracle_squeeze(z):
 
 
 def _oracle_spike(x):
-    from cavicore.deformation import _spike_coef, _spike_coef_deriv
+    from cavicore.deformation import _spike_coef
 
     n = np.sqrt(np.sum(x * x, axis=-1))
     e = x / n[..., None]
     ee = e[..., :, None] * e[..., None, :]
     Du = (0.5 * (n + 1.0) / n)[..., None, None] * (_I2 - ee) + 0.5 * ee
-    z = 0.5 * (n + 1.0)[..., None] * e
+    z = 0.5 * (n + 1.0)[..., None] * x / n[..., None]  # eval's image, so its branch
     z1, z2 = z[..., 0], z[..., 1]
     w = z2 > (SQRT3 - 1.0) * np.abs(z1) + 0.5
     R = np.sqrt(np.sum(z * z, axis=-1))
-    Rs = np.where(w, R, 1.0)
-    c, cp = _spike_coef(Rs), _spike_coef_deriv(Rs)
+    c, cp = _spike_coef(np.where(w, R, 1.0))
     Dg = np.broadcast_to(_I2, z.shape[:-1] + (2, 2)).copy()
     Dg[..., 1, 0] = np.where(w, cp * z1 / R * np.abs(z1) + c * _sgn(z1), 0.0)
     Dg[..., 1, 1] = np.where(w, cp * z2 / R * np.abs(z1), 1.0)

@@ -33,7 +33,8 @@ from cavicore.energy import (
     subquadratic_density,
     _polar_integral,
 )
-from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
+from cavicore.geometry import (Domain, FlawConfig, det2, tight_confinement,
+                               validate_flaw_config)
 from cavicore.seams import Arc
 
 
@@ -307,6 +308,27 @@ def test_elastic_two_flaws():
     expect = 3.0 * (math.pi - 2 * math.pi * 0.01)
     val, ok = elastic_energy(idm, dom, dens)
     assert ok and val == pytest.approx(expect, rel=1e-6)
+
+
+@pytest.mark.parametrize("q", [2, math.inf])
+@pytest.mark.parametrize("room", [1.05, 1.1, 1.15, 1.4, 1.45])
+def test_flaw_patch_stays_inside_the_domain(q, room):
+    # a flaw at distance room * eps from the boundary, in a valid config: the
+    # partition-of-unity patch about it must not count area outside the domain
+    eps = 0.1
+    a = [[1.0 - room * eps, 0.0]]
+    cfg = FlawConfig(points=a, eps=eps, confinement=tight_confinement(a))
+    dom = Domain(q=q, radius=1.0, flaws=cfg)
+    assert validate_flaw_config(cfg, dom).ok
+    val, ok = elastic_energy(identity_deformation(), dom, default_density(2.0))
+    assert ok and val == pytest.approx(3.0 * (dom.area() - math.pi * eps**2), rel=1e-9)
+
+
+def test_flaw_patch_without_room_raises():
+    # a hole reaching past the boundary leaves no room for a patch
+    dom = Domain(q=2, radius=1.0, flaws=FlawConfig(points=[[0.95, 0.0]], eps=0.1))
+    with pytest.raises(ValueError, match="no room"):
+        elastic_energy(identity_deformation(), dom, default_density(2.0))
 
 
 # --------------------------------------------------------------------------
@@ -665,26 +687,34 @@ def test_multi_phi_pairing_is_single_phi_pairing(case):
 
 def test_multi_phi_pairing_shares_each_pass(monkeypatch):
     # one bulk quadrature per pass and distinct support, one trace per flaw
-    # per pass, and each test function still stops at its own pass
-    calls, traces = [], []
-    real_int, real_trace = energy._integrate_perforated, energy.panel_trace
+    # per pass, and each test function still stops at its own pass; each
+    # flaw's circle kinks are derived once per call
+    calls, traces, kinks = [], [], []
+    real_int, real_tracer = energy._integrate_perforated, energy.panel_tracer
+    real_kinks = cavity.circle_kinks
 
     def spy_int(*args, **kwargs):
         calls.append((kwargs["n"], len(kwargs["seams"])))
         return real_int(*args, **kwargs)
 
-    def spy_trace(y, a, eps, n):
-        traces.append(n)
-        return real_trace(y, a, eps, n)
+    def spy_tracer(y, a, eps):
+        trace = real_tracer(y, a, eps)
+        return lambda n: traces.append(n) or trace(n)
+
+    def spy_kinks(seams, c, r):
+        kinks.append(tuple(c))
+        return real_kinks(seams, c, r)
 
     y, cfg, dom = _two_flaw_pairing_case()
     monkeypatch.setattr(energy, "_integrate_perforated", spy_int)
-    monkeypatch.setattr(energy, "panel_trace", spy_trace)
+    monkeypatch.setattr(energy, "panel_tracer", spy_tracer)
+    monkeypatch.setattr(cavity, "circle_kinks", spy_kinks)
     extended_det_pairing(y, cfg, dom, _TWO_FLAW_PHIS, tol=1e-7)
     ns = sorted({n for n, _ in calls})
     assert ns == [128, 256, 512]
     assert sorted(calls) == sorted((n, 1) for n in ns for _ in range(2))
     assert sorted(traces) == sorted(n for n in ns for _ in range(2))
+    assert sorted(kinks) == sorted(tuple(a) for a in cfg.points)
 
 
 # --------------------------------------------------------------------------
