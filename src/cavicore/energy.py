@@ -369,17 +369,27 @@ def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
     perimeter of each perforation trace. Returns (breakdown, converged), where
     converged is False when the bulk refinement or a trace sweep stopped
     unconverged."""
+    vol, per, ok = _trace_terms(y, cfg, dom)
+    el, el_ok = _stored_energy(y, density, dom, cfg, tol=tol, max_refine=max_refine)
+    return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok and ok
+
+
+def _trace_terms(y: Deformation, cfg: FlawConfig, dom: Domain):
+    """The volumes and perimeters of y's converged traces on each S(a, eps)
+    of `cfg`, summed: (volume, perimeter, converged), converged False when a
+    sweep stopped at its node cap. Raises ValueError unless `cfg` is a valid
+    flaw configuration in `dom`."""
     report = validate_flaw_config(cfg, dom)
     if not report.ok:
         raise ValueError(f"invalid flaw configuration: {report}")
-    el, ok = _stored_energy(y, density, dom, cfg, tol=tol, max_refine=max_refine)
     vol = per = 0.0
+    ok = True
     for a in cfg.points:
         m = converged_trace_metrics(y, a, cfg.eps)
         vol += m.volume
         per += m.perimeter
         ok = ok and m.converged
-    return EnergyBreakdown.assemble(el, vol, per, lambdas), ok
+    return vol, per, ok
 
 
 @dataclass(frozen=True)

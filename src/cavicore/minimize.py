@@ -48,29 +48,17 @@ class RadialProblem:
         nodes.flags.writeable = False
         return nodes
 
-
-def _w_all_diag(a, d, density: Density):
-    """W = |F|^p + g(det F) and its first and second partials at F = diag(a, d)."""
-    aa, dd, det = a * a, d * d, a * d
-    fro = np.sqrt(aa + dd)
-    p = density.p
-    A = p * fro ** (p - 2.0)
-    B = (p - 2.0) * A / (aa + dd)  # p (p - 2) |F|^(p - 4)
-    W = fro**p + density.g(det)
-    fp = density.dg(det)
-    fpp = density.ddg(det)
-    Wa = A * a + fp * d
-    Wd = A * d + fp * a
-    Waa = B * aa + A + fpp * dd
-    Wdd = B * dd + A + fpp * aa
-    Wad = (B + fpp) * det + fp
-    return W, Wa, Wd, Waa, Wad, Wdd
+    @cached_property
+    def _geometry(self):
+        """`_node_geometry` of the nodes, built once for every start."""
+        return _node_geometry(self.nodes)
 
 
-# Which of _w_all_diag's (W, Wa, Wd, Waa, Wad, Wdd) meets each factor of _node_geometry,
-# and where each per-segment sum starts: E; g left, right; H left, right, coupling.
-_ROWS = (0, 1, 2, 1, 2, 3, 4, 5, 3, 4, 5, 3, 4, 5)
-_SUMS = (0, 1, 3, 5, 8, 11)
+# Which of W's partials (Wa, Wd, Waa, Wad, Wdd) meets each derivative factor of
+# _node_geometry (its weight rows 1 to 13; row 0 weighs W), and where each
+# per-segment sum starts: g left, right; H left, right, coupling.
+_ROWS = (0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 2, 3, 4)
+_SUMS = (0, 2, 4, 7, 10)
 
 
 def _node_geometry(nodes):
@@ -97,33 +85,61 @@ def radial_reduced_energy(profile: RadialProfile, prob: RadialProblem) -> Energy
     if abs(nodes[0] - prob.eps) > 1e-12 or abs(nodes[-1] - prob.outer_radius) > 1e-12:
         raise ValueError("profile nodes must span [eps, outer_radius]")
     elastic = replace(prob, lambdas=(0.0, 0.0))  # the total with no cavity terms
-    el = _energy_and_grad(_node_geometry(nodes), vals, elastic)[0]
+    el = _energy(_node_geometry(nodes), vals, elastic)[0]
     r0 = vals[0]
     return EnergyBreakdown.assemble(el, math.pi * r0**2, 2.0 * math.pi * r0,
                                     prob.lambdas)
 
 
-def _energy_and_grad(geom, vals, prob: RadialProblem):
+def _energy(geom, vals, prob: RadialProblem):
     """Energy of the nodal profile `vals` (boundary node included) on the
-    node geometry `geom`, with its gradient and its tridiagonal Hessian, as
-    (diagonal, off-diagonal), in the K free nodal values: one weighted
-    reduction over the Gauss points gives every per-segment entry."""
+    node geometry `geom`: W = |F|^p + g(det F) at F = diag(rho', rho/R) on
+    the Gauss points, plus the cavity terms. Also returns the fields at the
+    Gauss points that `_derivatives` completes."""
     inv_h, dl, dr, weights = geom
-    fields = _w_all_diag(((vals[1:] - vals[:-1]) * inv_h)[:, None],
-                         vals[:-1, None] * dl + vals[1:, None] * dr, prob.density)
-    rows = np.concatenate([fields[i] for i in _ROWS]).reshape(weights.shape)
-    el, g, gr, diag, hr, off = np.add.reduceat(
-        np.einsum("rkq,rkq->rk", rows, weights), _SUMS)
+    a = ((vals[1:] - vals[:-1]) * inv_h)[:, None]
+    d = vals[:-1, None] * dl + vals[1:, None] * dr
+    aa, dd, det = a * a, d * d, a * d
+    fro = np.sqrt(aa + dd)
+    W = fro**prob.density.p + prob.density.g(det)
     lv, lp = prob.lambdas
     v0 = float(vals[0])
-    E = float(el.sum()) + lv * math.pi * v0 ** 2 + lp * 2.0 * math.pi * v0
+    E = float(np.einsum("kq,kq->k", W, weights[0]).sum())
+    return E + lv * math.pi * v0 ** 2 + lp * 2.0 * math.pi * v0, (a, d, aa, dd, det, fro)
+
+
+def _derivatives(geom, vals, prob: RadialProblem, fields):
+    """The gradient and the tridiagonal Hessian, as (diagonal, off-diagonal),
+    in the K free nodal values, from W's first and second partials at
+    `_energy`'s fields: one weighted reduction over the Gauss points gives
+    every per-segment entry."""
+    a, d, aa, dd, det, fro = fields
+    p = prob.density.p
+    A = p * fro ** (p - 2.0)
+    B = (p - 2.0) * A / (aa + dd)  # p (p - 2) |F|^(p - 4)
+    fp = prob.density.dg(det)
+    fpp = prob.density.ddg(det)
+    partials = (A * a + fp * d, A * d + fp * a, B * aa + A + fpp * dd,
+                (B + fpp) * det + fp, B * dd + A + fpp * aa)
+    weights = geom[3][1:]
+    rows = np.concatenate([partials[i] for i in _ROWS]).reshape(weights.shape)
+    g, gr, diag, hr, off = np.add.reduceat(np.einsum("rkq,rkq->rk", rows, weights),
+                                           _SUMS)
+    lv, lp = prob.lambdas
+    v0 = float(vals[0])
     # segment j adds its left entries to node j and its right ones to node
     # j + 1; node K is the boundary node
     g[1:] += gr[:-1]
     diag[1:] += hr[:-1]
     g[0] += lv * 2.0 * math.pi * v0 + lp * 2.0 * math.pi
     diag[0] += lv * 2.0 * math.pi
-    return E, g, (diag, off[:-1])
+    return g, (diag, off[:-1])
+
+
+def _energy_and_grad(geom, vals, prob: RadialProblem):
+    """`_energy` and its `_derivatives`: (E, gradient, Hessian)."""
+    E, fields = _energy(geom, vals, prob)
+    return (E, *_derivatives(geom, vals, prob, fields))
 
 
 def _pava(u):
@@ -204,22 +220,23 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
     the bounds implied by the cone, (k+1) DELTA_MIN <= x_k <= bv - (K-k)
     DELTA_MIN; rows within eps of a bound that the gradient pushes into get
     a diagonal Hessian, and the step is an Armijo search along the projected
-    arc P(x - alpha s)."""
+    arc P(x - alpha s). A candidate's derivatives are computed only when it
+    is accepted, or when E cannot resolve its decrease."""
     bv, K = prob.boundary_value, prob.K
-    geom = _node_geometry(prob.nodes)
+    geom = prob._geometry
     k = np.arange(K)
     lo = (k + 1) * DELTA_MIN
     hi = bv - (K - k) * DELTA_MIN
 
-    def evaluate(free):
-        return _energy_and_grad(geom, np.concatenate((free, (bv,))), prob)
+    def with_boundary(free):
+        return np.concatenate((free, (bv,)))
 
     def pg_norm(free, g):
         r = free - _project_free(free - g, bv)
         return math.sqrt(r.dot(r))
 
     free = _project_free(np.asarray(init_free, dtype=float), bv)
-    E, g, H = evaluate(free)
+    E, g, H = _energy_and_grad(geom, with_boundary(free), prob)
     pgn = pg_norm(free, g)
     trace = [E]
     it = 0
@@ -235,13 +252,16 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
         alpha = 1.0
         for _ in range(60):
             cand = _project_free(free - alpha * step, bv)
-            Ec, gc, Hc = evaluate(cand)
+            vals = with_boundary(cand)
+            Ec, fields = _energy(geom, vals, prob)
             dec = float(np.dot(g, free - cand))
             if abs(dec) <= 1e-13 * abs(E):
                 # E cannot resolve this step: accept it if it shrinks the
                 # projected gradient, else halve until cand == free and stop
-                accepted = pg_norm(cand, gc) < pgn
+                derivs = _derivatives(geom, vals, prob, fields)
+                accepted = pg_norm(cand, derivs[0]) < pgn
             else:
+                derivs = None
                 accepted = dec > 0 and Ec <= E - 1e-4 * dec
             if accepted:
                 break
@@ -249,7 +269,8 @@ def _descend(prob: RadialProblem, init_free, tol, max_iter):
         else:
             status = "line-search-stalled"
             break
-        free, E, g, H = cand, Ec, gc, Hc
+        g, H = derivs if derivs is not None else _derivatives(geom, vals, prob, fields)
+        free, E = cand, Ec
         pgn = pg_norm(free, g)
         trace.append(E)
     return free, E, it, pgn, status, np.asarray(trace)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,15 +12,19 @@ from cavicore.cavity import (
 )
 from cavicore.deformation import (
     CATALOG_KEYS,
+    RadialProfile,
     compose,
     example_radial,
     example_spike,
     identity_deformation,
     make_example,
+    radial_deformation,
 )
-from cavicore.energy import _integrate_perforated, subquadratic_density
+from cavicore.energy import _integrate_perforated, regularized_energy, subquadratic_density
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
 from cavicore.recovery import (
+    ROW_MAX_REFINE,
+    ROW_TOL,
     ProfilePhi,
     _phi_inverse,
     build_phi,
@@ -210,6 +215,19 @@ def test_push_rejects_overlap_and_boundary():
         compose_push(identity_deformation(Domain(q=2, radius=1.0)), phi, [[0.85, 0.0]])
 
 
+@pytest.mark.parametrize("pts", [[[-0.25, 0.0], [0.25, 0.0]], [[0.75, 0.0]]],
+                         ids=["4-eps-apart", "2-eps-from-the-boundary"])
+def test_push_rejects_tangent_balls(pts):
+    # the bulk outside the push balls needs room beyond 2 eps about each
+    # flaw; eps = 1/8 makes the tangency exact in floating point
+    phi = build_phi(0.125, default_r_rule(0.125, 1), 1)
+    y = identity_deformation(Domain(q=2, radius=1.0))
+    with pytest.raises(ValueError):
+        compose_push(y, phi, pts)
+    with pytest.raises(ValueError):
+        recovery_energy_table(y, pts, [0.125], DENS, LAMBDAS)
+
+
 def test_composition_chain_rule(rng):
     y = example_radial(0.5)
     phi, _ = _push(eps=0.1, n=2)
@@ -353,3 +371,81 @@ def test_recovery_spike_flagged_but_produced():
     f = table.limit.flaws[0]
     assert f.perimeter == pytest.approx(math.pi + 1.0, abs=2e-2)
     assert f.perimeter_reduced_boundary == pytest.approx(math.pi, abs=0)
+
+
+def _pushed_regularized_energy(y, pts, n, eps, dens, lambdas):
+    # the row's map and flaw set, integrated over all of the perforated domain
+    phi = build_phi(eps, default_r_rule(eps, n), n)
+    cfg = FlawConfig(points=pts, eps=eps, max_count=len(pts),
+                     confinement=tight_confinement(pts))
+    return regularized_energy(compose_push(y, phi, pts), cfg, y.domain, dens, lambdas,
+                              tol=ROW_TOL, max_refine=ROW_MAX_REFINE)
+
+
+def _off_centre_radial():
+    prof = RadialProfile([0.0, 0.2, 1.5], [0.1, 0.5, 1.6])
+    return dataclasses.replace(radial_deformation(prof, center=(0.3, 0.0)),
+                               domain=Domain(q=2, radius=1.0))
+
+
+ROW_CASES = {
+    "radial": (lambda: example_radial(0.5), None, [0.2, 0.1, 0.05, 0.025], DENS),
+    "two-flaw-identity": (lambda: identity_deformation(Domain(q=2, radius=1.0)),
+                          [[-0.4, 0.0], [0.4, 0.0]], [0.1, 0.05, 0.025],
+                          subquadratic_density(1.5)),
+    "off-centre-radial": (_off_centre_radial, None, [0.1, 0.05], DENS),
+}
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_recovery_row_is_the_pushed_regularized_energy(case):
+    # a row integrates y outside the push balls and the pushed map inside
+    # them; the whole pushed map over the perforated domain gives the same
+    # elastic term at the row tolerance, and the same traces bit for bit
+    make, pts, eps_list, dens = ROW_CASES[case]
+    y = make()
+    pts = np.atleast_2d(y.singular_points if pts is None else pts)
+    table = recovery_energy_table(y, pts, eps_list, dens, LAMBDAS)
+    for n, row in enumerate(table.rows, start=1):
+        bd, ok = _pushed_regularized_energy(y, pts, n, row.eps, dens, LAMBDAS)
+        assert row.elastic_converged and ok
+        assert row.energy.elastic == pytest.approx(bd.elastic, rel=2 * ROW_TOL)
+        assert row.energy.volume_term == bd.volume_term
+        assert row.energy.perimeter_term == bd.perimeter_term
+
+
+def test_recovery_row_near_tangent_push_balls():
+    # flaws 4.2 eps apart leave the bulk outside the push balls a flaw patch
+    # only 0.09 eps wider than its 2 eps hole
+    y = identity_deformation(Domain(q=2, radius=1.0))
+    dens = subquadratic_density(1.5)
+    pts = np.array([[-0.21, 0.0], [0.21, 0.0]])
+    row = recovery_energy_table(y, pts, [0.1], dens, LAMBDAS).rows[0]
+    bd, ok = _pushed_regularized_energy(y, pts, 1, 0.1, dens, LAMBDAS)
+    assert row.elastic_converged and ok
+    assert row.energy.elastic == pytest.approx(bd.elastic, rel=2e-5)
+
+
+def test_recovery_rows_evaluate_the_pushed_map_only_in_its_push_balls(monkeypatch):
+    import cavicore.recovery as recovery
+
+    seen = []
+    real = recovery.compose_push
+
+    def spying_push(y, phi, points):
+        ytil = real(y, phi, points)
+
+        def grad(x):
+            seen.append((phi.eps_n, np.array(x, dtype=float).reshape(-1, 2)))
+            return ytil.grad(x)
+
+        return dataclasses.replace(ytil, grad=grad)
+
+    monkeypatch.setattr(recovery, "compose_push", spying_push)
+    pts = np.array([[-0.4, 0.0], [0.4, 0.0]])
+    recovery_energy_table(identity_deformation(Domain(q=2, radius=1.0)), pts,
+                          [0.1, 0.05], DENS, LAMBDAS)
+    assert {eps for eps, _ in seen} == {0.1, 0.05}
+    for eps, x in seen:
+        dist = np.min(np.linalg.norm(x[:, None, :] - pts, axis=-1), axis=1)
+        assert np.all(dist <= 2.0 * eps * (1.0 + 1e-12)), (eps, dist.max())
