@@ -362,15 +362,13 @@ def elastic_energy(y: Deformation, dom: Domain, density: Density):
 
 
 def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
-                       density: Density, lambdas, *, tol: float = BULK_TOL,
-                       max_refine: int = MAX_REFINE):
+                       density: Density, lambdas):
     """Core-radius energy: bulk term over `dom` perforated by `cfg`, refined
-    to `tol` in at most `max_refine` doublings, plus weighted volume and
-    perimeter of each perforation trace. Returns (breakdown, converged), where
-    converged is False when the bulk refinement or a trace sweep stopped
-    unconverged."""
+    to BULK_TOL, plus weighted volume and perimeter of each perforation trace.
+    Returns (breakdown, converged), where converged is False when the bulk
+    refinement or a trace sweep stopped unconverged."""
     vol, per, ok = _trace_terms(y, cfg, dom)
-    el, el_ok = _stored_energy(y, density, dom, cfg, tol=tol, max_refine=max_refine)
+    el, el_ok = _stored_energy(y, density, dom, cfg, tol=BULK_TOL)
     return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok and ok
 
 

@@ -325,7 +325,7 @@ def test_criterion_10_minimization(rng):
         prof = RadialProfile(nodes=nodes, values=vals)
         one_d = radial_reduced_energy(prof, prob).total
         bd, ok = regularized_energy(radial_deformation(prof), cfg, dom, dens,
-                                    (1.0, 1.0), tol=1e-6)
+                                    (1.0, 1.0))
         assert ok
         two_d = bd.total
         worst = max(worst, abs(one_d - two_d) / abs(two_d))

@@ -197,7 +197,7 @@ def test_one_two_dimensional_consistency(rng):
         prof = RadialProfile(nodes=nodes, values=vals)
         one_d = radial_reduced_energy(prof, prob).total
         bd, ok = regularized_energy(radial_deformation(prof), cfg, dom, DENS,
-                                    (1.0, 1.0), tol=1e-6)
+                                    (1.0, 1.0))
         assert ok
         two_d = bd.total
         assert abs(one_d - two_d) <= 1e-4 * abs(two_d)

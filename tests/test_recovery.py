@@ -20,7 +20,13 @@ from cavicore.deformation import (
     make_example,
     radial_deformation,
 )
-from cavicore.energy import _integrate_perforated, regularized_energy, subquadratic_density
+from cavicore.energy import (
+    EnergyBreakdown,
+    _integrate_perforated,
+    _stored_energy,
+    _trace_terms,
+    subquadratic_density,
+)
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
 from cavicore.recovery import (
     ROW_MAX_REFINE,
@@ -375,11 +381,15 @@ def test_recovery_spike_flagged_but_produced():
 
 def _pushed_regularized_energy(y, pts, n, eps, dens, lambdas):
     # the row's map and flaw set, integrated over all of the perforated domain
+    # at the row tolerance
     phi = build_phi(eps, default_r_rule(eps, n), n)
     cfg = FlawConfig(points=pts, eps=eps, max_count=len(pts),
                      confinement=tight_confinement(pts))
-    return regularized_energy(compose_push(y, phi, pts), cfg, y.domain, dens, lambdas,
-                              tol=ROW_TOL, max_refine=ROW_MAX_REFINE)
+    ytil = compose_push(y, phi, pts)
+    vol, per, ok = _trace_terms(ytil, cfg, y.domain)
+    el, el_ok = _stored_energy(ytil, dens, y.domain, cfg, tol=ROW_TOL,
+                               max_refine=ROW_MAX_REFINE)
+    return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok and ok
 
 
 def _off_centre_radial():
