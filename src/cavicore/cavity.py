@@ -20,7 +20,7 @@ class BoundaryProximityError(ValueError):
 
 class TraceError(ValueError):
     """Trace construction failed (bad sample count, circle outside domain,
-    or a singular point on the circle)."""
+    a singular point on the circle, or a non-finite map or gradient on it)."""
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,11 @@ def _trace(y: Deformation, a, eps: float, ts, weights) -> TraceCurve:
         for s in y.singular_points:
             if np.min(np.linalg.norm(pts - s, axis=-1)) < 1e-12:
                 raise TraceError("circle passes through a singular point")
-    w = y.eval(pts)
+    w, G = y.eval(pts), y.grad(pts)
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(G))):
+        raise TraceError("map or gradient not finite on the circle")
     tang = eps * np.stack([-np.sin(ts), np.cos(ts)], axis=-1)
-    dw = np.einsum("...ij,...j->...i", y.grad(pts), tang)
+    dw = np.einsum("...ij,...j->...i", G, tang)
     return TraceCurve(center=a, eps=float(eps), ts=ts, points=w, derivs=dw,
                       weights=weights)
 
@@ -127,6 +129,52 @@ def _ranges(lo, hi):
     n = hi - lo
     j = np.repeat(np.arange(len(lo)), n)
     return j, np.arange(len(j)) - np.repeat(np.cumsum(n) - n - lo, n)
+
+
+FAR_GAP = 5  # the least cyclic index gap of a pair in closest_far_pair
+
+
+def closest_far_pair(points) -> float:
+    """The least distance between two of the n points of a closed polyline
+    whose cyclic index gap is from FAR_GAP to n/2, without forming all
+    those pairs.
+
+    delta^2, the least squared distance at gap FAR_GAP, bounds it. Every pair
+    closer than delta lies in the same or in neighbouring cells of a grid of
+    side delta (1 + 1e-9), so only the pairs of such cells are formed, each
+    cell pair once: at most n (n - 1) / 2 on a collapsed curve, O(n) on a
+    curve whose points are about delta apart. Squared distances are exact
+    under a sign flip, so the result has the bits of the minimum over all
+    pairs. 0 if delta is; NaN if a point is not finite."""
+    p = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(p)):
+        return math.nan
+    n = len(p)
+    d = np.roll(p, -FAR_GAP, axis=0) - p
+    best = np.min(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+    if best == 0.0:
+        return 0.0
+    # cells of at least 2^-20 of the span keep the cell indices below 2^20, so
+    # their rounding errors stay far inside the 1e-9 margin
+    lo = np.min(p, axis=0)
+    span = float(np.max(np.max(p, axis=0) - lo))
+    h = max(math.sqrt(best) * (1.0 + 1e-9), span * 2.0**-20)
+    cell = np.floor((p - lo) / h).astype(np.int64)
+    width = int(np.max(cell[:, 1])) + 3  # a row of cells, with one spare each side
+    key = cell[:, 0] * width + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    sk = key[order]
+    # the same cell after the point, then the cells above, right-below, right, right-above
+    los, his = [np.arange(1, n + 1)], [np.searchsorted(sk, sk, side="right")]
+    for step in (1, width - 1, width, width + 1):
+        los.append(np.searchsorted(sk, sk + step))
+        his.append(np.searchsorted(sk, sk + step, side="right"))
+    j, k = _ranges(np.concatenate(los), np.concatenate(his))
+    a, b = order[j % n], order[k]
+    gap = np.abs(a - b)
+    far = np.minimum(gap, n - gap) >= FAR_GAP
+    dx, dy = p[b[far], 0] - p[a[far], 0], p[b[far], 1] - p[a[far], 1]
+    return float(np.sqrt(np.min(dx * dx + dy * dy, initial=best)))
 
 
 def winding_numbers_grid(curve: TraceCurve, queries):

@@ -10,15 +10,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cavity import (INSIDE, OUTSIDE, CavityMetrics, converged_trace_metrics,
-                     degree_range_on_grid, extrapolate_limit, panel_tracer,
-                     trace_on_circle, winding_numbers_grid)
+from .cavity import (INSIDE, OUTSIDE, CavityMetrics, closest_far_pair,
+                     converged_trace_metrics, degree_range_on_grid, extrapolate_limit,
+                     panel_tracer, trace_on_circle, winding_numbers_grid)
 from .cavity import topological_image_contains  # noqa: F401 (perfbench patches it here)
 from .deformation import Deformation
-from .geometry import (Domain, FlawConfig, adj2, angular_rule, cof2, det2,
+from .geometry import (Domain, FlawConfig, angular_rule, cof2, det2,
                        gauss_legendre, mul2, norm2, refine, smoothstep,
                        validate_flaw_config)
-from .seams import Arc, pass_kinks, ray_breaks
+from .geometry import adj2  # noqa: F401 (perfbench patches it here)
+from .seams import TWO_PI, Arc, pass_kinks, ray_breaks
 
 
 # --------------------------------------------------------------------------
@@ -492,19 +493,25 @@ class TestFunction:
     radius: float = 1.0
     center: tuple[float, float] = (0.0, 0.0)
 
-    def _offset(self, x):
-        """x - c and u = 1 - |x - c|^2 / R^2."""
+    def offset(self, x):
+        """d = x - c and u = 1 - |d|^2 / R^2; the support is u > 0."""
         d = np.asarray(x, dtype=float) - np.asarray(self.center)
         return d, 1.0 - (d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]) / self.radius**2
 
-    def eval(self, x):
-        u = self._offset(x)[1]
+    def value(self, u):
+        """The bump at the points of `offset` u."""
         return np.where(u > 0, u, 0.0) ** self.k
 
-    def grad(self, x):
-        d, u = self._offset(x)
+    def gradient(self, d, u):
+        """The bump's gradient at the points of `offset` (d, u)."""
         coef = np.where(u > 0, self.k * np.where(u > 0, u, 0.0) ** (self.k - 1), 0.0)
         return (-2.0 / self.radius**2) * coef[..., None] * d
+
+    def eval(self, x):
+        return self.value(self.offset(x)[1])
+
+    def grad(self, x):
+        return self.gradient(*self.offset(x))
 
 
 def bump(k: int, radius: float = 1.0, center=(0.0, 0.0)) -> TestFunction:
@@ -535,7 +542,12 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
     distinct support disk, split along its circle, integrates the bulk and
     determinant terms of all its test functions from one evaluation of y and
     grad y per node, and one panel trace per flaw gives every sphere term
-    (`panel_tracer`, whose circle kinks are derived once per call).
+    (`panel_tracer`, whose circle kinks are derived once per call). Each
+    support's offset (`TestFunction.offset`) is computed once per node, and
+    y and grad y are evaluated only on the support, u > 0; the integrands
+    are 0 off it. This changes no sum, since they were +-0 there, except
+    where y or grad y is not finite off the support, which made the old
+    pairing NaN.
     Each test function's [bulk, det, sphere] is refined until it meets `tol`
     (`converged` says whether it did), so its result is, bit for bit, that of
     a one-element call."""
@@ -545,24 +557,38 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
         supports.setdefault((tuple(phi.center), phi.radius), []).append(j)
     sphere = [(Arc(a, cfg.eps), panel_tracer(y, a, cfg.eps)) for a in cfg.points]
 
+    def integrand(group):  # [bulk, det] per phi of a group sharing (c, R)
+        def f(X):
+            d, u = group[0].offset(X)
+            live = u > 0
+            d, u = d[live], u[live]
+            G, w = y.grad(X[live]), y.eval(X[live])
+            ay0 = G[..., 1, 1] * w[..., 0] - G[..., 0, 1] * w[..., 1]  # adj(G) y
+            ay1 = -G[..., 1, 0] * w[..., 0] + G[..., 0, 0] * w[..., 1]
+            dG = det2(G)
+            out = np.zeros((2 * len(group),) + live.shape)
+            for i, phi in enumerate(group):
+                g = phi.gradient(d, u)
+                out[2 * i, live] = -0.5 * (ay0 * g[..., 0] + ay1 * g[..., 1])
+                out[2 * i + 1, live] = dG * phi.value(u)
+            return out
+        return f
+
     @functools.cache
     def one_pass(n):  # ([bulk, det, sphere] per phi, ok per phi)
         vals = np.zeros((len(phis), 3))
         ok = np.ones(len(phis), dtype=bool)
         for (c, R), js in supports.items():
-            def f(X, group=[phis[j] for j in js]):  # [bulk, det] per phi
-                G = y.grad(X)
-                ay = np.einsum("...ij,...j->...i", adj2(G), y.eval(X))
-                dG = det2(G)
-                return np.stack([v for phi in group for v in (
-                    -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X)), dG * phi.eval(X))])
-
-            v, ok[js] = _integrate_perforated(f, dom, cfg, y, n=n, seams=(Arc(c, R),))
+            v, ok[js] = _integrate_perforated(integrand([phis[j] for j in js]), dom, cfg,
+                                              y, n=n, seams=(Arc(c, R),))
             vals[js, :2] = np.reshape(v, (-1, 2))
         for circle, trace in sphere:
             curve = trace(n)
             x = circle.at(curve.ts)
-            vals[:, 2] -= [curve.integrate(curve.area_density * phi.eval(x)) for phi in phis]
+            for js in supports.values():
+                u = phis[js[0]].offset(x)[1]
+                for j in js:
+                    vals[j, 2] -= curve.integrate(curve.area_density * phis[j].value(u))
         return vals, ok
 
     def result(j):
@@ -597,14 +623,22 @@ class AdmissibilityReport:
         )
 
 
+SAMPLE_ROUNDS = 1000  # rounds of candidates before _sample_perforated gives up
+
+
 def _sample_perforated(dom: Domain, rng, n):
+    """n uniform points of the perforated domain, by rejection from rounds of
+    4n candidates in its bounding square. Raises ValueError when
+    SAMPLE_ROUNDS rounds do not give n (the holes leave nothing to sample)."""
     R = dom.radius
     out = np.empty((0, 2))
-    while len(out) < n:
+    for _ in range(SAMPLE_ROUNDS):
         cand = rng.uniform(-R, R, size=(4 * n, 2))
-        cand = cand[dom.contains_perforated(cand)]
-        out = np.vstack([out, cand])
-    return out[:n]
+        out = np.vstack([out, cand[dom.contains_perforated(cand)]])
+        if len(out) >= n:
+            return out[:n]
+    raise ValueError(f"{SAMPLE_ROUNDS} rounds of {4 * n} candidates gave {len(out)} "
+                     f"of {n} points of the perforated domain")
 
 
 def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, radii, *,
@@ -616,9 +650,15 @@ def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, ra
     asked two crossing counts (`winding_numbers_grid`): one for the degrees
     on a 100 x 100 box, and one that locates the images of 200 sampled
     points; a circle whose trace cannot be sampled fails both rows. The
-    determinant identity is one `extended_det_pairing` of the bumps k = 2, 3,
-    4 on 0.95 of the domain's inradius, which share their quadrature nodes,
-    and holds when each relative residual is at most 1e-4."""
+    membership row judges only the points at least one node spacing
+    2 pi rho / n of the n-node polyline away from the circle, since the
+    polyline's image may cut closer points off. A row whose points cannot
+    be sampled (`_sample_perforated` gives up) fails and says so. Trace
+    injectivity takes the closest pair of a perforation trace's nodes at
+    least FAR_GAP apart (`closest_far_pair`). The determinant identity is
+    one `extended_det_pairing` of the bumps k = 2, 3, 4 on 0.95 of the
+    domain's inradius, which share their quadrature nodes, and holds when
+    each relative residual is at most 1e-4."""
     rng = np.random.default_rng(seed)
     rows: list[CheckRow] = []
     dom_p = Domain(q=dom.q, radius=dom.radius, flaws=cfg)
@@ -633,42 +673,52 @@ def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, ra
     except Exception as e:  # report, never raise
         rows.append(CheckRow("orientation", False, f"check errored: {e}"))
 
+    deg_ok, deg_detail = True, []
+    mem_ok, mem_detail = True, []
     # circles used for degree/membership checks
     circles = [(a, float(r)) for a in cfg.points for r in radii]
     for _ in range(3):
-        c = _sample_perforated(dom_p, rng, 1)[0]
+        try:
+            c = _sample_perforated(dom_p, rng, 1)[0]
+        except ValueError as e:  # neither row can be checked on a random circle
+            deg_ok = mem_ok = False
+            deg_detail.append(f"random circle: {e}")
+            mem_detail.append(f"random circle: {e}")
+            break
         rho = 0.25 * float(dom.dist_to_boundary(c))
         far = all(np.linalg.norm(c - a) > rho + cfg.eps + 1e-3 for a in cfg.points)
         if rho > 2 * cfg.eps and far:
             circles.append((c, rho))
 
-    deg_ok, deg_detail = True, []
-    mem_ok, mem_detail = True, []
     for center, rho in circles:
+        where = f"({center[0]:g}, {center[1]:g}), r={rho:.3g}"
         try:
             curve = trace_on_circle(y, center, rho, 512)
         except Exception as e:  # neither row can be checked on this circle
             deg_ok = mem_ok = False
-            detail = f"trace at ({center[0]:g}, {center[1]:g}), r={rho:.3g}: {e}"
-            deg_detail.append(detail)
-            mem_detail.append(detail)
+            deg_detail.append(f"trace at {where}: {e}")
+            mem_detail.append(f"trace at {where}: {e}")
             continue
         degs = degree_range_on_grid(curve, 100, 100)
         if not degs <= {0, 1}:
             deg_ok = False
-            deg_detail.append(
-                f"degrees {sorted(degs)} at ({center[0]:g}, {center[1]:g}), r={rho:.3g}")
+            deg_detail.append(f"degrees {sorted(degs)} at {where}")
         # membership: inside the circle -> image inside the trace; outside -> outside
-        samples = _sample_perforated(dom_p, rng, 200)
+        try:
+            samples = _sample_perforated(dom_p, rng, 200)
+        except ValueError as e:
+            mem_ok = False
+            mem_detail.append(f"membership samples (circle {where}): {e}")
+            continue
         d = np.linalg.norm(samples - center, axis=-1)
         deg, near = winding_numbers_grid(curve, y.eval(samples))
-        inside, outside = d < rho - 1e-9, d > rho + 1e-9
-        got, want = np.where(deg != 0, INSIDE, OUTSIDE), np.where(inside, INSIDE, OUTSIDE)
-        for i in np.flatnonzero(~near & (inside | outside) & (got != want)):
+        judged = np.abs(d - rho) >= TWO_PI * rho / len(curve)
+        got, want = np.where(deg != 0, INSIDE, OUTSIDE), np.where(d < rho, INSIDE, OUTSIDE)
+        for i in np.flatnonzero(~near & judged & (got != want)):
             mem_ok = False
             mem_detail.append(
                 f"point ({samples[i][0]:g}, {samples[i][1]:g}) maps {got[i]}, "
-                f"expected {want[i]} (circle ({center[0]:g}, {center[1]:g}), r={rho:.3g})")
+                f"expected {want[i]} (circle {where})")
     rows.append(CheckRow("degree-range", deg_ok,
                          "all degrees in {0,1}" if deg_ok else "; ".join(deg_detail[:4])))
     rows.append(CheckRow("interior-exterior", mem_ok,
@@ -681,13 +731,9 @@ def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, ra
             curve = trace_on_circle(y, a, cfg.eps, 512)
         except Exception as e:
             inj_ok = False
-            inj_detail.append(str(e))
+            inj_detail.append(f"trace at ({a[0]:g}, {a[1]:g}): {e}")
             continue
-        # closest pair more than 4 nodes apart around the circle: (i, i + s), 5 <= s <= n/2
-        pts, n = curve.points, len(curve)
-        j = (np.arange(n)[:, None] + np.arange(5, n // 2 + 1)) % n
-        dx, dy = pts[j, 0] - pts[:, None, 0], pts[j, 1] - pts[:, None, 1]
-        mind = float(np.sqrt(np.min(dx * dx + dy * dy)))
+        mind = closest_far_pair(curve.points)
         if mind <= 1e-6 * curve.diameter:
             inj_ok = False
             inj_detail.append(f"closest distinct-parameter pair {mind:.3g} at "

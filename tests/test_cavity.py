@@ -13,6 +13,7 @@ from cavicore.cavity import (
     cavity_perimeter,
     cavity_volume,
     cavity_volume_signed,
+    closest_far_pair,
     converged_trace_metrics,
     degree_range_on_grid,
     degree_tolerance,
@@ -153,6 +154,74 @@ def test_trace_validation():
         trace_on_circle(y, (0.8, 0.0), 0.5, 64)  # exits the diamond
     with pytest.raises(TraceError):
         trace_on_circle(y, (0.1, 0.0), 0.1, 64)  # passes through the singularity
+
+
+def _nan_on_right(x):
+    """The identity, but NaN where x_0 > 0.28."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x[..., :1] > 0.28, np.nan, x)
+
+
+def test_trace_of_a_non_finite_map_raises():
+    # NaN on part of S(0, 0.3), in the map or in its gradient alone
+    grad_id = identity_deformation().grad
+    for y in (Deformation(eval=_nan_on_right, grad=grad_id),
+              Deformation(eval=lambda x: np.asarray(x, dtype=float).copy(),
+                          grad=lambda x: _nan_on_right(x)[..., None] * grad_id(x))):
+        with pytest.raises(TraceError, match="not finite"):
+            trace_on_circle(y, (0, 0), 0.3, 512)
+        trace_on_circle(y, (0, 0), 0.25, 512)  # finite on the smaller circle
+
+
+# --------------------------------------------------------------------------
+# closest far pair of a trace polyline
+
+
+def _brute_closest_far_pair(p):
+    # every pair (i, i + s mod n), 5 <= s <= n/2: n (n/2 - 4) squared distances
+    n = len(p)
+    j = (np.arange(n)[:, None] + np.arange(5, n // 2 + 1)) % n
+    dx, dy = p[j, 0] - p[:, None, 0], p[j, 1] - p[:, None, 1]
+    return float(np.sqrt(np.min(dx * dx + dy * dy)))
+
+
+def _random_closed_curves(rng, n):
+    t = np.arange(n) * (TWO_PI / n)
+    k = rng.integers(1, 7)
+    r = 1.0 + rng.uniform(0.0, 0.9) * np.sin(k * t + rng.uniform(0.0, TWO_PI))
+    yield np.stack([r * np.cos(t), r * np.sin(t)], -1)  # star-shaped
+    yield np.stack([np.sin(t), rng.uniform(0.0, 1.0) * np.sin(2 * t)], -1)  # pinched eight
+    yield np.stack([np.cos(t), np.abs(np.sin(t))], -1)  # folded onto a half-circle
+    yield np.cumsum(rng.normal(size=(n, 2)), axis=0)  # random walk, closed by periodicity
+    yield 5.0 + 1e-3 * rng.normal(size=(n, 2))  # collapsed: a few cells hold every point
+
+
+@pytest.mark.parametrize("n", [64, 512])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_closest_far_pair_is_the_brute_force_minimum(n, scale):
+    rng = np.random.default_rng(n + int(math.log10(scale)))
+    for _ in range(8):
+        for p in _random_closed_curves(rng, n):
+            p = scale * p
+            assert closest_far_pair(p).hex() == _brute_closest_far_pair(p).hex()
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_closest_far_pair_of_exact_duplicates(n):
+    rng = np.random.default_rng(n)
+    t = np.arange(n) * (TWO_PI / n)
+    for gap in (5, 6, 17, n // 2):
+        p = np.stack([np.cos(t), np.sin(t)], -1) * rng.uniform(0.5, 2.0)
+        i = int(rng.integers(n))
+        p[(i + gap) % n] = p[i]
+        assert closest_far_pair(p) == _brute_closest_far_pair(p) == 0.0
+    # a repeated point 4 apart is not a far pair
+    p = np.stack([np.cos(t), np.sin(t)], -1)
+    p[7] = p[3]
+    assert closest_far_pair(p).hex() == _brute_closest_far_pair(p).hex()
+    assert closest_far_pair(p) > 0.0
+    p[9] = np.nan
+    assert math.isnan(closest_far_pair(p))
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from cavicore.energy import (
     subquadratic_density,
     _polar_integral,
 )
-from cavicore.geometry import (Domain, FlawConfig, det2, tight_confinement,
+from cavicore.geometry import (Confinement, Domain, FlawConfig, det2, norm2, tight_confinement,
                                validate_flaw_config)
 from cavicore.seams import Arc
 
@@ -608,21 +609,18 @@ def test_pairing_failed_pass_is_reported(monkeypatch):
     assert all(float(v) <= 1e-4 for _, v in parsed)
 
 
-@pytest.mark.parametrize("block", [8192, 7])
-@pytest.mark.parametrize("case", ["centred", "partition-of-unity"])
-def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
-    # one pass of the [bulk, det] pairing integrands gives, component by
-    # component, the bits of one pass of each integrand alone; with 7-point
-    # blocks some background blocks have no live point before others do
+def _pairing_case(case):
+    # (y, cfg, dom, phi) of one bump on the centred or the partition-of-unity path
     if case == "centred":
         y = example_radial(0.5)
         cfg = FlawConfig(points=[[0, 0]], eps=0.1, max_count=1,
                          confinement=tight_confinement([[0, 0]]))
-        dom, phi = y.domain, bump(2, radius=0.95 / math.sqrt(2.0))
-    else:
-        y, cfg, dom = _two_flaw_pairing_case()
-        phi = bump(3, 0.9, (0.1, 0.0))
+        return y, cfg, y.domain, bump(2, radius=0.95 / math.sqrt(2.0))
+    return _two_flaw_pairing_case() + (bump(3, 0.9, (0.1, 0.0)),)
 
+
+def _pairing_integrands(y, phi):
+    # the [bulk, det] pairing integrands, evaluated at every point
     def f_bulk(X):
         ay = np.einsum("...ij,...j->...i", energy.adj2(y.grad(X)), y.eval(X))
         return -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X))
@@ -630,6 +628,17 @@ def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
     def f_det(X):
         return det2(y.grad(X)) * phi.eval(X)
 
+    return f_bulk, f_det
+
+
+@pytest.mark.parametrize("block", [8192, 7])
+@pytest.mark.parametrize("case", ["centred", "partition-of-unity"])
+def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
+    # one pass of the [bulk, det] pairing integrands gives, component by
+    # component, the bits of one pass of each integrand alone; with 7-point
+    # blocks some background blocks have no live point before others do
+    y, cfg, dom, phi = _pairing_case(case)
+    f_bulk, f_det = _pairing_integrands(y, phi)
     monkeypatch.setattr(energy, "BLOCK", block)
     supp = (Arc(phi.center, phi.radius),)
     vec, ok = energy._integrate_perforated(lambda X: np.stack([f_bulk(X), f_det(X)]),
@@ -638,6 +647,42 @@ def test_vector_pass_matches_scalar_passes(monkeypatch, case, block):
     for k, f in enumerate((f_bulk, f_det)):
         val, ok = energy._integrate_perforated(f, dom, cfg, y, n=128, seams=supp)
         assert ok and vec[k] == val
+
+
+@pytest.mark.parametrize("max_refine", [0, 1])
+@pytest.mark.parametrize("case", ["centred", "partition-of-unity"])
+def test_pairing_on_the_support_matches_the_unmasked_integrands(monkeypatch, case,
+                                                                max_refine):
+    # the pairing evaluates y only where the bump is positive; its bulk and
+    # det terms keep the bits of a pass of the integrands at every point
+    y, cfg, dom, phi = _pairing_case(case)
+    f_bulk, f_det = _pairing_integrands(y, phi)
+    monkeypatch.setattr(energy, "MAX_REFINE", max_refine)  # last pass: 128 << max_refine
+    res, = extended_det_pairing(y, cfg, dom, [phi], tol=0.0)
+    vec, _ = energy._integrate_perforated(lambda X: np.stack([f_bulk(X), f_det(X)]),
+                                          dom, cfg, y, n=128 << max_refine,
+                                          seams=(Arc(phi.center, phi.radius),))
+    assert not res.converged  # tol 0 runs to the cap
+    assert (res.bulk_term, res.det_integral) == (vec[0], vec[1])
+
+
+@pytest.mark.parametrize("case", ["centred", "partition-of-unity"])
+def test_pairing_evaluates_the_map_only_on_the_support(case):
+    y, cfg, dom, phi = _pairing_case(case)
+    seen = []
+
+    def spy(fn):
+        def g(X):
+            seen.append(np.array(X, dtype=float).reshape(-1, 2))
+            return fn(X)
+        return g
+
+    spied = dataclasses.replace(y, eval=spy(y.eval), grad=spy(y.grad))
+    res = extended_det_pairing(spied, cfg, dom, [phi, bump(4, phi.radius, phi.center)])[0]
+    assert res == extended_det_pairing(y, cfg, dom, [phi])[0]
+    X = np.concatenate(seen)
+    assert len(X) > 0
+    assert np.max(norm2(X - np.asarray(phi.center))) < phi.radius
 
 
 def test_pairing_radial_example_identity():
@@ -811,6 +856,69 @@ def test_admissibility_detects_folding():
         "point (-0.0995239, 0.0611125) maps outside, expected inside (circle (0, 0), r=0.3)")
     # points are written as plain numbers, not numpy reprs
     assert "at (0, 0)" in str(rep) and "np." not in str(rep)
+
+
+def test_admissibility_returns_when_the_holes_leave_nothing_to_sample():
+    # a hole of radius 1 covers the unit 1-norm ball: no point can be sampled,
+    # and the rows that need samples fail and say so instead of looping
+    class Hung(BaseException):  # not an Exception, which the report's rows catch
+        pass
+
+    def timeout(*_):
+        raise Hung("check_admissibility_sampled did not return in 60 s")
+
+    y = example_radial(0.5)
+    cfg = FlawConfig(points=[[0, 0]], eps=1.0, max_count=1,
+                     confinement=tight_confinement([[0, 0]]))
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        rep = check_admissibility_sampled(y, cfg, y.domain, [0.25, 0.4], seed=1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    rows = {r.name: r for r in rep.rows}
+    assert not rep.ok
+    gave_up = f"{energy.SAMPLE_ROUNDS} rounds of "
+    assert rows["orientation"].detail.startswith("check errored: " + gave_up)
+    assert rows["degree-range"].detail.startswith("random circle: " + gave_up)
+    assert rows["interior-exterior"].detail.startswith("random circle: " + gave_up)
+    assert "membership samples (circle (0, 0), r=0.25): " in rows["interior-exterior"].detail
+    assert not any(r.passed for r in rep.rows)
+
+
+def test_admissibility_membership_skips_points_within_a_node_spacing():
+    # at seed 101 a sampled point 3.4e-5 inside S(0, 0.4) maps outside the
+    # 512-node polyline of the change-of-reference trace (finer polylines
+    # give it degree 1); points within one node spacing are not judged
+    y = example_change_of_reference(0.5)
+    pts = y.singular_points
+    cfg = FlawConfig(points=pts, eps=0.1, max_count=len(pts),
+                     confinement=Confinement("disk", (0.0, 0.0), 0.6))
+    rep = check_admissibility_sampled(y, cfg, y.domain, [0.25, 0.4], seed=101)
+    assert rep.ok, str(rep)
+
+
+def test_admissibility_non_finite_trace_fails_and_names_the_circle():
+    # NaN on part of S(0, 0.3): neither the degrees nor the injectivity of
+    # that trace can be checked
+    def ev(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x[..., :1] > 0.28, np.nan, x)
+
+    idm = identity_deformation()
+    y = Deformation(eval=ev, grad=idm.grad, domain=Domain(q=2, radius=1.0), name="nan")
+    cfg = FlawConfig(points=[[0, 0]], eps=0.3, max_count=1,
+                     confinement=tight_confinement([[0, 0]]))
+    rep = check_admissibility_sampled(y, cfg, y.domain, [0.3], seed=1)
+    rows = {r.name: r for r in rep.rows}
+    for name in ("degree-range", "interior-exterior"):
+        assert not rows[name].passed
+        assert "trace at (0, 0), r=0.3: map or gradient not finite" in rows[name].detail
+    assert not rows["trace-injectivity"].passed
+    assert rows["trace-injectivity"].detail.startswith(
+        "trace at (0, 0): map or gradient not finite")
+    assert not rep.ok
 
 
 def test_admissibility_identity_no_flaws():
