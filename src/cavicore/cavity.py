@@ -32,8 +32,6 @@ class TraceCurve:
     uniform polyline, composite Gauss-Legendre on a panel trace.
     """
 
-    center: np.ndarray
-    eps: float
     ts: np.ndarray
     points: np.ndarray
     derivs: np.ndarray
@@ -91,8 +89,7 @@ def _trace(y: Deformation, a, eps: float, ts, weights) -> TraceCurve:
         raise TraceError("map or gradient not finite on the circle")
     tang = eps * np.stack([-np.sin(ts), np.cos(ts)], axis=-1)
     dw = np.einsum("...ij,...j->...i", G, tang)
-    return TraceCurve(center=a, eps=float(eps), ts=ts, points=w, derivs=dw,
-                      weights=weights)
+    return TraceCurve(ts=ts, points=w, derivs=dw, weights=weights)
 
 
 def trace_on_circle(y: Deformation, a, eps: float, n: int = 256) -> TraceCurve:

@@ -373,14 +373,19 @@ def regularized_energy(y: Deformation, cfg: FlawConfig, dom: Domain,
     return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok and ok
 
 
+def _require_valid(cfg: FlawConfig, dom: Domain):
+    """Raise ValueError unless `cfg` is a valid flaw configuration in `dom`."""
+    report = validate_flaw_config(cfg, dom)
+    if not report.ok:
+        raise ValueError(f"invalid flaw configuration: {report}")
+
+
 def _trace_terms(y: Deformation, cfg: FlawConfig, dom: Domain):
     """The volumes and perimeters of y's converged traces on each S(a, eps)
     of `cfg`, summed: (volume, perimeter, converged), converged False when a
     sweep stopped at its node cap. Raises ValueError unless `cfg` is a valid
     flaw configuration in `dom`."""
-    report = validate_flaw_config(cfg, dom)
-    if not report.ok:
-        raise ValueError(f"invalid flaw configuration: {report}")
+    _require_valid(cfg, dom)
     vol = per = 0.0
     ok = True
     for a in cfg.points:
@@ -507,12 +512,6 @@ class TestFunction:
         coef = np.where(u > 0, self.k * np.where(u > 0, u, 0.0) ** (self.k - 1), 0.0)
         return (-2.0 / self.radius**2) * coef[..., None] * d
 
-    def eval(self, x):
-        return self.value(self.offset(x)[1])
-
-    def grad(self, x):
-        return self.gradient(*self.offset(x))
-
 
 def bump(k: int, radius: float = 1.0, center=(0.0, 0.0)) -> TestFunction:
     return TestFunction(k=k, radius=radius, center=tuple(center))
@@ -545,12 +544,12 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
     (`panel_tracer`, whose circle kinks are derived once per call). Each
     support's offset (`TestFunction.offset`) is computed once per node, and
     y and grad y are evaluated only on the support, u > 0; the integrands
-    are 0 off it. This changes no sum, since they were +-0 there, except
-    where y or grad y is not finite off the support, which made the old
-    pairing NaN.
+    are 0 off it, even where y or grad y is not finite.
     Each test function's [bulk, det, sphere] is refined until it meets `tol`
     (`converged` says whether it did), so its result is, bit for bit, that of
-    a one-element call."""
+    a one-element call. Raises ValueError unless `cfg` is a valid flaw
+    configuration in `dom`."""
+    _require_valid(cfg, dom)
     phis = tuple(phis)
     supports = {}
     for j, phi in enumerate(phis):
@@ -641,121 +640,118 @@ def _sample_perforated(dom: Domain, rng, n):
                      f"of {n} points of the perforated domain")
 
 
+def _attempt(prefix: str, fn, *args):
+    """(fn(*args), []), or (None, [prefix + the error's text]) when fn raises:
+    the one path by which the admissibility check turns an error into a
+    failure, so that it reports errors and never raises them."""
+    try:
+        return fn(*args), []
+    except Exception as e:
+        return None, [f"{prefix}{e}"]
+
+
+def _check_row(name: str, check) -> CheckRow:
+    """The row of check() -> (passed, detail), failed with `check errored: `
+    and the error's text when check raises."""
+    out, lost = _attempt("check errored: ", check)
+    return CheckRow(name, False, lost[0]) if lost else CheckRow(name, *out)
+
+
 def check_admissibility_sampled(y: Deformation, cfg: FlawConfig, dom: Domain, radii, *,
                                 seed: int = 0) -> AdmissibilityReport:
     """Sampled surrogate of the admissibility requirements for core-radius
-    deformations. Returns a report and never raises.
+    deformations. Returns a report and never raises: an error in a row, from
+    sampling, tracing, evaluating the map or the pairing, fails that row
+    alone, with the error's text as its detail.
 
-    The orientation row samples 2000 points. Each test circle's trace is
-    asked two crossing counts (`winding_numbers_grid`): one for the degrees
-    on a 100 x 100 box, and one that locates the images of 200 sampled
-    points; a circle whose trace cannot be sampled fails both rows. The
-    membership row judges only the points at least one node spacing
-    2 pi rho / n of the n-node polyline away from the circle, since the
-    polyline's image may cut closer points off. A row whose points cannot
-    be sampled (`_sample_perforated` gives up) fails and says so. Trace
-    injectivity takes the closest pair of a perforation trace's nodes at
-    least FAR_GAP apart (`closest_far_pair`). The determinant identity is
-    one `extended_det_pairing` of the bumps k = 2, 3, 4 on 0.95 of the
-    domain's inradius, which share their quadrature nodes, and holds when
-    each relative residual is at most 1e-4."""
+    orientation: det grad y > 0 at 2000 sampled points. degree-range: every
+    degree of a test circle's trace on a 100 x 100 box is 0 or 1.
+    interior-exterior: 200 sampled points lie inside the circle exactly when
+    their images lie inside its trace; only points at least one node spacing
+    2 pi rho / n of the n-node polyline from the circle are judged, since the
+    polyline's image may cut closer points off. The test circles are the
+    flaw circles of `radii` and up to three random ones; a circle whose trace
+    cannot be sampled fails both rows. trace-injectivity: the closest pair of
+    a perforation trace's nodes at least FAR_GAP apart (`closest_far_pair`)
+    is farther apart than 1e-6 of its diameter. These three rows pass when
+    they collect no failure, and the detail shows the first four (all, for
+    trace-injectivity). det-identity: one `extended_det_pairing` of the bumps
+    k = 2, 3, 4 on 0.95 of the domain's inradius converges with each
+    relative residual at most 1e-4."""
     rng = np.random.default_rng(seed)
-    rows: list[CheckRow] = []
     dom_p = Domain(q=dom.q, radius=dom.radius, flaws=cfg)
 
-    # orientation: det grad > 0 on the perforated domain
-    try:
+    def orientation():
         pts = _sample_perforated(dom_p, rng, 2000)
-        dets = det2(y.grad(pts))
-        bad = int(np.sum(dets <= 0))
-        rows.append(CheckRow("orientation", bad == 0,
-                             f"{bad}/{len(pts)} sampled points with det <= 0"))
-    except Exception as e:  # report, never raise
-        rows.append(CheckRow("orientation", False, f"check errored: {e}"))
+        bad = int(np.sum(det2(y.grad(pts)) <= 0))
+        return bad == 0, f"{bad}/{len(pts)} sampled points with det <= 0"
 
-    deg_ok, deg_detail = True, []
-    mem_ok, mem_detail = True, []
-    # circles used for degree/membership checks
+    def traced(center, rho):  # the circle's trace and the degrees it takes
+        curve = trace_on_circle(y, center, rho, 512)
+        return curve, degree_range_on_grid(curve, 100, 100)
+
+    def membership(curve, center, rho, where):
+        samples = _sample_perforated(dom_p, rng, 200)
+        d = np.linalg.norm(samples - center, axis=-1)
+        deg, near = winding_numbers_grid(curve, y.eval(samples))
+        judged = np.abs(d - rho) >= TWO_PI * rho / len(curve)
+        got, want = np.where(deg != 0, INSIDE, OUTSIDE), np.where(d < rho, INSIDE, OUTSIDE)
+        return [f"point ({samples[i][0]:g}, {samples[i][1]:g}) maps {got[i]}, "
+                f"expected {want[i]} (circle {where})"
+                for i in np.flatnonzero(~near & judged & (got != want))]
+
+    def separation(a):
+        curve = trace_on_circle(y, a, cfg.eps, 512)
+        mind = closest_far_pair(curve.points)
+        return ([f"closest distinct-parameter pair {mind:.3g} at ({a[0]:g}, {a[1]:g})"]
+                if mind <= 1e-6 * curve.diameter else [])
+
+    def det_identity():
+        ks = (2, 3, 4)
+        inradius = float(dom.dist_to_boundary(np.zeros(2)))
+        pairings = extended_det_pairing(
+            y, cfg, dom, [bump(k, radius=0.95 * inradius) for k in ks], tol=1e-5)
+        return (all(r.converged and r.residual_rel <= 1e-4 for r in pairings),
+                "; ".join(f"k={k}: rel residual {r.residual_rel:.2e}"
+                          + ("" if r.converged else " (not converged)")
+                          for k, r in zip(ks, pairings)))
+
+    rows = [_check_row("orientation", orientation)]
     circles = [(a, float(r)) for a in cfg.points for r in radii]
+    deg_fail: list[str] = []
     for _ in range(3):
-        try:
-            c = _sample_perforated(dom_p, rng, 1)[0]
-        except ValueError as e:  # neither row can be checked on a random circle
-            deg_ok = mem_ok = False
-            deg_detail.append(f"random circle: {e}")
-            mem_detail.append(f"random circle: {e}")
+        c, lost = _attempt("random circle: ", lambda: _sample_perforated(dom_p, rng, 1)[0])
+        if lost:  # neither row can be checked on a random circle
+            deg_fail += lost
             break
         rho = 0.25 * float(dom.dist_to_boundary(c))
         far = all(np.linalg.norm(c - a) > rho + cfg.eps + 1e-3 for a in cfg.points)
         if rho > 2 * cfg.eps and far:
             circles.append((c, rho))
-
+    mem_fail = list(deg_fail)
     for center, rho in circles:
         where = f"({center[0]:g}, {center[1]:g}), r={rho:.3g}"
-        try:
-            curve = trace_on_circle(y, center, rho, 512)
-        except Exception as e:  # neither row can be checked on this circle
-            deg_ok = mem_ok = False
-            deg_detail.append(f"trace at {where}: {e}")
-            mem_detail.append(f"trace at {where}: {e}")
+        out, lost = _attempt(f"trace at {where}: ", traced, center, rho)
+        if lost:  # neither row can be checked on this circle
+            deg_fail += lost
+            mem_fail += lost
             continue
-        degs = degree_range_on_grid(curve, 100, 100)
+        curve, degs = out
         if not degs <= {0, 1}:
-            deg_ok = False
-            deg_detail.append(f"degrees {sorted(degs)} at {where}")
-        # membership: inside the circle -> image inside the trace; outside -> outside
-        try:
-            samples = _sample_perforated(dom_p, rng, 200)
-        except ValueError as e:
-            mem_ok = False
-            mem_detail.append(f"membership samples (circle {where}): {e}")
-            continue
-        d = np.linalg.norm(samples - center, axis=-1)
-        deg, near = winding_numbers_grid(curve, y.eval(samples))
-        judged = np.abs(d - rho) >= TWO_PI * rho / len(curve)
-        got, want = np.where(deg != 0, INSIDE, OUTSIDE), np.where(d < rho, INSIDE, OUTSIDE)
-        for i in np.flatnonzero(~near & judged & (got != want)):
-            mem_ok = False
-            mem_detail.append(
-                f"point ({samples[i][0]:g}, {samples[i][1]:g}) maps {got[i]}, "
-                f"expected {want[i]} (circle {where})")
-    rows.append(CheckRow("degree-range", deg_ok,
-                         "all degrees in {0,1}" if deg_ok else "; ".join(deg_detail[:4])))
-    rows.append(CheckRow("interior-exterior", mem_ok,
-                         "membership consistent" if mem_ok else "; ".join(mem_detail[:4])))
-
-    # trace near-injectivity on the perforation spheres
-    inj_ok, inj_detail = True, []
+            deg_fail.append(f"degrees {sorted(degs)} at {where}")
+        found, lost = _attempt(f"membership samples (circle {where}): ",
+                               membership, curve, center, rho, where)
+        mem_fail += lost or found
+    inj_fail: list[str] = []
     for a in cfg.points:
-        try:
-            curve = trace_on_circle(y, a, cfg.eps, 512)
-        except Exception as e:
-            inj_ok = False
-            inj_detail.append(f"trace at ({a[0]:g}, {a[1]:g}): {e}")
-            continue
-        mind = closest_far_pair(curve.points)
-        if mind <= 1e-6 * curve.diameter:
-            inj_ok = False
-            inj_detail.append(f"closest distinct-parameter pair {mind:.3g} at "
-                              f"({a[0]:g}, {a[1]:g})")
-    rows.append(CheckRow("trace-injectivity", inj_ok,
-                         "separated" if inj_ok else "; ".join(inj_detail)))
-
-    # determinant identity on the perforated domain
-    det_ok, det_detail = True, []
-    try:
-        ks = (2, 3, 4)
-        inradius = float(dom.dist_to_boundary(np.zeros(2)))
-        pairings = extended_det_pairing(
-            y, cfg, dom, [bump(k, radius=0.95 * inradius) for k in ks], tol=1e-5)
-        for k, res in zip(ks, pairings):
-            if not (res.converged and res.residual_rel <= 1e-4):
-                det_ok = False
-            det_detail.append(f"k={k}: rel residual {res.residual_rel:.2e}"
-                              + ("" if res.converged else " (not converged)"))
-    except Exception as e:
-        det_ok = False
-        det_detail.append(f"check errored: {e}")
-    rows.append(CheckRow("det-identity", det_ok, "; ".join(det_detail)))
-
+        found, lost = _attempt(f"trace at ({a[0]:g}, {a[1]:g}): ", separation, a)
+        inj_fail += lost or found
+    rows += [
+        CheckRow("degree-range", not deg_fail,
+                 "; ".join(deg_fail[:4]) or "all degrees in {0,1}"),
+        CheckRow("interior-exterior", not mem_fail,
+                 "; ".join(mem_fail[:4]) or "membership consistent"),
+        CheckRow("trace-injectivity", not inj_fail, "; ".join(inj_fail) or "separated"),
+        _check_row("det-identity", det_identity),
+    ]
     return AdmissibilityReport(rows=tuple(rows), ok=all(r.passed for r in rows))

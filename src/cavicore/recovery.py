@@ -38,16 +38,14 @@ class ProfilePhi:
     phi(eps_n) = r_n exactly, and phi(t) = t from just below 2 eps_n on.
 
     Built from a piecewise-affine profile whose slope is exactly one on the
-    window (eps_n - delta, eps_n + delta), with cubic smoothstep slope blends
-    of half-width delta/4 at the three junctions; the blends never touch the
-    window center, so the value at eps_n survives smoothing. Slopes stay
-    within (1 +- 1/(3n)) whenever |r_n - eps_n| <= eps_n/(4 n), giving
-    |phi(t)/t - 1| + |phi'(t) - 1| <= 1/n."""
+    window (eps_n - delta, eps_n + delta), delta = eps_n / 8, with cubic
+    smoothstep slope blends of half-width delta/4 at the three junctions;
+    the blends never touch the window center, so the value at eps_n
+    survives smoothing. Slopes stay within (1 +- 1/(3n)) whenever
+    |r_n - eps_n| <= eps_n/(4 n), giving |phi(t)/t - 1| + |phi'(t) - 1| <= 1/n."""
 
     eps_n: float
     r_n: float
-    n: int
-    delta: float
     bounds: np.ndarray   # zone boundaries, increasing
     slopes: np.ndarray   # (s_left, s_right) per zone; equal entries = constant
     starts: np.ndarray   # phi at zone boundaries
@@ -68,12 +66,6 @@ class ProfilePhi:
         u = np.divide(dt, width, out=np.zeros_like(dt + 0.0), where=width > 0)
         return (self.starts[zone] + sa * dt + (sb - sa) * width * _smoothstep_int(u),
                 sa + (sb - sa) * smoothstep(u))
-
-    def eval(self, t):
-        return self.values(t)[0]
-
-    def deriv(self, t):
-        return self.values(t)[1]
 
     def zone_radii(self):
         return [float(b) for b in self.bounds[1:]]
@@ -106,9 +98,7 @@ def build_phi(eps_n: float, r_n: float, n: int) -> ProfilePhi:
         w = bounds[j] - bounds[j - 1]
         sa, sb = slopes[j - 1]
         starts[j] = starts[j - 1] + sa * w + (sb - sa) * w * 0.5
-    phi = ProfilePhi(eps_n=eps_n, r_n=r_n, n=n, delta=delta, bounds=bounds,
-                     slopes=slopes, starts=starts)
-    return phi
+    return ProfilePhi(eps_n=eps_n, r_n=r_n, bounds=bounds, slopes=slopes, starts=starts)
 
 
 def default_r_rule(eps_n: float, n: int) -> float:
@@ -132,7 +122,8 @@ def _phi_inverse(phi: ProfilePhi, s):
     for _ in range(4):
         if not np.any(live):
             break
-        step = (phi.eval(t) - s) / phi.deriv(t)
+        val, slope = phi.values(t)
+        step = (val - s) / slope
         t = np.where(live, t - step, t)
         live &= np.abs(step) > 1e-8 * t
     return np.where(s < phi.bounds[-1], t, s)

@@ -131,8 +131,8 @@ def test_criterion_5_degree_properties(rng):
         dts = np.stack([-np.sin(ts), np.cos(ts)], -1)
         from cavicore.cavity import TraceCurve
 
-        curve = TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=pts,
-                           derivs=dts, weights=np.full(512, 2 * math.pi / 512))
+        curve = TraceCurve(ts=ts, points=pts, derivs=dts,
+                           weights=np.full(512, 2 * math.pi / 512))
         done = 0
         while done < 20:
             xi = rng.uniform(pts.min(0) - 0.3, pts.max(0) + 0.3)
@@ -201,8 +201,8 @@ def test_criterion_6_boundary_integral_reductions(rng):
             return out
 
         ts = np.arange(1024) * (2 * math.pi / 1024)
-        curve = TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=fn(ts),
-                           derivs=dfn(ts), weights=np.full(1024, 2 * math.pi / 1024))
+        curve = TraceCurve(ts=ts, points=fn(ts), derivs=dfn(ts),
+                           weights=np.full(1024, 2 * math.pi / 1024))
         dense = fn(np.arange(2**17) * (2 * math.pi / 2**17))
         shoelace = 0.5 * abs(np.sum(dense[:, 0] * np.roll(dense[:, 1], -1)
                                     - np.roll(dense[:, 0], -1) * dense[:, 1]))

@@ -49,8 +49,7 @@ def _manual_curve(points_fn, derivs_fn=None, n=512):
     else:
         dts = TWO_PI / n
         dpts = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * dts)
-    return TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=pts,
-                      derivs=dpts, weights=np.full(n, TWO_PI / n))
+    return TraceCurve(ts=ts, points=pts, derivs=dpts, weights=np.full(n, TWO_PI / n))
 
 
 def _circle_fns():
@@ -107,8 +106,7 @@ def _angle_winding(points, xi):
 def _polygon_curve(points):
     points = np.asarray(points, dtype=float)
     ts = np.arange(len(points)) * (TWO_PI / len(points))
-    return TraceCurve(center=np.zeros(2), eps=1.0, ts=ts, points=points,
-                      derivs=np.zeros_like(points),
+    return TraceCurve(ts=ts, points=points, derivs=np.zeros_like(points),
                       weights=np.full(len(points), TWO_PI / len(points)))
 
 

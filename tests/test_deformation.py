@@ -394,8 +394,8 @@ def _oracle_push(phi, pts, x):
         ts = np.where(t > 0, t, 1.0)
         e = d / ts[..., None]
         ee = e[..., :, None] * e[..., None, :]
-        G = (phi.eval(ts) / ts)[..., None, None] * (_I2 - ee) \
-            + phi.deriv(ts)[..., None, None] * ee
+        val, slope = phi.values(ts)
+        G = (val / ts)[..., None, None] * (_I2 - ee) + slope[..., None, None] * ee
         G = np.where((t > 0)[..., None, None], G, phi.slopes[0, 0] * _I2)
         out = np.where((t < 2.0 * phi.eps_n)[..., None, None], G, out)
     return out

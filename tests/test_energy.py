@@ -11,6 +11,7 @@ import cavicore.energy as energy
 from cavicore.cavity import cavity_perimeter, cavity_volume, dyadic_ladder, trace_on_circle
 from cavicore.deformation import (
     Deformation,
+    EvaluationDomainError,
     RadialProfile,
     compose,
     example_change_of_reference,
@@ -169,8 +170,8 @@ def test_polar_integral_tangent_rays_are_panel_edges():
     # the rays tangent to that circle as angular panel edges the integral
     # converges spectrally, without them it stalls near 1e-7
     phi = bump(2, radius=0.25, center=(0.55, 0.1))
-    val, ok = _polar_integral(phi.eval, (0.0, 0.0), 2, 0.0, 1.0,
-                              seams=(Arc((0.55, 0.1), 0.25),), n=1024)
+    val, ok = _polar_integral(lambda X: phi.value(phi.offset(X)[1]), (0.0, 0.0), 2,
+                              0.0, 1.0, seams=(Arc((0.55, 0.1), 0.25),), n=1024)
     assert ok
     assert val == pytest.approx(math.pi * 0.25**2 / 3.0, rel=1e-12)
 
@@ -623,10 +624,10 @@ def _pairing_integrands(y, phi):
     # the [bulk, det] pairing integrands, evaluated at every point
     def f_bulk(X):
         ay = np.einsum("...ij,...j->...i", energy.adj2(y.grad(X)), y.eval(X))
-        return -0.5 * np.einsum("...i,...i->...", ay, phi.grad(X))
+        return -0.5 * np.einsum("...i,...i->...", ay, phi.gradient(*phi.offset(X)))
 
     def f_det(X):
-        return det2(y.grad(X)) * phi.eval(X)
+        return det2(y.grad(X)) * phi.value(phi.offset(X)[1])
 
     return f_bulk, f_det
 
@@ -884,7 +885,38 @@ def test_admissibility_returns_when_the_holes_leave_nothing_to_sample():
     assert rows["degree-range"].detail.startswith("random circle: " + gave_up)
     assert rows["interior-exterior"].detail.startswith("random circle: " + gave_up)
     assert "membership samples (circle (0, 0), r=0.25): " in rows["interior-exterior"].detail
+    assert rows["det-identity"].detail == (
+        "check errored: invalid flaw configuration: "
+        "eps = 1 not below boundary margin 0.707106")
     assert not any(r.passed for r in rep.rows)
+
+
+def test_pairing_rejects_an_invalid_flaw_configuration():
+    # the hole S(0, 1) reaches past the domain's boundary margin 1/sqrt(2)
+    y = example_radial(0.5)
+    cfg = FlawConfig(points=[[0, 0]], eps=1.0, max_count=1,
+                     confinement=tight_confinement([[0, 0]]))
+    with pytest.raises(ValueError, match="^invalid flaw configuration: eps = 1 not below"):
+        extended_det_pairing(y, cfg, y.domain, [bump(2, radius=0.5)])
+
+
+def test_admissibility_reports_a_map_that_cannot_be_evaluated():
+    # the composed map is defined only where its outer map's domain, the disk
+    # of radius 0.5, holds the inner image: sampled points beyond it raise,
+    # and the rows that evaluate them fail with the error's text
+    y = compose(identity_deformation(Domain(q=2, radius=0.5)),
+                identity_deformation(Domain(q=2, radius=1.0)))
+    with pytest.raises(EvaluationDomainError) as err:
+        y.eval(np.array([[0.9, 0.0]]))
+    cfg = FlawConfig(points=[[0, 0]], eps=0.1, max_count=1,
+                     confinement=tight_confinement([[0, 0]]))
+    rep = check_admissibility_sampled(y, cfg, y.domain, [0.25], seed=1)
+    rows = {r.name: r for r in rep.rows}
+    assert not rep.ok
+    assert not rows["interior-exterior"].passed
+    assert f"membership samples (circle (0, 0), r=0.25): {err.value}" in \
+        rows["interior-exterior"].detail
+    assert rows["orientation"].detail == f"check errored: {err.value}"
 
 
 def test_admissibility_membership_skips_points_within_a_node_spacing():

@@ -53,17 +53,18 @@ LAMBDAS = (2.5, 2.5)
 def test_phi_identity_when_target_equals_eps():
     phi = build_phi(0.1, 0.1, 3)
     t = np.linspace(0.0, 0.5, 4001)
-    assert np.max(np.abs(phi.eval(t) - t)) <= 1e-12
-    assert np.max(np.abs(phi.deriv(t) - 1.0)) <= 1e-12
+    val, slope = phi.values(t)
+    assert np.max(np.abs(val - t)) <= 1e-12
+    assert np.max(np.abs(slope - 1.0)) <= 1e-12
 
 
 def test_phi_interpolation_and_tail():
     eps, r, n = 0.1, 0.1005, 10
     phi = build_phi(eps, r, n)
-    assert float(phi.eval(np.array(eps))) == pytest.approx(r, abs=1e-15)
-    assert float(phi.eval(np.array(0.0))) == 0.0
+    assert float(phi.values(eps)[0]) == pytest.approx(r, abs=1e-15)
+    assert float(phi.values(0.0)[0]) == 0.0
     t = np.linspace(2 * eps, 1.0, 1001)
-    assert np.max(np.abs(phi.eval(t) - t)) <= 1e-15
+    assert np.max(np.abs(phi.values(t)[0] - t)) <= 1e-15
 
 
 def test_phi_uniform_bounds_on_grid():
@@ -71,9 +72,9 @@ def test_phi_uniform_bounds_on_grid():
     r = default_r_rule(eps, n)
     phi = build_phi(eps, r, n)
     t = np.linspace(1e-9, 3 * eps, 10_000)
-    total = np.abs(phi.eval(t) / t - 1.0) + np.abs(phi.deriv(t) - 1.0)
-    assert np.max(total) <= 1.0 / n
-    assert np.all(np.diff(phi.eval(t)) > 0)
+    val, slope = phi.values(t)
+    assert np.max(np.abs(val / t - 1.0) + np.abs(slope - 1.0)) <= 1.0 / n
+    assert np.all(np.diff(val) > 0)
 
 
 def test_phi_rejects_far_target():
@@ -88,7 +89,7 @@ def test_phi_inverse_matches_brentq(eps, n):
     phi = build_phi(eps, default_r_rule(eps, n), n)
     top = float(phi.bounds[-1])
     for s in np.linspace(0.0, top, 25)[1:-1]:
-        want = brentq(lambda t: float(phi.eval(np.array(t))) - s, 0.0, top,
+        want = brentq(lambda t: float(phi.values(t)[0]) - s, 0.0, top,
                       xtol=1e-15)
         assert _phi_inverse(phi, s) == pytest.approx(want, abs=1e-12)
     assert _phi_inverse(phi, 1.5 * top) == 1.5 * top
@@ -96,11 +97,12 @@ def test_phi_inverse_matches_brentq(eps, n):
 
 @pytest.mark.parametrize("n", [1, 2, 10])
 def test_phi_inverse_takes_at_most_eight_evaluations(n, monkeypatch):
+    # each Newton step is one (phi, phi') lookup, so four lookups are eight
+    # evaluations
     calls = []
-    for name in ("eval", "deriv"):
-        orig = getattr(ProfilePhi, name)
-        monkeypatch.setattr(ProfilePhi, name,
-                            lambda self, t, orig=orig: calls.append(t) or orig(self, t))
+    orig = ProfilePhi.values
+    monkeypatch.setattr(ProfilePhi, "values",
+                        lambda self, t: calls.append(t) or orig(self, t))
     eps = 0.1
     # the default target and both ends of the admissible range
     for r in (default_r_rule(eps, n), eps * (1 + 0.25 / n), eps * (1 - 0.25 / n)):
@@ -110,8 +112,8 @@ def test_phi_inverse_takes_at_most_eight_evaluations(n, monkeypatch):
                                  knots, np.nextafter(knots, 0.0)]):
             calls.clear()
             t = _phi_inverse(phi, float(s))
-            assert len(calls) <= 8
-            assert float(phi.eval(np.array(t))) == pytest.approx(s, rel=1e-14)
+            assert len(calls) <= 4
+            assert float(phi.values(t)[0]) == pytest.approx(s, rel=1e-14)
 
 
 def test_breaks_through_push_leaves_scipy_unloaded():
@@ -195,7 +197,7 @@ def test_push_gradient_formula_vs_fd(rng):
     # determinant at the sphere radius equals (r/eps) * phi'(eps)
     x = np.array([0.1, 0.0])
     d = det2(f.grad(x))
-    expect = (phi.r_n / 0.1) * float(phi.deriv(np.array(0.1)))
+    expect = (phi.r_n / 0.1) * float(phi.values(0.1)[1])
     assert d == pytest.approx(expect, rel=1e-12)
     assert np.all(det2(G) > 0)
 
