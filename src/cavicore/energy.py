@@ -309,12 +309,9 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
 
     def background(X):
         w = np.ones(X.shape[:-1])
-        hole = np.zeros(X.shape[:-1], dtype=bool)
         for i, a in enumerate(pts):
-            r = norm2(X - a)
-            w = w * (1.0 - _smooth_blend(r, cfg.eps, radii[i]))
-            hole |= r <= eps
-        live = (w > 1e-14) & ~hole
+            w = w * (1.0 - _smooth_blend(norm2(X - a), cfg.eps, radii[i]))
+        live = w > 1e-14  # w is 0 on every hole, which lies within r <= cfg.eps
         v = f(X[live]) * w[live]
         out = np.zeros(v.shape[:-1] + X.shape[:-1])
         out[..., live] = v

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cavicore.cli import (EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, _fmt, main, write_csv,
-                          write_json)
+from cavicore.cli import (EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, LIMIT_RADII, _fmt,
+                          build_parser, main, write_csv, write_json)
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -43,7 +43,9 @@ def test_example_sweep_spike_flags(tmp_path, capsys):
     assert code == EXIT_FLAGGED
     assert out.exists()  # partial outputs written despite the flag
     captured = capsys.readouterr().out
-    assert "conv-perimeter violated" in captured
+    assert "flag: conv-perimeter-violated\n" in captured
+    # the README promises the gap to the reduced-boundary perimeter pi
+    assert "reduced-boundary perimeter 3.14159265, gap +1.000000" in captured
 
 
 def test_example_sweep_flags_unconverged_traces(tmp_path, capsys):
@@ -55,7 +57,62 @@ def test_example_sweep_flags_unconverged_traces(tmp_path, capsys):
     assert out.read_text().splitlines()[0] == "r,volume,perimeter,n_samples"
     captured = capsys.readouterr().out
     for r in ("0.2", "0.1", "0.05"):
-        assert f"flag: trace-not-converged at r {r} " in captured
+        assert f"flag: trace-not-converged at (0, 0), r={r}\n" in captured
+
+
+def test_example_sweep_flags_uncertain_extrapolation(tmp_path, capsys):
+    # three coarse radii leave a volume error estimate of 9.4e-2, above EXTRAP_UNC_TOL
+    code = main(["example-sweep", "--example", "radial", "--radii", "0.5,0.4,0.3",
+                 "--output", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_FLAGGED
+    assert "flag: extrapolation-uncertain at (0, 0)\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma-sweep", "--max-iter", "1"],
+    ["minimize-radial", "--eps", "0.1", "--max-iter", "1"],
+], ids=["gamma-sweep", "minimize-radial"])
+def test_unconverged_solve_prints_a_flag(tmp_path, capsys, argv):
+    assert main(argv + ["--output", str(tmp_path / "x.csv")]) == EXIT_FLAGGED
+    assert "flag: minimize-not-converged" in capsys.readouterr().out
+
+
+# every subcommand's parsed options with minimal argv, as the config hashes see them
+DEFAULTS = {
+    "example-sweep": (["--example", "radial"],
+                      {"example": "radial", "b": 0.5, "radii": LIMIT_RADII,
+                       "trace_tol": 1e-9, "output": "example_sweep.csv"}),
+    "limit-energy": (["--example", "radial"],
+                     {"example": "radial", "b": 0.5, "density": "subquadratic", "p": 1.1,
+                      "lambda_v": 1.0, "lambda_p": 1.0, "radii": LIMIT_RADII,
+                      "output": "limit_energy.json"}),
+    "recovery": (["--example", "radial"],
+                 {"example": "radial", "b": 0.5, "density": "subquadratic", "p": 1.1,
+                  "lambda_v": 2.5, "lambda_p": 2.5, "eps_list": "0.2,0.1,0.05,0.025",
+                  "output": "recovery.csv"}),
+    "minimize-radial": (["--eps", "0.1"],
+                        {"eps": 0.1, "density": "standard", "p": 2.0, "lambda_v": 1.0,
+                         "lambda_p": 1.0, "outer_radius": 1.0, "boundary_value": 1.0,
+                         "K": 16, "tol": 1e-7, "max_iter": 100000,
+                         "output": "minimize_radial.csv"}),
+    "gamma-sweep": ([],
+                    {"eps_list": "0.2,0.1,0.05", "density": "standard", "p": 2.0,
+                     "lambda_v": 1.0, "lambda_p": 1.0, "outer_radius": 1.0,
+                     "boundary_value": 1.0, "K": 16, "max_iter": 20000,
+                     "output": "gamma_sweep.csv"}),
+    "check": (["--example", "radial"],
+              {"example": "radial", "b": 0.5, "eps": 0.1, "radii": "",
+               "output": "check.json"}),
+}
+
+
+def test_parsed_defaults_are_pinned():
+    # one parser for all subcommands: a default set on one must not reach another
+    ap = build_parser()
+    for command, (argv, expected) in DEFAULTS.items():
+        parsed = vars(ap.parse_args([command] + argv))
+        del parsed["func"]
+        assert parsed == {"seed": 0, "command": command, **expected}, command
 
 
 def test_example_sweep_bad_radii(tmp_path):
@@ -175,13 +232,16 @@ def test_write_csv_non_finite_is_empty_cell(tmp_path):
     assert out.read_text().splitlines()[1] == ",,,0.25"
 
 
-def test_limit_energy_spike_writes_strict_json(tmp_path):
+def test_limit_energy_spike_writes_strict_json(tmp_path, capsys):
     out = tmp_path / "spike.json"
     code = main(["limit-energy", "--example", "spike", "--output", str(out)])
     assert code == EXIT_FLAGGED
     payload = _strict_loads(out.read_text())
     assert "elastic-not-converged" in payload["flags"]
     assert payload["total"] is None
+    captured = capsys.readouterr().out
+    assert "flag: elastic-not-converged\n" in captured
+    assert "flag: conv-perimeter-violated\n" in captured
 
 
 def test_recovery_spike_rows_report_elastic_convergence(tmp_path, capsys):
@@ -194,7 +254,9 @@ def test_recovery_spike_rows_report_elastic_convergence(tmp_path, capsys):
     header, row = out.read_text().splitlines()[:2]
     assert header.split(",")[-1] == "elastic_converged"
     assert row.split(",")[-1] == "False"
-    assert "flag: elastic-not-converged at eps 0.2" in capsys.readouterr().out
+    captured = capsys.readouterr().out
+    assert "flag: elastic-not-converged at eps 0.2" in captured
+    assert captured.count("conv-perimeter") == 1
 
 
 def test_recovery_unconverged_row_exits_flagged(tmp_path, capsys, monkeypatch):
@@ -230,15 +292,19 @@ def _readme_commands():
             if line.startswith("cavicore ")]
 
 
-def test_readme_commands_exit_codes(tmp_path):
+def test_readme_commands_exit_codes(tmp_path, capsys):
     commands = _readme_commands()
     assert len(commands) == 7
     for i, argv in enumerate(commands):
         k = argv.index("--output")
         argv[k + 1] = str(tmp_path / f"{i}_{argv[k + 1]}")
         expected = EXIT_FLAGGED if argv[:3] == ["example-sweep", "--example", "spike"] else EXIT_OK
-        assert main(argv) == expected, argv
+        code = main(argv)
+        assert code == expected, argv
         assert Path(argv[k + 1]).exists()
+        # exit 1 exactly when at least one flag is printed
+        flagged = any(l.startswith("flag: ") for l in capsys.readouterr().out.splitlines())
+        assert (code == EXIT_FLAGGED) == flagged, argv
 
 
 def test_experiment_drivers_run():
