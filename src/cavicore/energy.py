@@ -159,9 +159,14 @@ MAX_REFINE = 4  # doublings of a refined bulk pass, from 128 up to 2048 nodes
 BULK_TOL = 1e-6  # relative agreement of successive bulk passes
 
 
-def _eval_blocked(f, X):
-    """f at the points X (..., 2), called on at most BLOCK points at a time.
-    f returns one value per point, shape (points,), or k, shape (k, points)."""
+def _eval_blocked(f, center, u, mid):
+    """f at the points center + mid u[ray], mid of shape (..., rays, panels,
+    NG), called on at most BLOCK points at a time. The points are built per
+    coordinate (numpy's inner loop over a length-2 axis is slow). f returns
+    one value per point, shape (points,), or k, shape (k, points)."""
+    X = np.empty(mid.shape + (2,))
+    X[..., 0] = center[0] + mid * u[:, None, None, 0]
+    X[..., 1] = center[1] + mid * u[:, None, None, 1]
     pts = X.reshape(-1, 2)
     vals = None
     for i in range(0, len(pts), BLOCK):
@@ -169,7 +174,7 @@ def _eval_blocked(f, X):
         if vals is None:
             vals = np.empty(v.shape[:-1] + (len(pts),))
         vals[..., i:i + BLOCK] = v
-    return vals.reshape(vals.shape[:-1] + X.shape[:-1])
+    return vals.reshape(vals.shape[:-1] + mid.shape)
 
 
 def _kappa(q, t):
@@ -183,46 +188,53 @@ def _kappa(q, t):
 
 def _panel_sum(f, center, u, jw, start, width):
     """Integrate f along the rays center + s u[i] over the Gauss-NG panels
-    s in [start, start + width] (shape (rays, panels)); jw is each ray's
-    angular weight times its area element 1 / kappa^2. A float, or one per
-    component of f."""
+    s in [start, start + width], shape (groups, rays, panels); jw is each
+    ray's angular weight times its area element 1 / kappa^2. Returns one
+    sum per group (a float, or one per component of f), each summed on its
+    own slice, so that a group's sum does not depend on the others."""
     gx, gw = gauss_legendre(NG)
     mid = start[..., None] + 0.5 * width[..., None] * (gx + 1.0)
     ws = 0.5 * width[..., None] * gw
-    vals = _eval_blocked(f, center + mid[..., None] * u[:, None, None, :])
-    jw = jw[:, None, None]
-    if vals.ndim == mid.ndim:
-        return float(np.sum(vals * mid * ws * jw))
-    return np.array([np.sum(v * mid * ws * jw) for v in vals])
+    vals = _eval_blocked(f, center, u, mid)
+    # one product per component, and one sum per group of it
+    sums = np.array([[np.sum(p) for p in v * mid * ws * jw[:, None, None]]
+                     for v in vals.reshape((-1,) + mid.shape)]).T
+    return sums[:, 0].tolist() if vals.ndim == mid.ndim else sums
 
 
 def _segment_sum(f, center, u, jw, bounds, p):
     """Integrate f over radial segments [bounds[:, j], bounds[:, j+1]] per
-    ray, each split into p panels. bounds has shape (rays, m)."""
+    ray, each split into p panels. bounds has shape (rays, m). The non-empty
+    segment columns are evaluated together, up to 32 BLOCKs of points at a
+    time (a larger column alone)."""
+    width = (bounds[:, 1:].T - bounds[:, :-1].T) / p
+    keep = ~np.all(width <= 0, axis=1)
+    width = width[keep, :, None]
+    start = bounds[:, :-1].T[keep, :, None] + width * np.arange(p)
+    step = max(1, 32 * BLOCK // (len(bounds) * p * NG))  # columns per group
     total = 0.0
-    for lo, hi in zip(bounds.T, bounds.T[1:]):
-        width = (hi - lo) / p
-        if np.all(width <= 0):
-            continue
-        total += _panel_sum(f, center, u, jw,
-                            lo[:, None] + width[:, None] * np.arange(p), width[:, None])
+    for i in range(0, len(start), step):
+        for part in _panel_sum(f, center, u, jw, start[i:i + step], width[i:i + step]):
+            total += part
     return total
 
 
 def _dyadic_sum(f, center, u, jw, hi):
     """Integrate f over s in (0, hi] with dyadic panels toward 0; returns
-    (value, converged)."""
+    (value, converged). The levels are evaluated in chunks of about BLOCK
+    points and added in order up to the first non-finite level or the
+    first below DYADIC_TOL, whose chunk is the last evaluated."""
     total = 0.0
-    top = hi.copy()
-    for _ in range(DYADIC_LEVELS):
+    step = max(1, BLOCK // (len(hi) * NG))  # levels per chunk
+    for k in range(0, DYADIC_LEVELS, step):
+        top = np.ldexp(hi, -np.arange(k, min(k + step, DYADIC_LEVELS))[:, None])
         lo = top / 2.0
-        last = _panel_sum(f, center, u, jw, lo[:, None], (top - lo)[:, None])
-        total += last
-        top = lo
-        if not np.all(np.isfinite(last)):  # the total stays non-finite whatever follows
-            return total, False
-        if np.all(np.abs(last) < DYADIC_TOL):
-            return total, True
+        for last in _panel_sum(f, center, u, jw, lo[..., None], (top - lo)[..., None]):
+            total += last
+            if not np.all(np.isfinite(last)):  # the total stays non-finite whatever follows
+                return total, False
+            if np.all(np.abs(last) < DYADIC_TOL):
+                return total, True
     return total, False
 
 
@@ -416,10 +428,6 @@ class LimitEnergyReport:
     flaws: tuple[FlawLimit, ...]
     elastic_converged: bool
     flags: tuple[str, ...]
-
-    @property
-    def conv_perimeter_violated(self) -> bool:
-        return any(f.conv_perimeter_ok is False for f in self.flaws)
 
 
 # an extrapolated volume below this, or below its own error estimate, is no cavity

@@ -155,29 +155,30 @@ def compose_push(y: Deformation, phi: ProfilePhi, points) -> Deformation:
             raise ValueError("push support reaches the domain's boundary")
 
     def frame(x):
-        """The push image z of x and the push gradient G at x."""
+        """The push image z of x and the push gradient G at x, per coordinate."""
         x = np.asarray(x, dtype=float)
-        z = x.copy()
-        shape = x.shape[:-1]
-        g00, g01, g11 = np.ones(shape), np.zeros(shape), np.ones(shape)
-        for a in pts:
-            d = x - a
-            t = norm2(d)
+        x0, x1 = x[..., 0], x[..., 1]
+        z0, z1 = x0, x1
+        g00, g01, g11 = np.ones(x0.shape), np.zeros(x0.shape), np.ones(x0.shape)
+        for a0, a1 in pts:
+            d0, d1 = x0 - a0, x1 - a1
+            t = np.sqrt(d0 * d0 + d1 * d1)
             inside = t < two_eps
             if not np.any(inside):
                 continue
             ts = np.where(t > 0, t, 1.0)
             val, slope = phi.values(ts)
             ratio = val / ts
-            z = np.where((inside & (t > 0))[..., None], a + ratio[..., None] * d, z)
-            z = np.where((t == 0)[..., None], a, z)
-            e0, e1 = d[..., 0] / ts, d[..., 1] / ts  # (0, 0) at the flaw point
+            moved, at = inside & (t > 0), t == 0
+            z0 = np.where(moved, a0 + ratio * d0, np.where(at, a0, z0))
+            z1 = np.where(moved, a1 + ratio * d1, np.where(at, a1, z1))
+            e0, e1 = d0 / ts, d1 / ts  # (0, 0) at the flaw point
             iso = np.where(t > 0, ratio, phi.slopes[0, 0])
             k = slope - iso
             g00 = np.where(inside, iso + k * e0 * e0, g00)
             g01 = np.where(inside, k * e0 * e1, g01)
             g11 = np.where(inside, iso + k * e1 * e1, g11)
-        return z, mat2(g00, g01, g01, g11)
+        return np.stack([z0, z1], axis=-1), mat2(g00, g01, g01, g11)
 
     def ev(x):
         return y.eval(frame(x)[0])

@@ -9,7 +9,7 @@ keeps its order only if every jump is a panel edge (Davis & Rabinowitz,
 and spokes have closed forms from any center, as has an arc from its own
 point (its ray break is f(t)). Otherwise an arc is cut into cells of its own
 theta on which its direction (for rays) or distance (for circles) from c is
-monotone, and bisected to adjacent floats, vectorized over rays.
+monotone, and its crossings found to adjacent floats, vectorized over rays.
 """
 
 from __future__ import annotations
@@ -67,13 +67,26 @@ def _recedes(P, Q):  # the distance from c grows from P to Q
     return np.sum(Q * Q, axis=-1) > np.sum(P * P, axis=-1)
 
 
-def _bisect(g, lo, hi):
-    """Where g (vectorized over the brackets) changes sign in [lo, hi], by
-    bisection down to adjacent floats."""
-    neg, mid = g(lo) < 0, 0.5 * (lo + hi)
+def _sign_change(g, lo, hi):
+    """Where g (vectorized over the brackets) changes sign in [lo, hi], down
+    to adjacent floats: the point that bisection finds where g changes sign
+    once. Illinois regula falsi steps (the value at an end kept twice in a
+    row is halved), moved one float inside the bracket when they land on
+    an end, and a midpoint step where the last two steps did not halve it."""
+    glo, ghi = g(lo), g(hi)
+    neg, mid = glo < 0, 0.5 * (lo + hi)
+    last, w1, w2 = 0.0, np.inf, np.inf  # last: +1 moved lo; the widths 1 and 2 steps ago
     while ((lo < mid) & (mid < hi)).any():
-        up = (g(mid) < 0) == neg
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = lo - glo * ((hi - lo) / (ghi - glo))
+        x = np.clip(x, np.nextafter(lo, hi), np.nextafter(hi, lo))
+        x = np.where((hi - lo > 0.5 * w2) | np.isnan(x), mid, x)
+        w1, w2 = hi - lo, w1
+        gx = g(x)
+        up = (gx < 0) == neg
+        glo = np.where(up, gx, np.where(last < 0, 0.5 * glo, glo))
+        ghi = np.where(up, np.where(last > 0, 0.5 * ghi, ghi), gx)
+        lo, hi, last = np.where(up, x, lo), np.where(up, hi, x), np.where(up, 1.0, -1.0)
         mid = 0.5 * (lo + hi)
     return mid
 
@@ -147,7 +160,7 @@ def ray_breaks(seams, c, t):
                 Q = s.at(th) - c
                 return e0[i] * Q[:, 1] - e1[i] * Q[:, 0]
 
-            Q = s.at(_bisect(side, nodes[j], nodes[j + 1])) - c
+            Q = s.at(_sign_change(side, nodes[j], nodes[j + 1])) - c
             rank = np.arange(len(i)) - np.searchsorted(i, i)
             cols.append(np.full((len(t), np.max(rank, initial=-1) + 1), np.inf))
             cols[-1][i, rank] = e0[i] * Q[:, 0] + e1[i] * Q[:, 1]
@@ -204,7 +217,7 @@ def circle_kinks(seams, c, r):
             brackets.setdefault((s.f, s.point), []).append((nodes[j], nodes[j + 1]))
     for (f, p), br in brackets.items():
         s = Arc(p, f)
-        x = _bisect(_gap(s, c, r), *np.concatenate(br, axis=1))
+        x = _sign_change(_gap(s, c, r), *np.concatenate(br, axis=1))
         out += list(_angle(s.at(x) - c) if np.subtract(p, c).any() else x)
     return out
 

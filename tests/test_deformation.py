@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cavicore.seams
 from cavicore.deformation import (
     CATALOG_KEYS,
     EvaluationDomainError,
@@ -285,6 +286,62 @@ def test_kink_angles_match_brentq(r):
     t_hi = brentq(lambda t: R * math.sin(t) - (SQRT3 - 1.0) * R * abs(math.cos(t)) - 0.5,
                   1e-12, math.pi / 2)
     assert np.max(np.abs(derived(example_spike()) - [t_hi, math.pi - t_hi])) <= 1e-12
+
+
+def _plain_bisection(g, lo, hi):
+    """Where g (vectorized over the brackets) changes sign in [lo, hi], by
+    halving down to adjacent floats: the oracle of `seams`' root finder."""
+    neg, mid = g(lo) < 0, 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        up = (g(mid) < 0) == neg
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
+@pytest.mark.parametrize("c", [(0.0, 0.0), (0.07, -0.04)])
+@pytest.mark.parametrize("key", ["spike", "superposition"])
+def test_circle_kinks_equal_those_of_plain_bisection(monkeypatch, key, c):
+    # where the computed gap changes sign once at each crossing, as on these
+    # circles, the regula falsi steps end where halving does
+    y = make_example(key)
+    radii = [0.2, 0.1, 0.05, 0.025]
+    got = [circle_kinks(y.seams, c, r) for r in radii]
+    monkeypatch.setattr(cavicore.seams, "_sign_change", _plain_bisection)
+    assert got == [circle_kinks(y.seams, c, r) for r in radii]
+
+
+@pytest.mark.parametrize("key, seed", [("change-of-reference", 0), ("spike", 2),
+                                       ("superposition", 4)])
+def test_circle_kinks_end_at_a_sign_change(monkeypatch, key, seed):
+    # from other centres the computed gap can change sign more than once
+    # within a few floats of a crossing; every answer is still a sign change
+    # between adjacent floats, and it is the one halving finds unless the
+    # floats between the two answers hold another (each seed's 96 circles
+    # include such a crossing)
+    real, calls = cavicore.seams._sign_change, []
+
+    def spy(g, lo, hi):
+        calls.append((g, lo, hi, real(g, lo, hi)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(cavicore.seams, "_sign_change", spy)
+    rng = np.random.default_rng(seed)
+    y = make_example(key)
+    for c in rng.uniform(-0.5, 0.5, (12, 2)):
+        for r in rng.uniform(0.02, 0.4, 8):
+            circle_kinks(y.seams, c, r)
+    assert calls
+    for g, lo, hi, x in calls:
+        ref = _plain_bisection(g, lo, hi)
+        for k, neg in enumerate(g(lo) < 0):  # a circle's gap is pointwise in theta
+            a, b = sorted((x[k], ref[k]))
+            assert b - a < 1e-12
+            v = [np.nextafter(a, -np.inf)]
+            while v[-1] <= b:
+                v.append(np.nextafter(v[-1], np.inf))
+            side = (g(np.array(v)) < 0) == neg
+            assert np.count_nonzero(side[1:] != side[:-1]) >= (1 if a == b else 2)
 
 
 def test_import_leaves_scipy_unloaded():
