@@ -50,6 +50,7 @@ print(json.dumps(out))
 
 
 def run_checkout(root: Path, seeds: list[int]) -> dict:
+    root = root.resolve()  # the child runs in root, where a relative path would not hold
     proc = subprocess.run([sys.executable, "-c", CHILD, str(root), json.dumps(seeds)],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:

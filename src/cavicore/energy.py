@@ -186,55 +186,43 @@ def _kappa(q, t):
     return np.maximum(np.abs(c), np.abs(s))
 
 
-def _panel_sum(f, center, u, jw, start, width):
-    """Integrate f along the rays center + s u[i] over the Gauss-NG panels
-    s in [start, start + width], shape (groups, rays, panels); jw is each
-    ray's angular weight times its area element 1 / kappa^2. Returns one
-    sum per group (a float, or one per component of f), each summed on its
-    own slice, so that a group's sum does not depend on the others."""
+def _column_sums(f, center, u, jw, lo, hi, p, points):
+    """Integrate f along the rays center + s u[i] over the columns s in
+    [lo[j, i], hi[j, i]], shape (columns, rays), each split into p Gauss-NG
+    panels; jw is each ray's angular weight times its area element 1/kappa^2.
+    Columns empty on every ray are dropped; the others are evaluated about
+    `points` points at a time (a larger column alone) and yield in order one
+    sum each (a float, or one per component of f), summed on its own slice
+    so that it does not depend on the others."""
     gx, gw = gauss_legendre(NG)
-    mid = start[..., None] + 0.5 * width[..., None] * (gx + 1.0)
-    ws = 0.5 * width[..., None] * gw
-    vals = _eval_blocked(f, center, u, mid)
-    # one product per component, and one sum per group of it
-    sums = np.array([[np.sum(p) for p in v * mid * ws * jw[:, None, None]]
-                     for v in vals.reshape((-1,) + mid.shape)]).T
-    return sums[:, 0].tolist() if vals.ndim == mid.ndim else sums
-
-
-def _segment_sum(f, center, u, jw, bounds, p):
-    """Integrate f over radial segments [bounds[:, j], bounds[:, j+1]] per
-    ray, each split into p panels. bounds has shape (rays, m). The non-empty
-    segment columns are evaluated together, up to 32 BLOCKs of points at a
-    time (a larger column alone)."""
-    width = (bounds[:, 1:].T - bounds[:, :-1].T) / p
-    keep = ~np.all(width <= 0, axis=1)
-    width = width[keep, :, None]
-    start = bounds[:, :-1].T[keep, :, None] + width * np.arange(p)
-    step = max(1, 32 * BLOCK // (len(bounds) * p * NG))  # columns per group
-    total = 0.0
-    for i in range(0, len(start), step):
-        for part in _panel_sum(f, center, u, jw, start[i:i + step], width[i:i + step]):
-            total += part
-    return total
+    cols = np.flatnonzero(~np.all(hi <= lo, axis=1))
+    step = max(1, points // (lo.shape[1] * p * NG))  # columns per group
+    for i in range(0, len(cols), step):
+        j = cols[i:i + step]
+        width = ((hi[j] - lo[j]) / p)[..., None, None]
+        start = lo[j][..., None, None] + width * np.arange(p)[:, None]
+        mid = start + 0.5 * width * (gx + 1.0)
+        ws = 0.5 * width * gw
+        vals = _eval_blocked(f, center, u, mid)
+        # one product per component, and one sum per column of it
+        sums = np.array([[np.sum(col) for col in v * mid * ws * jw[:, None, None]]
+                         for v in vals.reshape((-1,) + mid.shape)]).T
+        yield from (sums[:, 0].tolist() if vals.ndim == mid.ndim else sums)
 
 
 def _dyadic_sum(f, center, u, jw, hi):
     """Integrate f over s in (0, hi] with dyadic panels toward 0; returns
-    (value, converged). The levels are evaluated in chunks of about BLOCK
-    points and added in order up to the first non-finite level or the
-    first below DYADIC_TOL, whose chunk is the last evaluated."""
+    (value, converged). The levels are added in order up to the first
+    non-finite level or the first below DYADIC_TOL. They are evaluated in
+    groups of about BLOCK points, the stop's group the last."""
+    edges = np.ldexp(hi, -np.arange(DYADIC_LEVELS + 1)[:, None])
     total = 0.0
-    step = max(1, BLOCK // (len(hi) * NG))  # levels per chunk
-    for k in range(0, DYADIC_LEVELS, step):
-        top = np.ldexp(hi, -np.arange(k, min(k + step, DYADIC_LEVELS))[:, None])
-        lo = top / 2.0
-        for last in _panel_sum(f, center, u, jw, lo[..., None], (top - lo)[..., None]):
-            total += last
-            if not np.all(np.isfinite(last)):  # the total stays non-finite whatever follows
-                return total, False
-            if np.all(np.abs(last) < DYADIC_TOL):
-                return total, True
+    for last in _column_sums(f, center, u, jw, edges[1:], edges[:-1], 1, BLOCK):
+        total += last
+        if not np.all(np.isfinite(last)):  # the total stays non-finite whatever follows
+            return total, False
+        if np.all(np.abs(last) < DYADIC_TOL):
+            return total, True
     return total, False
 
 
@@ -268,9 +256,11 @@ def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     if singular and r_in == 0.0:
         lo = 0.5 * np.min(B, axis=1, initial=r_out)
         total, converged = _dyadic_sum(f, c, u, jw, lo)
-    bounds = np.concatenate([lo[:, None], B, np.full((len(t), 1), r_out)], axis=1)
-    total += _segment_sum(f, c, u, jw, bounds, n // 64)
-    return total, converged
+    edges = np.concatenate([lo[None], B.T, np.full((1, len(t)), r_out)])
+    segments = 0.0  # its own sum, added once: it does not depend on the grading
+    for part in _column_sums(f, c, u, jw, edges[:-1], edges[1:], n // 64, 32 * BLOCK):
+        segments += part
+    return total + segments, converged
 
 
 def _smooth_blend(r, r_in, r_out):

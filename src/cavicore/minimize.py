@@ -35,8 +35,8 @@ class RadialProblem:
     K: int = 16
 
     def __post_init__(self):
-        if not self.eps < self.outer_radius:
-            raise ValueError("eps must be below outer_radius")
+        if not 0.0 <= self.eps < self.outer_radius:
+            raise ValueError("eps must be in [0, outer_radius)")
         if self.boundary_value <= 0:
             raise ValueError("boundary_value must be positive")
         if self.K < 8:

@@ -10,6 +10,7 @@ import cavicore.cavity as cavity
 import cavicore.energy as energy
 from cavicore.cavity import cavity_perimeter, cavity_volume, dyadic_ladder, trace_on_circle
 from cavicore.deformation import (
+    CATALOG_KEYS,
     Deformation,
     EvaluationDomainError,
     RadialProfile,
@@ -316,6 +317,46 @@ def test_dyadic_sum_default_block_takes_one_call():
     assert len(calls) == 1
 
 
+def _segment_columns(f, c, u, jw, lo, hi, p):
+    """Each non-empty column's sums one column at a time, each with its own
+    call of f: the oracle of `energy._column_sums`, which evaluates columns
+    in groups."""
+    gx, gw = gauss_legendre(energy.NG)
+    sums = []
+    for a, b in zip(lo, hi):
+        width = ((b - a) / p)[:, None, None]
+        if np.all(width <= 0):
+            continue
+        mid = (a[:, None, None] + width * np.arange(p)[:, None]
+               + 0.5 * width * (gx + 1.0))
+        vals = f((c + mid[..., None] * u[:, None, None, :]).reshape(-1, 2))
+        sums.append([np.sum(v * mid * (0.5 * width * gw) * jw[:, None, None])
+                     for v in vals.reshape((-1,) + mid.shape)])
+    return sums
+
+
+@pytest.mark.parametrize("points", [7, 640, 10**9])
+def test_column_sums_are_the_per_column_sums(points):
+    # 8 rays x 3 panels x 8 nodes per column: one column per group (7),
+    # three (640) or all (10**9). A column empty on every ray is dropped; one
+    # empty on half its rays is kept
+    c = np.array([0.3, -0.2])
+    t = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False) + 0.1
+    u = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    edges = np.linspace(0.1, 0.9, 6)[:, None] + 0.01 * np.arange(8)
+    edges[3] = edges[2]
+    edges[5, :4] = edges[4, :4]
+
+    def f(X):
+        return np.stack([1.0 / (1.0 + np.sum(X * X, axis=-1)), X[:, 0] ** 3 - X[:, 1]])
+
+    case = (f, c, u, np.full(8, math.pi / 4), edges[:-1], edges[1:], 3)
+    got = list(energy._column_sums(*case, points))
+    want = _segment_columns(*case)
+    assert len(got) == len(want) == 4
+    assert np.array_equal(got, want)
+
+
 # --------------------------------------------------------------------------
 # elastic energy
 
@@ -485,6 +526,16 @@ def test_limit_energy_spike_flags_violation():
     assert "conv-perimeter-violated" in rep.flags
     assert f.perimeter == pytest.approx(math.pi + 1.0, abs=1e-2)
     assert f.perimeter_reduced_boundary == pytest.approx(math.pi, abs=0)
+
+
+@pytest.mark.parametrize("key", CATALOG_KEYS)
+def test_flaw_limit_flags_only_the_spike_perimeter(key):
+    # on the dyadic ladder of the CLI's default radii, only the spike's
+    # perimeter limit exceeds its cavity's perimeter: its traces run along
+    # both sides of the collapsed spike
+    fl = energy.flaw_limit(make_example(key), (0.0, 0.0), dyadic_ladder(0.2))
+    assert ("conv-perimeter-violated" in fl.flags) == (key == "spike")
+    assert fl.conv_perimeter_ok is (key != "spike")
 
 
 @pytest.mark.parametrize("key,flags", [

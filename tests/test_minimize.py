@@ -48,6 +48,14 @@ def test_problem_validation():
                       density=DENS, lambdas=(0, 0), K=4)
 
 
+def test_problem_core_radius_is_not_negative():
+    # eps = 0 is the vanishing-core problem itself; a negative eps made the
+    # reduced energy -inf
+    assert _problem(eps=0.0).nodes[0] == 0.0
+    with pytest.raises(ValueError, match="eps"):
+        _problem(eps=-0.1)
+
+
 def test_projection_restores_feasibility():
     out = _project_free(np.array([0.5, 0.2, 0.9, 0.1]), 1.0)
     assert np.all(np.diff(out) >= DELTA_MIN - 1e-15)
