@@ -16,7 +16,7 @@ from .cavity import (INSIDE, OUTSIDE, CavityMetrics, closest_far_pair,
 from .cavity import topological_image_contains  # noqa: F401 (perfbench patches it here)
 from .deformation import Deformation
 from .geometry import (Domain, FlawConfig, angular_rule, cof2, det2,
-                       gauss_legendre, mul2, norm2, refine, smoothstep,
+                       gauss_panels, mul2, norm2, refine, smoothstep,
                        validate_flaw_config)
 from .geometry import adj2  # noqa: F401 (perfbench patches it here)
 from .seams import TWO_PI, Arc, pass_kinks, ray_breaks
@@ -77,9 +77,9 @@ def _power_plus_volumetric(name: str, p: float, g_pos, dg, ddg) -> Density:
 def default_density(p: float) -> Density:
     """|F|^p + (det F - 1)^2 + 1/det F on the orientation-preserving cone.
 
-    Polyconvex, with volumetric part g(t) = (t-1)^2 + 1/t. Requires p >= 2."""
-    if p < 2:
-        raise ValueError("default density requires p >= 2")
+    Polyconvex, with volumetric part g(t) = (t-1)^2 + 1/t. Requires 2 <= p < inf."""
+    if not 2 <= p < np.inf:
+        raise ValueError(f"default density requires 2 <= p < inf, got {p}")
     return _power_plus_volumetric("standard", p,
                                   lambda t: (t - 1.0) ** 2 + 1.0 / t,
                                   lambda t: 2.0 * (t - 1.0) - 1.0 / t**2,
@@ -136,6 +136,8 @@ class EnergyBreakdown:
     @classmethod
     def assemble(cls, elastic, volume_sum, perimeter_sum, lambdas):
         lv, lp = lambdas
+        if not np.all(np.isfinite(lambdas)):
+            raise ValueError(f"energy weights must be finite, got {lv}, {lp}")
         vt = lv * volume_sum
         pt = lp * perimeter_sum
         return cls(elastic=float(elastic), volume_term=float(vt),
@@ -155,7 +157,7 @@ BLOCK = 8192  # integrand points per call: keeps temporaries cache-sized
 NG = 8  # Gauss-Legendre nodes per radial panel
 DYADIC_TOL = 1e-12  # a graded level adding less (absolute) ends the grading
 DYADIC_LEVELS = 60  # halvings of the graded ray before the grading gives up
-MAX_REFINE = 4  # doublings of a refined bulk pass, from 128 up to 2048 nodes
+BULK_N_MAX = 2048  # node cap of a refined bulk or pairing pass
 BULK_TOL = 1e-6  # relative agreement of successive bulk passes
 
 
@@ -194,15 +196,13 @@ def _column_sums(f, center, u, jw, lo, hi, p, points):
     `points` points at a time (a larger column alone) and yield in order one
     sum each (a float, or one per component of f), summed on its own slice
     so that it does not depend on the others."""
-    gx, gw = gauss_legendre(NG)
     cols = np.flatnonzero(~np.all(hi <= lo, axis=1))
     step = max(1, points // (lo.shape[1] * p * NG))  # columns per group
     for i in range(0, len(cols), step):
         j = cols[i:i + step]
-        width = ((hi[j] - lo[j]) / p)[..., None, None]
-        start = lo[j][..., None, None] + width * np.arange(p)[:, None]
-        mid = start + 0.5 * width * (gx + 1.0)
-        ws = 0.5 * width * gw
+        width = ((hi[j] - lo[j]) / p)[..., None]
+        start = lo[j][..., None] + width * np.arange(p)
+        mid, ws = gauss_panels(start, width, NG)
         vals = _eval_blocked(f, center, u, mid)
         # one product per component, and one sum per column of it
         sums = np.array([[np.sum(col) for col in v * mid * ws * jw[:, None, None]]
@@ -249,7 +249,6 @@ def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     # splits inside (lo, r_out), sorted per ray and padded with r_out
     B = ray_breaks(seams, c, t) * kap[:, None]
     B = np.sort(np.where((B > lo[:, None] + 1e-14) & (B < r_out), B, r_out), axis=1)
-    B = B[:, :np.max(np.sum(B < r_out, axis=1), initial=0)]
 
     converged = True
     total = 0.0
@@ -257,6 +256,7 @@ def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
         lo = 0.5 * np.min(B, axis=1, initial=r_out)
         total, converged = _dyadic_sum(f, c, u, jw, lo)
     edges = np.concatenate([lo[None], B.T, np.full((1, len(t)), r_out)])
+    # 32 blocks a group: 1 block saves about 1 MB RSS but slows admissibility by 10%
     segments = 0.0  # its own sum, added once: it does not depend on the grading
     for part in _column_sums(f, c, u, jw, edges[:-1], edges[1:], n // 64, 32 * BLOCK):
         segments += part
@@ -337,16 +337,16 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
 
 def _stored_energy(y: Deformation, density: Density, dom: Domain,
                    cfg: FlawConfig | None, *, singular=False, tol,
-                   max_refine=MAX_REFINE):
+                   n_max=BULK_N_MAX):
     """The stored energy W(grad y) over `dom` perforated by `cfg` (punctured at
-    its points when `singular`), refined by `geometry.refine` from passes of
-    size 128, doubling up to max_refine times. Returns (value, converged)."""
+    its points when `singular`), refined by `geometry.refine` up to a pass of
+    n_max nodes. Returns (value, converged)."""
 
     def f(X):
         return density.w(y.grad(X))
 
     return refine(lambda n: _integrate_perforated(f, dom, cfg, y, n=n, singular=singular),
-                  tol, 128 << max_refine)
+                  tol, n_max)
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +587,7 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
 
     def result(j):
         (bulk, deti, sphere), converged = refine(
-            lambda n: tuple(v[j] for v in one_pass(n)), tol, 128 << MAX_REFINE)
+            lambda n: tuple(v[j] for v in one_pass(n)), tol, BULK_N_MAX)
         return DetPairingResult(pairing=float(bulk + sphere), bulk_term=float(bulk),
                                 sphere_term=float(sphere), det_integral=float(deti),
                                 converged=converged)

@@ -6,6 +6,7 @@ Vectors are plain numpy arrays of shape (..., 2); 2x2 matrices have shape
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -93,14 +94,18 @@ def pseudoinverse(H):
 # --------------------------------------------------------------------------
 # angular quadrature
 
-_GAUSS = {}
-
-
+@functools.cache
 def gauss_legendre(n):
     """Gauss-Legendre nodes and weights on [-1, 1] (cached)."""
-    if n not in _GAUSS:
-        _GAUSS[n] = np.polynomial.legendre.leggauss(n)
-    return _GAUSS[n]
+    return np.polynomial.legendre.leggauss(n)
+
+
+def gauss_panels(start, width, n):
+    """The n-point Gauss-Legendre rule on the panels [start, start + width], the one
+    such map in the package: nodes of shape (..., n), weights that broadcast to it."""
+    gx, gw = gauss_legendre(n)
+    half = 0.5 * np.asarray(width)[..., None]
+    return np.asarray(start)[..., None] + half * (gx + 1.0), half * gw
 
 
 def angular_rule(n, kinks=()):
@@ -114,9 +119,8 @@ def angular_rule(n, kinks=()):
     edges = np.unique(np.append(np.arange(9) * (math.pi / 4.0),
                                 np.mod(np.asarray(kinks, dtype=float), 2.0 * math.pi)))
     edges = edges[np.append(np.diff(edges) > 1e-12, True)]
-    gx, gw = gauss_legendre(-(-n // (len(edges) - 1)))
-    half = 0.5 * np.diff(edges)[:, None]
-    return (edges[:-1, None] + half * (gx + 1.0)).ravel(), (half * gw).ravel()
+    t, w = gauss_panels(edges[:-1], np.diff(edges), -(-n // (len(edges) - 1)))
+    return t.ravel(), w.ravel()
 
 
 def smoothstep(u):

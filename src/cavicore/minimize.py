@@ -12,13 +12,11 @@ import numpy as np
 from .cavity import extrapolate_limit
 from .deformation import RadialProfile
 from .energy import Density, EnergyBreakdown
-from .geometry import (Confinement, Domain, FlawConfig, gauss_legendre,
-                       validate_flaw_config)
+from .geometry import Confinement, Domain, FlawConfig, gauss_panels, validate_flaw_config
 
 DELTA_MIN = 1e-8  # monotonicity gap keeping det > 0 strictly
 EPS_ACTIVE = 1e-3  # cap on the distance at which a bound counts as active
 
-_GX, _GW = gauss_legendre(8)
 _SHIFTS = (0.0, *(10.0 ** np.arange(-10, 2)).tolist())
 
 
@@ -35,10 +33,10 @@ class RadialProblem:
     K: int = 16
 
     def __post_init__(self):
-        if not 0.0 <= self.eps < self.outer_radius:
-            raise ValueError("eps must be in [0, outer_radius)")
-        if self.boundary_value <= 0:
-            raise ValueError("boundary_value must be positive")
+        if not 0.0 <= self.eps < self.outer_radius < math.inf:
+            raise ValueError("eps must be in [0, outer_radius) and outer_radius finite")
+        if not 0.0 < self.boundary_value < math.inf:
+            raise ValueError("boundary_value must be positive and finite")
         if self.K < 8:
             raise ValueError("need at least 8 profile segments")
 
@@ -66,11 +64,11 @@ def _node_geometry(nodes):
     (dl, dr) = ((1 - theta)/R, theta/R) of d = rho/R in a segment's left and
     right value at its Gauss points R = nodes[j] + theta h (those of a = rho'
     are -+1/h), and the weights 2 pi R h/2 w times each chain-rule factor."""
+    R, w = gauss_panels(nodes[:-1], np.diff(nodes), 8)
     h = np.diff(nodes)[:, None]
-    R = nodes[:-1, None] + 0.5 * (_GX + 1.0) * h
     theta = (R - nodes[:-1, None]) / h
     al, ar, dl, dr = -1.0 / h, 1.0 / h, (1.0 - theta) / R, theta / R
-    wq = 2.0 * math.pi * R * (0.5 * h * _GW)
+    wq = 2.0 * math.pi * R * w
     return ar[:, 0], dl, dr, np.stack([f * wq for f in (
         1.0, al, dl, ar, dr, al * al, 2.0 * al * dl, dl * dl, ar * ar, 2.0 * ar * dr,
         dr * dr, al * ar, al * dr + ar * dl, dl * dr)])

@@ -231,9 +231,11 @@ class RecoveryTable:
     limit: LimitEnergyReport
 
 
-ROW_TOL = 1e-5  # well below the percent-scale gaps; push kinks make 1e-6 wasteful
+ROW_TOL = 1e-5  # well below the percent-scale gaps. At 1e-6 the README eps list's tables
+# keep their bytes; rows at eps <= 0.0125 take one more doubling (six rows to 0.00625:
+# 0.16 -> 0.21 s radial, 0.17 -> 0.29 s change-of-reference) for <= 5e-8 relative in total
 TRACE_N = 2048  # identity-check nodes: both traces share them, so it tests the push
-ROW_MAX_REFINE = 3  # node cap 128 << 3 = 1024 for a row's bulk and annulus terms
+ROW_N_MAX = 1024  # node cap of a row's bulk and annulus terms
 
 
 def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
@@ -274,7 +276,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
         # ytil = y outside the push balls; non-convergence (divergent bulk of
         # degenerate maps) goes on the row
         bulk, ok = _stored_energy(y, density, dom, replace(cfg, eps=2.0 * float(eps)),
-                                  tol=ROW_TOL, max_refine=ROW_MAX_REFINE)
+                                  tol=ROW_TOL, n_max=ROW_N_MAX)
         el_ok = el_ok and ok
 
         worst = 0.0
@@ -290,7 +292,7 @@ def recovery_energy_table(y: Deformation, points, eps_list, density: Density,
             val, ok = refine(lambda n: _polar_integral(
                 lambda X: density.w(ytil.grad(X)), a, 2, float(eps),
                 2.0 * float(eps), n=n, seams=ytil.seams),
-                ROW_TOL, 128 << ROW_MAX_REFINE)
+                ROW_TOL, ROW_N_MAX)
             infl += val
             el_ok = el_ok and ok
 

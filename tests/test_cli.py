@@ -133,8 +133,18 @@ def test_empty_list_is_config_error(tmp_path, argv):
     ["check", "--example", "radial", "--eps", "0.7"],
     ["minimize-radial", "--eps", "-0.1"],
     ["gamma-sweep", "--eps-list", "0.2,0.1,-0.05"],
+    ["minimize-radial", "--eps", "0.1", "--boundary-value", "nan"],
+    ["minimize-radial", "--eps", "0.1", "--boundary-value", "inf"],
+    ["minimize-radial", "--eps", "0.1", "--outer-radius", "inf"],
+    ["minimize-radial", "--eps", "0.1", "--p", "nan"],
+    ["minimize-radial", "--eps", "0.1", "--p", "inf"],
+    ["limit-energy", "--example", "radial", "--lambda-v", "nan"],
+    ["limit-energy", "--example", "radial", "--lambda-p", "nan"],
+    ["limit-energy", "--example", "radial", "--lambda-v", "inf"],
 ], ids=["minimize-eps", "gamma-order", "gamma-eps", "check-eps", "minimize-negative-eps",
-        "gamma-negative-eps"])
+        "gamma-negative-eps", "minimize-nan-boundary", "minimize-inf-boundary",
+        "minimize-inf-outer", "minimize-nan-p", "minimize-inf-p", "limit-nan-lambda-v",
+        "limit-nan-lambda-p", "limit-inf-lambda-v"])
 def test_config_error_is_reported(tmp_path, capsys, argv):
     assert main(argv + ["--output", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -72,8 +72,9 @@ def test_default_density_values():
 
 
 def test_default_density_rejects_small_p():
-    with pytest.raises(ValueError):
-        default_density(1.5)
+    for p in (1.5, math.inf, math.nan):  # p < 2 is false for NaN
+        with pytest.raises(ValueError):
+            default_density(p)
     with pytest.raises(ValueError):
         subquadratic_density(2.5)
 
@@ -787,7 +788,7 @@ def test_pairing_on_the_support_matches_the_unmasked_integrands(monkeypatch, cas
     # det terms keep the bits of a pass of the integrands at every point
     y, cfg, dom, phi = _pairing_case(case)
     f_bulk, f_det = _pairing_integrands(y, phi)
-    monkeypatch.setattr(energy, "MAX_REFINE", max_refine)  # last pass: 128 << max_refine
+    monkeypatch.setattr(energy, "BULK_N_MAX", 128 << max_refine)  # the last pass
     res, = extended_det_pairing(y, cfg, dom, [phi], tol=0.0)
     vec, _ = energy._integrate_perforated(lambda X: np.stack([f_bulk(X), f_det(X)]),
                                           dom, cfg, y, n=128 << max_refine,

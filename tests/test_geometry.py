@@ -10,6 +10,7 @@ from cavicore.geometry import (
     Domain,
     FlawConfig,
     SingularMatrixError,
+    gauss_panels,
     pseudoinverse,
     qnorm,
     refine,
@@ -175,6 +176,33 @@ def test_disk_confinement_max_qnorm(q, sup):
 
 # --------------------------------------------------------------------------
 # refinement
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_gauss_panels_integrate_polynomials_exactly(rng, n):
+    # n Gauss nodes integrate x^k exactly for k <= 2n - 1; the oracle maps
+    # numpy's leggauss rule onto each panel on its own
+    start, width = rng.uniform(0.1, 2.0, 5), rng.uniform(0.1, 1.0, 5)
+    x, w = gauss_panels(start, width, n)
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    for a, h, xa, wa in zip(start, width, x, w):
+        assert xa == pytest.approx(a + h * (gx + 1.0) / 2.0, rel=1e-15)
+        assert wa == pytest.approx(h * gw / 2.0, rel=1e-15)
+        for k in range(2 * n):
+            exact = ((a + h) ** (k + 1) - a ** (k + 1)) / (k + 1)
+            assert np.sum(wa * xa**k) == pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_panels_broadcast_over_columns_rays_and_panels(rng):
+    # per-column widths against per-panel starts, as the bulk columns pass them
+    start = rng.uniform(0.0, 1.0, (4, 3, 5))
+    width = rng.uniform(0.1, 1.0, (4, 3, 1))
+    x, w = gauss_panels(start, width, 8)
+    assert x.shape == (4, 3, 5, 8) and w.shape == (4, 3, 1, 8)
+    w = np.broadcast_to(w, x.shape)
+    for idx in np.ndindex(start.shape):
+        xs, ws = gauss_panels(start[idx], width[idx[:2]][0], 8)
+        assert np.array_equal(x[idx], xs) and np.array_equal(w[idx], ws)
 
 
 def _recording(values, oks=None):

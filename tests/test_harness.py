@@ -3,6 +3,7 @@ others when tracing; a rename in the library, or a change that makes traced
 and untraced outputs differ, must fail here, not only in a benchmark run."""
 
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,25 @@ def test_tracer_patch_points_resolve(perfbench):
         tracer.uninstall()
     for owner, attr, orig in patched:
         assert getattr(owner, attr) is orig, (owner, attr)
+
+
+def test_kept_imports_are_patch_points(perfbench):
+    # an import the library keeps only for the tracer to patch must name a
+    # patch point on its module: when a patch goes, its import must go too
+    marker = "  # noqa: F401 (perfbench patches it here)"
+    kept = {(f"cavicore.{path.stem}", name.strip())
+            for path in sorted((ROOT / "src" / "cavicore").glob("*.py"))
+            for line in path.read_text().splitlines() if line.endswith(marker)
+            for name in re.fullmatch(r"from \S+ import (.+)", line[:-len(marker)])[1].split(",")}
+    assert kept
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        tracer.install()
+        patched = {(getattr(owner, "__name__", None), attr)
+                   for owner, attr, _ in tracer._patches}
+    finally:
+        tracer.uninstall()
+    assert kept <= patched, kept - patched
 
 
 def test_benchmark_selftest_passes():

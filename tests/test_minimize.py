@@ -54,6 +54,14 @@ def test_problem_core_radius_is_not_negative():
     assert _problem(eps=0.0).nodes[0] == 0.0
     with pytest.raises(ValueError, match="eps"):
         _problem(eps=-0.1)
+    # nor an infinite or NaN outer radius or boundary value, which made the
+    # reduced energy NaN
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="outer_radius"):
+            RadialProblem(eps=0.1, outer_radius=bad, boundary_value=1.0, density=DENS,
+                          lambdas=(0, 0))
+        with pytest.raises(ValueError, match="boundary_value"):
+            _problem(bv=bad)
 
 
 def test_projection_restores_feasibility():

@@ -29,7 +29,7 @@ from cavicore.energy import (
 )
 from cavicore.geometry import Domain, FlawConfig, det2, tight_confinement
 from cavicore.recovery import (
-    ROW_MAX_REFINE,
+    ROW_N_MAX,
     ROW_TOL,
     ProfilePhi,
     _phi_inverse,
@@ -389,8 +389,7 @@ def _pushed_regularized_energy(y, pts, n, eps, dens, lambdas):
                      confinement=tight_confinement(pts))
     ytil = compose_push(y, phi, pts)
     vol, per, ok = _trace_terms(ytil, cfg, y.domain)
-    el, el_ok = _stored_energy(ytil, dens, y.domain, cfg, tol=ROW_TOL,
-                               max_refine=ROW_MAX_REFINE)
+    el, el_ok = _stored_energy(ytil, dens, y.domain, cfg, tol=ROW_TOL, n_max=ROW_N_MAX)
     return EnergyBreakdown.assemble(el, vol, per, lambdas), el_ok and ok
 
 
