@@ -284,7 +284,7 @@ def cavity_perimeter(curve: TraceCurve) -> float:
 
 def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
                             n_max: int = 2**14) -> CavityMetrics:
-    """Volume and perimeter from panel traces of 128, 256, ... nodes, refined
+    """Volume and perimeter from panel traces of 64, 128, ... nodes, refined
     by `geometry.refine` until two successive passes agree to `tol`
     (relative). `n_samples` is the node count of the last pass; `converged` is
     False when n_max nodes were reached first."""

@@ -130,7 +130,7 @@ def smoothstep(u):
 
 
 def refine(pass_fn, tol, n_max):
-    """The doubling refinement: pass_fn(n) -> (values, ok) for n = 128, 256,
+    """The doubling refinement: pass_fn(n) -> (values, ok) for n = 64, 128,
     ... up to n_max, until two successive passes agree to `tol` relative in
     every component of `values` (a scalar or an array). Returns (values of the
     last pass, converged); converged is False at the cap or if any pass was
@@ -138,7 +138,7 @@ def refine(pass_fn, tol, n_max):
     unconverged, since no later pass can agree with it. The rules refined
     converge spectrally between declared kinks, so the last difference
     estimates the error of the last pass."""
-    n, prev, all_ok = 128, None, True
+    n, prev, all_ok = 64, None, True
     while True:
         vals, ok = pass_fn(n)
         all_ok = all_ok and bool(ok)

@@ -642,10 +642,10 @@ def test_off_centre_trace_metrics_converge(key, c, eps):
 
 
 def test_converged_trace_metrics_reports_the_cap():
-    # the radial trace needs 256 nodes; a 128-node cap stops it first
+    # the radial trace needs 128 nodes; a 64-node cap stops it first
     y = example_radial(0.5)
-    m = converged_trace_metrics(y, (0, 0), 0.1, n_max=128)
-    assert not m.converged and m.n_samples == 128
+    m = converged_trace_metrics(y, (0, 0), 0.1, n_max=64)
+    assert not m.converged and m.n_samples == 64
     assert converged_trace_metrics(y, (0, 0), 0.1).converged
 
 

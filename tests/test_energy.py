@@ -437,14 +437,30 @@ def test_elastic_two_flaws():
 @pytest.mark.parametrize("room", [1.05, 1.1, 1.15, 1.4, 1.45])
 def test_flaw_patch_stays_inside_the_domain(q, room):
     # a flaw at distance room * eps from the boundary, in a valid config: the
-    # partition-of-unity patch about it must not count area outside the domain
+    # partition-of-unity patch about it must not count area outside the domain.
+    # The bulk is refined to 1e-10, below the 1e-9 that the check asks for
+    # (elastic_energy's BULK_TOL of 1e-6 would not promise it)
     eps = 0.1
     a = [[1.0 - room * eps, 0.0]]
     cfg = FlawConfig(points=a, eps=eps, confinement=tight_confinement(a))
     dom = Domain(q=q, radius=1.0, flaws=cfg)
     assert validate_flaw_config(cfg, dom).ok
-    val, ok = elastic_energy(identity_deformation(), dom, default_density(2.0))
+    val, ok = energy._stored_energy(identity_deformation(), default_density(2.0), dom, cfg,
+                                    tol=1e-10)
     assert ok and val == pytest.approx(3.0 * (dom.area() - math.pi * eps**2), rel=1e-9)
+
+
+def test_ungraded_singular_point_is_not_accepted_at_first_order():
+    # a singular point of y off every flaw sits in the background pass on
+    # plain panels, where the passes converge to first order only (their
+    # differences halve at each doubling, about 2e-5 relative at n = 2048):
+    # the refinement must report that, not accept a pass
+    y = example_radial(0.5)
+    pts = [[0.2, 0.0], [-0.2, 0.3]]
+    dom = Domain(q=y.domain.q, radius=1.0, flaws=FlawConfig(
+        points=pts, eps=0.05, max_count=2, confinement=tight_confinement(pts)))
+    val, ok = elastic_energy(y, dom, subquadratic_density(1.1))
+    assert not ok and math.isfinite(val)
 
 
 def test_flaw_patch_without_room_raises():
@@ -506,10 +522,19 @@ def test_regularized_rejects_invalid_config():
 # limit energy
 
 
+# The radial map's bulk limit, W(grad y) integrated over the unit 1-norm ball
+# (subquadratic p = 1.1, b = 0.5), by nested scipy quad in polar coordinates:
+# theta split at the four spokes k pi/2, r from 0 to 1 / (|cos| + |sin|),
+# epsrel 1e-12 outer and 1e-13 inner (about 6 s, so kept as a constant)
+RADIAL_ELASTIC_QUAD = 4.541143862133694
+
+
 def test_limit_energy_radial_example():
     y = example_radial(0.5)
     rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
                        (1.0, 1.0), [0.2, 0.1, 0.05, 0.025])
+    assert rep.elastic_converged
+    assert rep.breakdown.elastic == pytest.approx(RADIAL_ELASTIC_QUAD, rel=energy.BULK_TOL)
     f = rep.flaws[0]
     assert f.volume == pytest.approx(0.5, abs=1e-4)
     assert f.perimeter == pytest.approx(2 * math.sqrt(2), abs=1e-3)
@@ -544,20 +569,26 @@ def test_flaw_limit_flags_only_the_spike_perimeter(key):
     ("spike", ("elastic-not-converged", "conv-perimeter-violated")),
 ])
 def test_limit_energy_divergent_bulk_takes_one_pass(monkeypatch, key, flags):
-    # the bulk energy of these maps is inf from the first pass on (det grad y
-    # cancels to <= 0 next to the flaw), so the refinement stops there
+    # the bulk energy of these maps diverges, and a pass turns inf where det
+    # grad y cancels to <= 0 next to the flaw; the refinement stops at the
+    # first such pass. The spike's is its first. Superposition's 64-ray pass
+    # ends its grading at level 45, a level before any of its rays cancels, so
+    # its first inf pass is the second (its 128 rays cancel at level 44)
     real = energy._integrate_perforated
-    calls = []
+    calls, finite = [], []
 
     def counting(*args, **kwargs):
         calls.append(kwargs["n"])
-        return real(*args, **kwargs)
+        val, ok = real(*args, **kwargs)
+        finite.append(math.isfinite(val))
+        return val, ok
 
     monkeypatch.setattr(energy, "_integrate_perforated", counting)
     y = make_example(key)
     rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
                        (1.0, 1.0), [0.2, 0.1, 0.05, 0.025])
-    assert calls == [128]
+    assert calls == {"superposition": [64, 128], "spike": [64]}[key]
+    assert finite == [True] * (len(calls) - 1) + [False]
     assert rep.breakdown.elastic == math.inf and not rep.elastic_converged
     assert rep.flags == flags
 
@@ -566,7 +597,7 @@ def test_limit_energy_flags_unconverged_traces(monkeypatch):
     # a trace sweep stopped by its node cap raises a flag per radius
     sweep = energy.converged_trace_metrics
     monkeypatch.setattr(energy, "converged_trace_metrics",
-                        lambda y, a, eps, **kw: sweep(y, a, eps, n_max=128, **kw))
+                        lambda y, a, eps, **kw: sweep(y, a, eps, n_max=64, **kw))
     y = example_radial(0.5)
     rep = limit_energy(y, y.singular_points, y.domain, subquadratic_density(1.1),
                        (1.0, 1.0), [0.2, 0.1, 0.05])
@@ -887,7 +918,7 @@ def test_multi_phi_pairing_shares_each_pass(monkeypatch):
     monkeypatch.setattr(cavity, "circle_kinks", spy_kinks)
     extended_det_pairing(y, cfg, dom, _TWO_FLAW_PHIS, tol=1e-7)
     ns = sorted({n for n, _ in calls})
-    assert ns == [128, 256, 512]
+    assert ns == [64, 128, 256, 512]
     assert sorted(calls) == sorted((n, 1) for n in ns for _ in range(2))
     assert sorted(traces) == sorted(n for n in ns for _ in range(2))
     assert sorted(kinks) == sorted(tuple(a) for a in cfg.points)
@@ -951,7 +982,7 @@ def test_admissibility_batches_membership_and_pairing(monkeypatch):
     tested = [id(c) for c, eps in circles if eps != cfg.eps]  # the rest: injectivity
     assert len(tested) >= 2
     assert queries == {c: [100 * 100, 200] for c in tested}
-    assert len(ns) >= 2 and ns == [128 << i for i in range(len(ns))]
+    assert len(ns) >= 2 and ns == [64 << i for i in range(len(ns))]
 
 
 def test_admissibility_detects_folding():

@@ -224,7 +224,7 @@ def test_refine_vector_needs_every_component():
     one_pass, calls = _recording([np.array([1.0, 1.0]), np.array([1.0, 2.0]),
                                   np.array([1.0, 2.0 + 1e-12])])
     vals, ok = refine(one_pass, 1e-9, 2**14)
-    assert ok and calls == [128, 256, 512]
+    assert ok and calls == [64, 128, 256]
     assert vals.tolist() == [1.0, 2.0 + 1e-12]
 
 
@@ -232,22 +232,22 @@ def test_refine_tolerance_is_inclusive():
     # |2 - 1| is exactly 0.5 * 2
     one_pass, calls = _recording([1.0, 2.0])
     assert refine(one_pass, 0.5, 2**14) == (2.0, True)
-    assert calls == [128, 256]
+    assert calls == [64, 128]
 
 
 def test_refine_cap_returns_the_last_pass():
     one_pass, calls = _recording([1.0, 2.0, 3.0, 4.0])
-    assert refine(one_pass, 1e-9, 1024) == (4.0, False)
-    assert calls == [128, 256, 512, 1024]
+    assert refine(one_pass, 1e-9, 512) == (4.0, False)
+    assert calls == [64, 128, 256, 512]
     one_pass, calls = _recording([1.0])
-    assert refine(one_pass, 1e-9, 128) == (1.0, False)
+    assert refine(one_pass, 1e-9, 64) == (1.0, False)
 
 
 def test_refine_failed_pass_is_not_converged():
     # the values agree, but the first pass reported a failure
     one_pass, calls = _recording([1.0, 1.0], oks=[False, True])
     assert refine(one_pass, 1e-9, 2**14) == (1.0, False)
-    assert calls == [128, 256]
+    assert calls == [64, 128]
 
 
 @pytest.mark.parametrize("passes", [
@@ -260,7 +260,7 @@ def test_refine_step_to_a_non_finite_pass_is_not_convergence(passes):
     # accept this step
     one_pass, calls = _recording(passes)
     assert refine(one_pass, 1e-6, 2048)[1] is False
-    assert calls == [128, 256]
+    assert calls == [64, 128]
 
 
 @pytest.mark.parametrize("first", [math.inf, math.nan])
@@ -269,4 +269,20 @@ def test_refine_ends_at_a_non_finite_pass(first):
     one_pass, calls = _recording([first, 1.0, 1.0])
     vals, ok = refine(one_pass, 1e-6, 2048)
     assert not ok and not math.isfinite(vals)
-    assert calls == [128]
+    assert calls == [64]
+
+
+@pytest.mark.parametrize("c,n_last,converged", [(1e-3, 1024, True), (1.0, 2**14, False)])
+def test_refine_runs_a_first_order_sequence_to_its_tolerance(c, n_last, converged):
+    # passes 1 + c/n halve their difference at each doubling: a steady rate
+    # is no reason to stop, only |v_n - v_n/2| <= tol |v_n| is. For c = 1e-3
+    # that holds first at n = 1024 (|dv| = 9.8e-7); for c = 1 never below
+    # the cap
+    calls = []
+
+    def one_pass(n):
+        calls.append(n)
+        return 1.0 + c / n, True
+
+    assert refine(one_pass, 1e-6, 2**14) == (1.0 + c / n_last, converged)
+    assert calls == [64 << i for i in range((n_last // 64).bit_length())]
