@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from .deformation import Deformation
-from .geometry import angular_rule, pseudoinverse, refine
+from .geometry import angular_rule, panel_error, pseudoinverse, refine
 from .seams import TWO_PI, Arc, circle_kinks
 
 
@@ -29,7 +29,8 @@ class TraceCurve:
 
     `ts` are sorted parameters in [0, 2 pi); closure is by periodicity.
     `weights` are the quadrature weights of the parameters: 2 pi / n on the
-    uniform polyline, composite Gauss-Legendre on a panel trace.
+    uniform polyline, composite Gauss-Legendre on a panel trace, shaped
+    (panels, nodes per panel) there.
     """
 
     ts: np.ndarray
@@ -58,7 +59,17 @@ class TraceCurve:
 
     def integrate(self, f: np.ndarray) -> float:
         """Quadrature of nodal values f over the parameter."""
-        return float(self.weights @ f)
+        return float(self.weights.ravel() @ f)
+
+    def error(self, f: np.ndarray):
+        """The error estimate of `integrate` for each row of f (..., n): the
+        sum of `geometry.panel_error` over a panel trace's panels; inf on the
+        polyline."""
+        f = np.asarray(f, dtype=float)
+        if self.weights.ndim == 1:
+            return np.full(f.shape[:-1], math.inf)
+        panels = np.reshape(f, f.shape[:-1] + self.weights.shape)
+        return np.sum(panel_error(panels, np.sum(self.weights, axis=-1)), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -68,6 +79,7 @@ class CavityMetrics:
     orientation: int  # sign of the enclosed signed area
     n_samples: int  # trace nodes of the last pass
     converged: bool  # False when the node cap stopped the refinement
+    error: float  # the last pass's estimate: the larger of volume's and perimeter's, relative
 
 
 def _trace(y: Deformation, a, eps: float, ts, weights) -> TraceCurve:
@@ -110,7 +122,11 @@ def panel_tracer(y: Deformation, a, eps: float):
     it crosses the map's seams as the extra kinks, derived once."""
     a = np.asarray(a, dtype=float)
     kinks = circle_kinks(y.seams, a, eps)
-    return lambda n: _trace(y, a, eps, *angular_rule(n, kinks))
+
+    def trace(n):  # weights keep the rule's panel shape, for `TraceCurve.error`
+        ts, weights = angular_rule(n, kinks)
+        return _trace(y, a, eps, ts.ravel(), weights)
+    return trace
 
 
 # --------------------------------------------------------------------------
@@ -284,23 +300,27 @@ def cavity_perimeter(curve: TraceCurve) -> float:
 
 def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
                             n_max: int = 2**14) -> CavityMetrics:
-    """Volume and perimeter from panel traces of 64, 128, ... nodes, refined
-    by `geometry.refine` until two successive passes agree to `tol`
-    (relative). `n_samples` is the node count of the last pass; `converged` is
-    False when n_max nodes were reached first."""
-    n_samples = 0
+    """Volume and perimeter from panel traces of 128, 256, ... nodes, refined
+    by `geometry.refine` to `tol` (relative), each pass estimating its error
+    by `TraceCurve.error` of the area density and of the speed. `n_samples`
+    and `error` (the larger relative estimate) are the last pass's;
+    `converged` is False when n_max nodes were reached first."""
+    n_samples, error = 0, math.inf
     trace = panel_tracer(y, a, eps)
 
     def one_pass(n):
-        nonlocal n_samples
+        nonlocal n_samples, error
         curve = trace(n)
-        n_samples = len(curve)
-        return np.array([cavity_volume_signed(curve), cavity_perimeter(curve)]), True
+        speed = np.linalg.norm(curve.derivs, axis=-1)
+        vals = np.array([cavity_volume_signed(curve), curve.integrate(speed)])
+        err = curve.error(np.stack([curve.area_density, speed]))
+        n_samples, error = len(curve), float(np.max(err / np.maximum(np.abs(vals), 1e-30)))
+        return vals, True, err
 
     (vol, per), converged = refine(one_pass, tol, n_max)
     return CavityMetrics(volume=float(abs(vol)), perimeter=float(per),
                          orientation=1 if vol >= 0 else -1,
-                         n_samples=n_samples, converged=converged)
+                         n_samples=n_samples, converged=converged, error=error)
 
 
 # --------------------------------------------------------------------------

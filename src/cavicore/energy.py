@@ -16,7 +16,7 @@ from .cavity import (INSIDE, OUTSIDE, CavityMetrics, closest_far_pair,
 from .cavity import topological_image_contains  # noqa: F401 (perfbench patches it here)
 from .deformation import Deformation
 from .geometry import (Domain, FlawConfig, angular_rule, cof2, det2,
-                       gauss_panels, mul2, norm2, refine, smoothstep,
+                       gauss_panels, mul2, norm2, panel_error, refine, smoothstep,
                        validate_flaw_config)
 from .geometry import adj2  # noqa: F401 (perfbench patches it here)
 from .seams import TWO_PI, Arc, pass_kinks, ray_breaks
@@ -188,14 +188,17 @@ def _kappa(q, t):
     return np.maximum(np.abs(c), np.abs(s))
 
 
-def _column_sums(f, center, u, jw, lo, hi, p, points):
+def _column_sums(f, center, u, jw, lo, hi, p, points, radial=True):
     """Integrate f along the rays center + s u[i] over the columns s in
     [lo[j, i], hi[j, i]], shape (columns, rays), each split into p Gauss-NG
     panels; jw is each ray's angular weight times its area element 1/kappa^2.
     Columns empty on every ray are dropped; the others are evaluated about
-    `points` points at a time (a larger column alone) and yield in order one
-    sum each (a float, or one per component of f), summed on its own slice
-    so that it does not depend on the others."""
+    `points` points at a time (a larger column alone) and yield in order
+    (sum, ray sums, radial error): the column's sum (a float, or one per
+    component of f), summed on its own slice so that it does not depend on
+    the others; its sum on each ray (shape (rays,) or (components, rays));
+    and, with `radial`, the `panel_error` of its radial panels, each weighted
+    by its ray's jw, summed (a float or one per component; 0 without)."""
     cols = np.flatnonzero(~np.all(hi <= lo, axis=1))
     step = max(1, points // (lo.shape[1] * p * NG))  # columns per group
     for i in range(0, len(cols), step):
@@ -204,33 +207,44 @@ def _column_sums(f, center, u, jw, lo, hi, p, points):
         start = lo[j][..., None] + width * np.arange(p)
         mid, ws = gauss_panels(start, width, NG)
         vals = _eval_blocked(f, center, u, mid)
-        # one product per component, and one sum per column of it
-        sums = np.array([[np.sum(col) for col in v * mid * ws * jw[:, None, None]]
-                         for v in vals.reshape((-1,) + mid.shape)]).T
-        yield from (sums[:, 0].tolist() if vals.ndim == mid.ndim else sums)
+        g = vals.reshape((-1,) + mid.shape)  # per component, in place: the integrand
+        g *= mid  # along the rays, then its products with the weights
+        err = (np.sum(panel_error(g, width) * jw[:, None], axis=(-2, -1)).T if radial
+               else np.zeros((len(j), len(g))))
+        g *= ws
+        g *= jw[:, None, None]
+        sums = np.array([[np.sum(col) for col in v] for v in g]).T  # one per column
+        rays = np.sum(g, axis=(-2, -1)).transpose(1, 0, 2)
+        if vals.ndim == mid.ndim:
+            yield from zip(sums[:, 0].tolist(), rays[:, 0], err[:, 0].tolist())
+        else:
+            yield from zip(sums, rays, err)
 
 
 def _dyadic_sum(f, center, u, jw, hi):
     """Integrate f over s in (0, hi] with dyadic panels toward 0; returns
-    (value, converged). The levels are added in order up to the first
-    non-finite level or the first below DYADIC_TOL. They are evaluated in
-    groups of about BLOCK points, the stop's group the last."""
+    (value, converged, ray sums) as summed from `_column_sums`. The levels
+    are added in order up to the first non-finite level or the first below
+    DYADIC_TOL. They are evaluated in groups of about BLOCK points, the
+    stop's group the last. The levels take no radial error estimate: graded
+    toward the singular point, each converges at the same geometric rate."""
     edges = np.ldexp(hi, -np.arange(DYADIC_LEVELS + 1)[:, None])
-    total = 0.0
-    for last in _column_sums(f, center, u, jw, edges[1:], edges[:-1], 1, BLOCK):
-        total += last
+    total = rays = 0.0
+    for last, r, _ in _column_sums(f, center, u, jw, edges[1:], edges[:-1], 1, BLOCK,
+                                   radial=False):
+        total, rays = total + last, rays + r
         if not np.all(np.isfinite(last)):  # the total stays non-finite whatever follows
-            return total, False
+            return total, False, rays
         if np.all(np.abs(last) < DYADIC_TOL):
-            return total, True
-    return total, False
+            return total, True, rays
+    return total, False, rays
 
 
 def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     """One quadrature pass of f over {center + s u(t) : r_in kappa(t) <= s <=
     r_out}: the q-ball of radius r_out about `center` minus the Euclidean disk
     of radius r_in. f returns one value per point or k (shape (k, points));
-    returns (value or k values, converged).
+    returns (value or k values, converged, error estimate of each).
 
     The rays are at the about n angles `angular_rule(n, kinks)`, with the
     `seams.pass_kinks` of `seams` about `center` as the extra kinks. Each ray
@@ -238,9 +252,13 @@ def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     converted to the radial coordinate), and each segment into n // 64
     panels. With `singular` and r_in == 0 the ray is graded dyadically toward
     `center` below half its first split, or below r_out / 2 if it has
-    none."""
+    none. The error estimate is the `panel_error` of the ray integrals on
+    each angular panel plus that of every radial panel, weighted by its
+    ray's angular weight."""
     c = np.asarray(center, dtype=float)
     t, wt = angular_rule(n, pass_kinks(seams, c))
+    panels = t.shape
+    t, wt = t.ravel(), wt.ravel()
     kap = _kappa(q, t)
     u = np.stack([np.cos(t), np.sin(t)], axis=-1) / kap[:, None]
     jw = (1.0 / kap**2) * wt
@@ -251,16 +269,19 @@ def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     B = np.sort(np.where((B > lo[:, None] + 1e-14) & (B < r_out), B, r_out), axis=1)
 
     converged = True
-    total = 0.0
+    total = rays = err = 0.0
     if singular and r_in == 0.0:
         lo = 0.5 * np.min(B, axis=1, initial=r_out)
-        total, converged = _dyadic_sum(f, c, u, jw, lo)
+        total, converged, rays = _dyadic_sum(f, c, u, jw, lo)
     edges = np.concatenate([lo[None], B.T, np.full((1, len(t)), r_out)])
     # 32 blocks a group: 1 block saves about 1 MB RSS but slows admissibility by 10%
     segments = 0.0  # its own sum, added once: it does not depend on the grading
-    for part in _column_sums(f, c, u, jw, edges[:-1], edges[1:], n // 64, 32 * BLOCK):
-        segments += part
-    return total + segments, converged
+    for part, r, e in _column_sums(f, c, u, jw, edges[:-1], edges[1:], n // 64, 32 * BLOCK):
+        segments, rays, err = segments + part, rays + r, err + e
+    g = rays / wt  # the ray integrals, per angle
+    err = err + np.sum(panel_error(g.reshape(g.shape[:-1] + panels),
+                                   np.sum(wt.reshape(panels), axis=-1)), axis=-1)
+    return total + segments, converged, err
 
 
 def _smooth_blend(r, r_in, r_out):
@@ -295,7 +316,8 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
     integral into per-flaw polar patches plus a background with the patches
     blended out. Every pass is split along y's seams and the extra `seams`
     where the integrand has reduced smoothness (and the background along the
-    blend circles). f and the pass size n are as for _polar_integral.
+    blend circles). f, the pass size n and the returned (value, converged,
+    error estimate) are as for _polar_integral, summed over the passes.
     """
     seams = y.seams + tuple(seams)
     pts = cfg.points if cfg is not None and len(cfg) else np.zeros((0, 2))
@@ -320,19 +342,19 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
         return out
 
     blends = tuple(Arc(tuple(a), R) for i, a in enumerate(pts) for R in (radii[i], cfg.eps))
-    total, conv = _polar_integral(background, np.zeros(2), domain.q, 0.0,
-                                  domain.radius, seams=blends + seams, n=n)
+    total, conv, err = _polar_integral(background, np.zeros(2), domain.q, 0.0,
+                                       domain.radius, seams=blends + seams, n=n)
     for i, a in enumerate(pts):
         def patch(X, a=a, i=i):
             r = norm2(X - a)
             return f(X) * _smooth_blend(r, cfg.eps, radii[i])
 
         inner = () if eps else (Arc(tuple(a), cfg.eps),)  # the blend's kink, if no hole
-        val, ok = _polar_integral(patch, a, 2, eps, radii[i], seams=inner + seams,
-                                  singular=singular, n=n)
-        total += val
+        val, ok, e = _polar_integral(patch, a, 2, eps, radii[i], seams=inner + seams,
+                                     singular=singular, n=n)
+        total, err = total + val, err + e
         conv = conv and ok
-    return total, conv
+    return total, conv, err
 
 
 def _stored_energy(y: Deformation, density: Density, dom: Domain,
@@ -569,21 +591,23 @@ def extended_det_pairing(y: Deformation, cfg: FlawConfig, dom: Domain,
         return f
 
     @functools.cache
-    def one_pass(n):  # ([bulk, det, sphere] per phi, ok per phi)
-        vals = np.zeros((len(phis), 3))
+    def one_pass(n):  # ([bulk, det, sphere], ok, [their errors]) per phi
+        vals, err = np.zeros((len(phis), 3)), np.zeros((len(phis), 3))
         ok = np.ones(len(phis), dtype=bool)
         for (c, R), js in supports.items():
-            v, ok[js] = _integrate_perforated(integrand([phis[j] for j in js]), dom, cfg,
-                                              y, n=n, seams=(Arc(c, R),))
-            vals[js, :2] = np.reshape(v, (-1, 2))
+            v, ok[js], e = _integrate_perforated(integrand([phis[j] for j in js]), dom,
+                                                 cfg, y, n=n, seams=(Arc(c, R),))
+            vals[js, :2], err[js, :2] = np.reshape(v, (-1, 2)), np.reshape(e, (-1, 2))
         for circle, trace in sphere:
             curve = trace(n)
             x = circle.at(curve.ts)
             for js in supports.values():
                 u = phis[js[0]].offset(x)[1]
                 for j in js:
-                    vals[j, 2] -= curve.integrate(curve.area_density * phis[j].value(u))
-        return vals, ok
+                    traced = curve.area_density * phis[j].value(u)
+                    vals[j, 2] -= curve.integrate(traced)
+                    err[j, 2] += float(curve.error(traced))
+        return vals, ok, err
 
     def result(j):
         (bulk, deti, sphere), converged = refine(

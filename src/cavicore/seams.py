@@ -169,9 +169,10 @@ def ray_breaks(seams, c, t):
 
 
 def pass_kinks(seams, c):
-    """Ray angles from c at which crossings appear or vanish: the rays
-    tangent to an arc and the rays through seam ends (from its own point, a
-    spoke's angle and an arc's range ends)."""
+    """Ray angles from c at which crossings appear, vanish or meet: the rays
+    tangent to an arc, the rays through seam ends (from its own point, a
+    spoke's angle and an arc's range ends) and the rays through the points
+    where a circle crosses another seam."""
     c = np.asarray(c, dtype=float)
     out, ends = [], []
     for s in seams:
@@ -181,6 +182,10 @@ def pass_kinks(seams, c):
             dist = math.hypot(w[0], w[1])
             if dist >= s.f:
                 out += [math.atan2(w[1], w[0]) + k * math.asin(s.f / dist) for k in (-1, 1)]
+            # a spoke from c meets the circle on its own ray, a kink already
+            others = [o for o in seams if o is not s
+                      and not (isinstance(o, Spoke) and not np.subtract(o.point, c).any())]
+            ends += list(s.at(np.array(circle_kinks(others, s.point, s.f))) - c)
         elif not w.any():
             out += [s.angle] if isinstance(s, Spoke) else tips
         else:

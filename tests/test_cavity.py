@@ -642,11 +642,18 @@ def test_off_centre_trace_metrics_converge(key, c, eps):
 
 
 def test_converged_trace_metrics_reports_the_cap():
-    # the radial trace needs 128 nodes; a 64-node cap stops it first
-    y = example_radial(0.5)
-    m = converged_trace_metrics(y, (0, 0), 0.1, n_max=64)
-    assert not m.converged and m.n_samples == 64
+    # the superposition trace needs 256 nodes; a 128-node cap stops it first
+    y = make_example("superposition")
+    m = converged_trace_metrics(y, (0, 0), 0.1, n_max=128)
+    assert not m.converged and m.n_samples == 128 and m.error > 1e-9
     assert converged_trace_metrics(y, (0, 0), 0.1).converged
+
+
+def test_converged_trace_metrics_carry_their_estimate():
+    # the radial trace is accepted at its first pass on its own estimate,
+    # the larger relative one of volume and perimeter
+    m = converged_trace_metrics(example_radial(0.5), (0, 0), 0.1)
+    assert m.converged and m.n_samples == 128 and 0.0 < m.error <= 1e-9
 
 
 # --------------------------------------------------------------------------

@@ -141,10 +141,15 @@ def test_empty_list_is_config_error(tmp_path, argv):
     ["limit-energy", "--example", "radial", "--lambda-v", "nan"],
     ["limit-energy", "--example", "radial", "--lambda-p", "nan"],
     ["limit-energy", "--example", "radial", "--lambda-v", "inf"],
+    ["example-sweep", "--example", "radial", "--trace-tol", "nan"],
+    ["example-sweep", "--example", "radial", "--trace-tol", "0"],
+    ["example-sweep", "--example", "radial", "--trace-tol", "-1"],
+    ["example-sweep", "--example", "radial", "--trace-tol", "inf"],
 ], ids=["minimize-eps", "gamma-order", "gamma-eps", "check-eps", "minimize-negative-eps",
         "gamma-negative-eps", "minimize-nan-boundary", "minimize-inf-boundary",
         "minimize-inf-outer", "minimize-nan-p", "minimize-inf-p", "limit-nan-lambda-v",
-        "limit-nan-lambda-p", "limit-inf-lambda-v"])
+        "limit-nan-lambda-p", "limit-inf-lambda-v", "sweep-nan-trace-tol",
+        "sweep-zero-trace-tol", "sweep-negative-trace-tol", "sweep-inf-trace-tol"])
 def test_config_error_is_reported(tmp_path, capsys, argv):
     assert main(argv + ["--output", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err

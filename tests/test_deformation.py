@@ -22,7 +22,7 @@ from cavicore.deformation import (
 )
 from cavicore.geometry import det2, qnorm
 from cavicore.recovery import build_phi, compose_push, default_r_rule
-from cavicore.seams import circle_kinks, pass_kinks, ray_breaks
+from cavicore.seams import Arc, Spoke, circle_kinks, pass_kinks, ray_breaks
 
 from helpers import affine_deformation, finite_difference_grad
 
@@ -677,8 +677,6 @@ _AUDIT_IDS = [*CATALOG_KEYS, *(f"{k}*push{e}" for e, _ in _PUSHES for k in CATAL
 
 def test_constant_arc_is_a_full_circle():
     # the closed forms treat an arc of constant radius as a whole circle
-    from cavicore.seams import Arc
-
     with pytest.raises(ValueError):
         Arc((0.0, 0.0), 0.5, 0.0, math.pi)
 
@@ -809,3 +807,20 @@ def test_break_count_is_constant_between_pass_kinks(y, a):
         count = np.sum(np.isfinite(ray_breaks(y.seams, c, t.ravel())), axis=1)
         count = count.reshape(t.shape)
         assert np.all(count == count[:, :1]), (y.name, c)
+
+
+@pytest.mark.parametrize("c", [(0.0, 0.0), (-0.3, -0.2)])
+def test_pass_kinks_include_where_a_circle_meets_a_seam(c):
+    # the ray integral kinks in angle where two of its breaks meet: at the
+    # support circle's crossings of the stretch seam (theta = +-1.3798726624
+    # about the origin), and of a spoke, seen from any pass centre
+    y = example_change_of_reference(0.5)
+    support = Arc((0.0, 0.0), 0.95)
+    spoke = Spoke((0.5, -1.0), math.pi / 2, 0.0, 2.0)  # the line x = 0.5
+    kinks = np.mod(pass_kinks((support, spoke) + y.seams, c), 2 * math.pi)
+    meets = [0.95 * np.array([math.cos(th), math.sin(th)]) for th in (1.3798726624292694,
+                                                                      -1.3798726624292694)]
+    meets += [np.array([0.5, s * math.sqrt(0.95**2 - 0.25)]) for s in (1, -1)]
+    for p in meets:
+        th = math.atan2(p[1] - c[1], p[0] - c[0]) % (2 * math.pi)
+        assert np.min(np.abs(kinks - th)) < 1e-9, (c, p)

@@ -10,7 +10,9 @@ from cavicore.geometry import (
     Domain,
     FlawConfig,
     SingularMatrixError,
+    gauss_legendre,
     gauss_panels,
+    panel_error,
     pseudoinverse,
     qnorm,
     refine,
@@ -205,15 +207,17 @@ def test_gauss_panels_broadcast_over_columns_rays_and_panels(rng):
         assert np.array_equal(x[idx], xs) and np.array_equal(w[idx], ws)
 
 
-def _recording(values, oks=None):
-    """A pass that returns values[k] (and oks[k]) on its k-th call and
-    records the node counts it was called with."""
+def _recording(values, oks=None, errors=None):
+    """A pass that returns values[k] (and oks[k], and the error estimate
+    errors[k], inf by default) on its k-th call and records the node counts
+    it was called with."""
     calls = []
 
     def one_pass(n):
         k = len(calls)
         calls.append(n)
-        return values[k], True if oks is None else oks[k]
+        return (values[k], True if oks is None else oks[k],
+                math.inf if errors is None else errors[k])
 
     return one_pass, calls
 
@@ -224,7 +228,7 @@ def test_refine_vector_needs_every_component():
     one_pass, calls = _recording([np.array([1.0, 1.0]), np.array([1.0, 2.0]),
                                   np.array([1.0, 2.0 + 1e-12])])
     vals, ok = refine(one_pass, 1e-9, 2**14)
-    assert ok and calls == [64, 128, 256]
+    assert ok and calls == [128, 256, 512]
     assert vals.tolist() == [1.0, 2.0 + 1e-12]
 
 
@@ -232,22 +236,22 @@ def test_refine_tolerance_is_inclusive():
     # |2 - 1| is exactly 0.5 * 2
     one_pass, calls = _recording([1.0, 2.0])
     assert refine(one_pass, 0.5, 2**14) == (2.0, True)
-    assert calls == [64, 128]
+    assert calls == [128, 256]
 
 
 def test_refine_cap_returns_the_last_pass():
     one_pass, calls = _recording([1.0, 2.0, 3.0, 4.0])
-    assert refine(one_pass, 1e-9, 512) == (4.0, False)
-    assert calls == [64, 128, 256, 512]
+    assert refine(one_pass, 1e-9, 1024) == (4.0, False)
+    assert calls == [128, 256, 512, 1024]
     one_pass, calls = _recording([1.0])
-    assert refine(one_pass, 1e-9, 64) == (1.0, False)
+    assert refine(one_pass, 1e-9, 128) == (1.0, False)
 
 
 def test_refine_failed_pass_is_not_converged():
     # the values agree, but the first pass reported a failure
     one_pass, calls = _recording([1.0, 1.0], oks=[False, True])
     assert refine(one_pass, 1e-9, 2**14) == (1.0, False)
-    assert calls == [64, 128]
+    assert calls == [128, 256]
 
 
 @pytest.mark.parametrize("passes", [
@@ -260,7 +264,7 @@ def test_refine_step_to_a_non_finite_pass_is_not_convergence(passes):
     # accept this step
     one_pass, calls = _recording(passes)
     assert refine(one_pass, 1e-6, 2048)[1] is False
-    assert calls == [64, 128]
+    assert calls == [128, 256]
 
 
 @pytest.mark.parametrize("first", [math.inf, math.nan])
@@ -269,7 +273,7 @@ def test_refine_ends_at_a_non_finite_pass(first):
     one_pass, calls = _recording([first, 1.0, 1.0])
     vals, ok = refine(one_pass, 1e-6, 2048)
     assert not ok and not math.isfinite(vals)
-    assert calls == [64]
+    assert calls == [128]
 
 
 @pytest.mark.parametrize("c,n_last,converged", [(1e-3, 1024, True), (1.0, 2**14, False)])
@@ -282,7 +286,90 @@ def test_refine_runs_a_first_order_sequence_to_its_tolerance(c, n_last, converge
 
     def one_pass(n):
         calls.append(n)
-        return 1.0 + c / n, True
+        return 1.0 + c / n, True, math.inf
 
     assert refine(one_pass, 1e-6, 2**14) == (1.0 + c / n_last, converged)
-    assert calls == [64 << i for i in range((n_last // 64).bit_length())]
+    assert calls == [128 << i for i in range((n_last // 128).bit_length())]
+
+
+def test_refine_accepts_a_pass_on_its_own_estimate():
+    # the first pass's estimate meets tol: no second pass runs
+    one_pass, calls = _recording([1.0], errors=[1e-10])
+    assert refine(one_pass, 1e-9, 2**14) == (1.0, True)
+    assert calls == [128]
+    # inclusive, as agreement is
+    one_pass, calls = _recording([2.0], errors=[1.0])
+    assert refine(one_pass, 0.5, 2**14) == (2.0, True)
+
+
+def test_refine_estimate_needs_every_component():
+    # the second component's estimate misses tol on the first pass; the
+    # second pass meets it in both
+    one_pass, calls = _recording([np.array([1.0, 2.0]), np.array([1.0, 3.0])],
+                                 errors=[np.array([0.0, 1e-3]), np.array([1e-12, 1e-12])])
+    vals, ok = refine(one_pass, 1e-9, 2**14)
+    assert ok and calls == [128, 256] and vals.tolist() == [1.0, 3.0]
+
+
+def test_refine_estimate_does_not_accept_a_non_finite_pass():
+    one_pass, calls = _recording([math.inf, 1.0], errors=[0.0, 0.0])
+    assert refine(one_pass, 1e-6, 2048)[1] is False
+    assert calls == [128]
+
+
+@pytest.mark.parametrize("tol,n_max", [
+    (math.nan, 2**14), (0.0, 2**14), (-1.0, 2**14), (math.inf, 2**14), (1e-9, 64),
+])
+def test_refine_rejects_bad_arguments_before_any_pass(tol, n_max):
+    one_pass, calls = _recording([1.0] * 8)
+    with pytest.raises(ValueError):
+        refine(one_pass, tol, n_max)
+    assert calls == []
+
+
+# --------------------------------------------------------------------------
+# panel error estimates
+
+
+def _panel_case(f, m):
+    """(estimate, value) of the m-node Gauss rule for f on [-1, 1]."""
+    x, w = gauss_legendre(m)
+    return float(panel_error(f(x), 2.0)), w @ f(x)
+
+
+@pytest.mark.parametrize("m", range(6, 17))
+@pytest.mark.parametrize("f,exact", [
+    (lambda x: 1.0 / (x - 1.2), math.log(0.2 / 2.2)),
+    (lambda x: np.exp(3.0 * x), 2.0 * math.sinh(3.0) / 3.0),
+], ids=["pole", "exp"])
+def test_panel_error_bounds_analytic_integrands(f, exact, m):
+    # geometric coefficient decay: the estimate is at least the true error
+    est, val = _panel_case(f, m)
+    assert est >= abs(val - exact)
+
+
+@pytest.mark.parametrize("m", range(6, 17))
+@pytest.mark.parametrize("f", [lambda x: np.abs(x - 0.3), lambda x: (x + 1.0) ** 0.4],
+                         ids=["kink", "endpoint-power"])
+def test_panel_error_never_accepts_algebraic_decay(f, m):
+    # an undeclared kink or an endpoint singularity: never within 1e-6
+    est, val = _panel_case(f, m)
+    assert est > 1e-6 * abs(val)
+
+
+@pytest.mark.parametrize("m", [32, 48, 64])
+def test_panel_error_rate_check_sees_algebraic_decay(m):
+    # |x - 0.3|^3 has coefficients falling far but algebraically: read as
+    # geometric, tau^2 / h would be below the true error
+    est, val = _panel_case(lambda x: np.abs(x - 0.3) ** 3, m)
+    assert est >= abs(val - (1.3**4 + 0.7**4) / 4.0)
+
+
+def test_panel_error_is_per_panel_and_scales_with_width(rng):
+    # a stack of panels: one estimate each, linear in the width and in f
+    x, _ = gauss_legendre(12)
+    vals = np.exp(rng.uniform(1.0, 3.0, (3, 1)) * x)
+    est = panel_error(vals, 2.0)
+    assert est.shape == (3,) and np.all(est > 0)
+    assert np.allclose(panel_error(-2.0 * vals, 0.5), est, rtol=1e-12)
+    assert panel_error(np.zeros(12), 2.0) == 0.0
