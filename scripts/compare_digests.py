@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Compare the benchmark workloads' outputs between two checkouts.
+"""Compare the benchmark workloads' outputs and the README commands between
+two checkouts.
 
     python scripts/compare_digests.py OLD NEW --seeds 0-10
 
@@ -8,7 +9,11 @@ builds every workload of perfbench/workloads.py from each seed and runs one
 untraced pass. Every task whose digest, failures or relative errors differ
 between the checkouts is printed with the largest relative difference of
 its digest's numbers and the largest change of one of its relative errors.
-The exit code is 1 if any task differs, else 0.
+The same subprocess then runs each `cavicore ...` line of that checkout's
+README Command line block, each in a new temporary directory; every command
+whose exit code, stdout or written files differ is printed. The two
+checkouts run side by side. The exit code is 1 if any task or command
+differs, else 0.
 """
 
 from __future__ import annotations
@@ -16,13 +21,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
-# one untraced pass of every workload per seed, printed as one JSON object
+# one untraced pass of every workload per seed, then each README command given,
+# printed as one JSON object
 CHILD = r"""
-import json, sys
+import contextlib, io, json, os, shlex, sys, tempfile
 from pathlib import Path
 root = Path(sys.argv[1]).resolve()
 sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
@@ -45,17 +52,42 @@ for seed in json.loads(sys.argv[2]):
             {"task": o.task, "digest": repr(o.digest), "numbers": numbers(o.digest),
              "failures": o.failures, "rel_errors": o.rel_errors}
             for o in wl.run(wl.build(seed), None)]
-print(json.dumps(out))
+
+from cavicore.cli import main
+commands = {}
+for argv in json.loads(sys.argv[3]):
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = main(argv)
+        files = {f.name: f.read_text() for f in sorted(Path(tmp).iterdir())}
+        os.chdir(root)
+    commands[shlex.join(argv)] = {"exit": code, "stdout": stdout.getvalue(), "files": files}
+print(json.dumps({"tasks": out, "commands": commands}))
 """
 
 
-def run_checkout(root: Path, seeds: list[int]) -> dict:
-    root = root.resolve()  # the child runs in root, where a relative path would not hold
-    proc = subprocess.run([sys.executable, "-c", CHILD, str(root), json.dumps(seeds)],
-                          cwd=root, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"compare_digests: the pass in {root} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
+def readme_commands(readme: Path) -> list[list[str]]:
+    """The argument lists of the `cavicore ...` lines of the README's Command
+    line block (continuation lines joined)."""
+    block = readme.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    joined = block.split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in joined.splitlines()
+            if line.startswith("cavicore ")]
+
+
+def run_checkouts(roots: list[Path], seeds: list[int]) -> list[dict]:
+    """One child per checkout, all started before any is awaited."""
+    roots = [r.resolve() for r in roots]  # each child runs in its root, so resolve first
+    procs = [subprocess.Popen([sys.executable, "-c", CHILD, str(root), json.dumps(seeds),
+                               json.dumps(readme_commands(root / "README.md"))],
+                              cwd=root, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) for root in roots]
+    outs = [proc.communicate() for proc in procs]
+    for root, proc, (_, err) in zip(roots, procs, outs):
+        if proc.returncode != 0:
+            sys.exit(f"compare_digests: the pass in {root} failed:\n{err}")
+    return [json.loads(out) for out, _ in outs]
 
 
 def rel_diff(a: list[float], b: list[float]) -> float:
@@ -94,6 +126,22 @@ def compare(old: dict, new: dict) -> list[str]:
     return sorted(lines)
 
 
+def compare_commands(old: dict, new: dict) -> list[str]:
+    lines = []
+    for cmd in sorted(old.keys() | new.keys()):
+        if cmd not in old or cmd not in new:
+            lines.append(f"cavicore {cmd}: only in {'NEW' if cmd in new else 'OLD'}")
+            continue
+        a, b = old[cmd], new[cmd]
+        what = ([f"exit code {a['exit']} -> {b['exit']}"] if a["exit"] != b["exit"] else [])
+        what += ["stdout"] if a["stdout"] != b["stdout"] else []
+        what += [f"file {name}" for name in sorted(a["files"].keys() | b["files"].keys())
+                 if a["files"].get(name) != b["files"].get(name)]
+        if what:
+            lines.append(f"cavicore {cmd}: {', '.join(what)} differ")
+    return lines
+
+
 def seed_range(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -105,11 +153,15 @@ def main(argv=None) -> int:
     ap.add_argument("new", type=Path)
     ap.add_argument("--seeds", type=seed_range, default=[0], help="A or A-B")
     args = ap.parse_args(argv)
-    diffs = compare(run_checkout(args.old, args.seeds), run_checkout(args.new, args.seeds))
-    for line in diffs:
+    old, new = run_checkouts([args.old, args.new], args.seeds)
+    diffs = compare(old["tasks"], new["tasks"])
+    cmds = compare_commands(old["commands"], new["commands"])
+    for line in diffs + cmds:
         print(line)
     print(f"{len(diffs)} task(s) differ over seeds {args.seeds[0]}-{args.seeds[-1]}")
-    return 1 if diffs else 0
+    print(f"{len(cmds)} of {len(old['commands'].keys() | new['commands'].keys())} "
+          f"README command(s) differ")
+    return 1 if diffs or cmds else 0
 
 
 if __name__ == "__main__":

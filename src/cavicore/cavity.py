@@ -13,6 +13,8 @@ from .deformation import Deformation
 from .geometry import angular_rule, panel_error, pseudoinverse, refine
 from .seams import TWO_PI, Arc, circle_kinks
 
+TRACE_TOL = 1e-9  # the relative tolerance of a trace sweep, unless a caller states one
+
 
 class BoundaryProximityError(ValueError):
     """Query point too close to the trace for a well-defined degree."""
@@ -298,7 +300,7 @@ def cavity_perimeter(curve: TraceCurve) -> float:
     return curve.integrate(np.linalg.norm(curve.derivs, axis=-1))
 
 
-def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = 1e-9,
+def converged_trace_metrics(y: Deformation, a, eps: float, *, tol: float = TRACE_TOL,
                             n_max: int = 2**14) -> CavityMetrics:
     """Volume and perimeter from panel traces of 128, 256, ... nodes, refined
     by `geometry.refine` to `tol` (relative), each pass estimating its error

@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
-from .cavity import dyadic_ladder
+from .cavity import TRACE_TOL, dyadic_ladder
 from .deformation import CATALOG_KEYS, make_example
 from .energy import (DENSITY_FACTORIES, check_admissibility_sampled, density_by_name,
                      flaw_limit, limit_energy)
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "per-radius cavity metrics and limits")
     _example_options(p)
     p.add_argument("--radii", default=LIMIT_RADII)
-    p.add_argument("--trace-tol", type=float, default=1e-9)
+    p.add_argument("--trace-tol", type=float, default=TRACE_TOL)
 
     p = command("limit-energy", cmd_limit_energy, "limit_energy.json",
                 "vanishing-core energy of an example")

@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cavity import (INSIDE, OUTSIDE, CavityMetrics, closest_far_pair,
+from .cavity import (INSIDE, OUTSIDE, TRACE_TOL, CavityMetrics, closest_far_pair,
                      converged_trace_metrics, degree_range_on_grid, extrapolate_limit,
                      panel_tracer, trace_on_circle, winding_numbers_grid)
 from .cavity import topological_image_contains  # noqa: F401 (perfbench patches it here)
@@ -247,16 +247,17 @@ def _polar_integral(f, center, q, r_in, r_out, *, n, seams=(), singular=False):
     returns (value or k values, converged, error estimate of each).
 
     The rays are at the about n angles `angular_rule(n, kinks)`, with the
-    `seams.pass_kinks` of `seams` about `center` as the extra kinks. Each ray
-    is split where it crosses a seam (`seams.ray_breaks`, Euclidean distances
-    converted to the radial coordinate), and each segment into n // 64
-    panels. With `singular` and r_in == 0 the ray is graded dyadically toward
-    `center` below half its first split, or below r_out / 2 if it has
-    none. The error estimate is the `panel_error` of the ray integrals on
-    each angular panel plus that of every radial panel, weighted by its
-    ray's angular weight."""
+    `seams.pass_kinks` about `center` of `seams` and of the hole S(center,
+    r_in), a circle seam like any other, as the extra kinks. Each ray is split
+    where it crosses a seam (`seams.ray_breaks`, Euclidean distances converted
+    to the radial coordinate), and each segment into n // 64 panels. With
+    `singular` and r_in == 0 the ray is graded dyadically toward `center`
+    below half its first split, or below r_out / 2 if it has none. The error
+    estimate is the `panel_error` of the ray integrals on each angular panel
+    plus that of every radial panel, weighted by its ray's angular weight."""
     c = np.asarray(center, dtype=float)
-    t, wt = angular_rule(n, pass_kinks(seams, c))
+    hole = (Arc(tuple(c), r_in),) if r_in > 0 else ()
+    t, wt = angular_rule(n, pass_kinks(tuple(seams) + hole, c))
     panels = t.shape
     t, wt = t.ravel(), wt.ravel()
     kap = _kappa(q, t)
@@ -315,9 +316,9 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
     pass with the exact hole. Otherwise a smooth partition of unity splits the
     integral into per-flaw polar patches plus a background with the patches
     blended out. Every pass is split along y's seams and the extra `seams`
-    where the integrand has reduced smoothness (and the background along the
-    blend circles). f, the pass size n and the returned (value, converged,
-    error estimate) are as for _polar_integral, summed over the passes.
+    where the integrand has reduced smoothness, and along its blend circles.
+    f, the pass size n and the returned (value, converged, error estimate)
+    are as for _polar_integral, summed over the passes.
     """
     seams = y.seams + tuple(seams)
     pts = cfg.points if cfg is not None and len(cfg) else np.zeros((0, 2))
@@ -349,9 +350,8 @@ def _integrate_perforated(f, domain: Domain, cfg: FlawConfig | None,
             r = norm2(X - a)
             return f(X) * _smooth_blend(r, cfg.eps, radii[i])
 
-        inner = () if eps else (Arc(tuple(a), cfg.eps),)  # the blend's kink, if no hole
-        val, ok, e = _polar_integral(patch, a, 2, eps, radii[i], seams=inner + seams,
-                                     singular=singular, n=n)
+        val, ok, e = _polar_integral(patch, a, 2, eps, radii[i], singular=singular, n=n,
+                                     seams=(Arc(tuple(a), cfg.eps),) + seams)
         total, err = total + val, err + e
         conv = conv and ok
     return total, conv, err
@@ -448,7 +448,7 @@ CONV_PERIMETER_TOL = 5e-2
 EXTRAP_UNC_TOL = 5e-2  # a larger extrapolation error estimate is flagged
 
 
-def flaw_limit(y: Deformation, a, radii, *, tol: float = 1e-9) -> FlawLimit:
+def flaw_limit(y: Deformation, a, radii, *, tol: float = TRACE_TOL) -> FlawLimit:
     """Cavity volume and perimeter of the flaw at `a` as r -> 0: the traces
     on S(a, r) for each of the strictly decreasing `radii`, refined to `tol`,
     extrapolated to r = 0.

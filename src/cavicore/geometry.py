@@ -112,13 +112,17 @@ def angular_rule(n, kinks=()):
     """Composite Gauss-Legendre rule in the angle over [0, 2 pi) with about n
     nodes, as (angles, weights) of shape (panels, nodes per panel).
 
-    The panels run between the angles k pi/4, where every q-norm in the
-    package has its kinks, and the extra `kinks`; each gets ceil(n / panels)
-    nodes. An integrand that is smooth between them converges spectrally
-    (Trefethen & Weideman, SIAM Rev. 56, 2014). Edges closer than 1e-12 merge."""
+    The intervals between the angles k pi/4, where every q-norm in the package
+    has its kinks, and the extra `kinks` get ceil(n / intervals) nodes each, on
+    the fewest equal panels of at most 64 nodes. An integrand smooth between
+    the kinks converges spectrally (Trefethen & Weideman, SIAM Rev. 56, 2014).
+    Edges closer than 1e-12 merge."""
     edges = np.unique(np.append(np.arange(9) * (math.pi / 4.0),
                                 np.mod(np.asarray(kinks, dtype=float), 2.0 * math.pi)))
     edges = edges[np.append(np.diff(edges) > 1e-12, True)]
+    k = -(-n // (64 * (len(edges) - 1)))  # equal panels per interval, of at most 64 nodes
+    cut = np.diff(edges)[:, None] * np.arange(k) / k  # the panel starts in each interval
+    edges = np.append(edges[:-1, None] + cut, edges[-1])
     return gauss_panels(edges[:-1], np.diff(edges), -(-n // (len(edges) - 1)))
 
 
@@ -141,11 +145,10 @@ def panel_error(f, width):
     geometrically, width tau^2 / h, the rho^(-2m) of Trefethen,
     *Approximation Theory and Approximation Practice* (SIAM 2013), Thm 19.3,
     with rho read off the decay (not below the sum's rounding, width h
-    2^-52). On 8 nodes or more the decay counts as geometric when the
-    envelope falls over the second half at least a third as fast per index
-    as from a_1 to there; on fewer it never does. Otherwise a tail below
-    1e-10 h gives width tau, and any other width h, which meets no
-    tolerance (cf. Aurentz & Trefethen, ACM TOMS 43, 2017)."""
+    2^-52). The decay counts as geometric when the envelope falls over the
+    second half at least a third as fast per index as from a_1 to there.
+    Otherwise a tail below 1e-10 h gives width tau, and any other width h,
+    which meets no tolerance (cf. Aurentz & Trefethen, ACM TOMS 43, 2017)."""
     m = f.shape[-1]
     q = max(2, m // 4)
     # a non-finite pass gives nan; an all-zero panel reads 0 (r is nan there)
@@ -158,9 +161,8 @@ def panel_error(f, width):
         h = np.maximum(head, a[0])
         r = tau / h
         est = np.where(r <= 1e-10, tau, h)
-        if m >= 8:  # per index, the second half's fall against the first's
-            falls = 3 * (m - 2 * q - 1) * np.log(mid / tau) >= q * np.log(head / mid)
-            est = np.where(falls, h * np.maximum(r * r, np.finfo(float).eps), est)
+        falls = 3 * (m - 2 * q - 1) * np.log(mid / tau) >= q * np.log(head / mid)  # per index
+        est = np.where(falls, h * np.maximum(r * r, np.finfo(float).eps), est)
     return width * est.reshape(np.shape(f)[:-1])
 
 

@@ -172,7 +172,7 @@ def pass_kinks(seams, c):
     """Ray angles from c at which crossings appear, vanish or meet: the rays
     tangent to an arc, the rays through seam ends (from its own point, a
     spoke's angle and an arc's range ends) and the rays through the points
-    where a circle crosses another seam."""
+    where a circle (a pass's hole among them) crosses another seam."""
     c = np.asarray(c, dtype=float)
     out, ends = [], []
     for s in seams:

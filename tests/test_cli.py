@@ -1,10 +1,11 @@
+import importlib.util
 import json
 import math
-import shlex
 from pathlib import Path
 
 import pytest
 
+from cavicore import energy
 from cavicore.cli import (EXIT_CONFIG, EXIT_FLAGGED, EXIT_OK, LIMIT_RADII, _fmt,
                           build_parser, main, write_csv, write_json)
 
@@ -44,8 +45,12 @@ def test_example_sweep_spike_flags(tmp_path, capsys):
     assert "reduced-boundary perimeter 3.14159265, gap +1.000000" in captured
 
 
-def test_example_sweep_flags_unconverged_traces(tmp_path, capsys):
-    # no two passes agree to 1e-20, so every sweep stops at the node cap
+def test_example_sweep_flags_unconverged_traces(tmp_path, capsys, monkeypatch):
+    # a 128-node cap holds one pass, which cannot meet 1e-20 on its estimate,
+    # so every sweep stops at the cap
+    sweep = energy.converged_trace_metrics
+    monkeypatch.setattr(energy, "converged_trace_metrics",
+                        lambda y, a, eps, **kw: sweep(y, a, eps, n_max=128, **kw))
     out = tmp_path / "sweep.csv"
     code = main(["example-sweep", "--example", "radial", "--radii", "0.2,0.1,0.05",
                  "--trace-tol", "1e-20", "--output", str(out)])
@@ -298,12 +303,13 @@ def test_recovery_unconverged_row_exits_flagged(tmp_path, capsys, monkeypatch):
 
 
 def _readme_commands():
-    """The `cavicore ...` invocations of the README's Command line block."""
-    text = README.read_text()
-    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    joined = block.replace("\\\n", " ")
-    return [shlex.split(line)[1:] for line in joined.splitlines()
-            if line.startswith("cavicore ")]
+    """The `cavicore ...` invocations of the README's Command line block, as
+    `scripts/compare_digests.py` reads them."""
+    spec = importlib.util.spec_from_file_location("compare_digests",
+                                                  ROOT / "scripts" / "compare_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.readme_commands(README)
 
 
 def test_readme_commands_exit_codes(tmp_path, capsys):

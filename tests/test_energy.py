@@ -180,6 +180,42 @@ def test_polar_integral_tangent_rays_are_panel_edges():
     assert val == pytest.approx(math.pi * 0.25**2 / 3.0, rel=1e-12)
 
 
+def _hole_crossings(key):
+    """The angles at which a seam of the map crosses S(0, 0.1), from the
+    seam formulas: the spike's wedge boundary 1 / (sin t - (sqrt 3 - 1)
+    |cos t|) - 1 = 0.1 and superposition's squeeze arcs 1 / sin t - 1 / cos t
+    = 0.1 (first octant, then its eight images)."""
+    if key == "spike":
+        k = math.sqrt(3.0) - 1.0
+        t = math.atan(k) + math.asin(1.0 / (1.1 * math.sqrt(1.0 + k * k)))
+        return [t, math.pi - t]
+    lo, hi = math.atan(0.5), math.pi / 4
+    for _ in range(60):  # 1 / sin t - 1 / cos t falls through 0.1 on (lo, hi)
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 1.0 / math.sin(mid) - 1.0 / math.cos(mid) > 0.1 else (lo, mid)
+    return [j * math.pi / 2 + t for j in range(4) for t in (lo, math.pi / 2 - lo)]
+
+
+@pytest.mark.parametrize("key", ["spike", "superposition"])
+def test_polar_integral_hole_crossings_are_panel_edges(monkeypatch, key):
+    # where a seam crosses the hole, a ray's first segment starts on the seam
+    # on one side and off it on the other: the ray integral kinks in angle
+    y = make_example(key)
+    edges = []
+    real = energy.angular_rule
+
+    def spy(n, kinks=()):
+        t, w = real(n, kinks)
+        edges.extend(np.cumsum(np.sum(w, axis=1)) % (2 * math.pi))
+        return t, w
+
+    monkeypatch.setattr(energy, "angular_rule", spy)
+    _polar_integral(lambda X: np.ones(len(X)), (0.0, 0.0), y.domain.q, 0.1, 1.0,
+                    seams=y.seams, n=128)
+    for th in _hole_crossings(key):
+        assert np.min(np.abs(np.array(edges) - th)) < 1e-12, th
+
+
 def test_polar_integral_estimate_sees_an_undeclared_radial_kink():
     # |x| - 0.45 changes sign on a circle that is no seam: each ray's integral
     # is the same, so only the radial panels' estimate sees the kink
@@ -950,6 +986,22 @@ def test_pairing_declares_where_its_support_circle_meets_a_seam(monkeypatch):
     assert pairings[0] == pytest.approx(pairings[1], rel=1e-13, abs=0)
 
 
+@pytest.mark.parametrize("key", ["superposition", "spike"])
+def test_pairing_across_a_seam_that_crosses_the_hole_converges(monkeypatch, key):
+    # the k = 2 pairing of `check --example KEY`: its seams cross the hole
+    # S(0, 0.1), which each pass declares, so the passes converge spectrally
+    # and the accepted one is a 2048-node pass in every component
+    y = make_example(key)
+    cfg = FlawConfig(points=y.singular_points, eps=0.1, max_count=1)
+    phi = bump(2, radius=0.95 * float(y.domain.dist_to_boundary(np.zeros(2))))
+    got = extended_det_pairing(y, cfg, y.domain, [phi], tol=1e-5)[0]
+    monkeypatch.setattr(energy, "refine", lambda pass_fn, tol, n_max: (pass_fn(2048)[0], True))
+    ref = extended_det_pairing(y, cfg, y.domain, [phi], tol=1e-5)[0]
+    assert got.converged
+    for term in ("bulk_term", "det_integral", "sphere_term"):
+        assert getattr(got, term) == pytest.approx(getattr(ref, term), rel=1e-9, abs=0), term
+
+
 def _estimate_acceptances(monkeypatch):
     """Spy on the refinements of cavity, energy and recovery. Returns a list
     that collects (tol, values, reference values) of each converged
@@ -1016,6 +1068,14 @@ def test_admissibility_radial_example_passes():
                      confinement=tight_confinement([[0, 0]]))
     rep = check_admissibility_sampled(y, cfg, y.domain, [0.25, 0.4], seed=1)
     assert rep.ok, str(rep)
+
+
+def test_admissibility_spike_passes_its_det_identity():
+    # as `check --example spike --eps 0.1`: every pairing converges
+    y = example_spike()
+    cfg = FlawConfig(points=y.singular_points, eps=0.1, max_count=1)
+    row = check_admissibility_sampled(y, cfg, y.domain, [0.25, 0.4]).rows[-1]
+    assert row.name == "det-identity" and row.passed, row.detail
 
 
 def test_admissibility_untraceable_circle_fails_both_rows():

@@ -68,10 +68,12 @@ def test_benchmark_selftest_passes():
 
 
 def test_compare_digests_finds_no_difference_against_itself():
-    # one untraced pass of every workload per checkout repeats bit for bit;
-    # a checkout may be named relative to the working directory
+    # one untraced pass of every workload and the README commands repeat bit
+    # for bit in each checkout; a checkout may be named relative to the
+    # working directory
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_digests.py"),
                            ROOT.name, str(ROOT), "--seeds", "0"], cwd=ROOT.parent,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.strip() == "0 task(s) differ over seeds 0-0"
+    assert proc.stdout.splitlines() == ["0 task(s) differ over seeds 0-0",
+                                        "0 of 7 README command(s) differ"]
